@@ -30,9 +30,6 @@ inline void add_klinq_context() {
   benchmark::AddCustomContext(
       "klinq_hw_concurrency",
       std::to_string(std::thread::hardware_concurrency()));
-  benchmark::AddCustomContext(
-      "klinq_float_path",
-      fused_float_path_enabled() ? "fused" : "unfused");
 }
 
 }  // namespace klinq::bench

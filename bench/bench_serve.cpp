@@ -63,7 +63,7 @@ struct run_record {
   double hold_p50_ms = -1.0;
   double queue_p50_ms = -1.0;
   double exec_p50_ms = -1.0;
-  // Lane-packing counters (modes with lane_pack_shots > 0 only): requests
+  // Lane-packing counters (modes with coalesce_shots > 0 only): requests
   // served through a shared kernel tile, tiles dispatched, and the mean
   // occupied lanes per tile from klinq_serve_lane_occupancy.
   std::uint64_t packed_requests = 0;
@@ -173,15 +173,15 @@ int main(int argc, char** argv) {
           {"float-student", "serial-per-qubit", total_shots, timer.seconds()});
     }
 
-    // --- many small same-qubit requests: direct / coalesced / lane-packed -
+    // --- many small same-qubit requests: direct / coalesced ---------------
     // Mid-circuit-style traffic: each qubit's block arrives as a stream of
     // --small-shots-sized requests (default 16). With coalescing on, the
     // server merges them into full-shard batches — one pool round-trip and
-    // one arena acquisition per batch instead of per request. Lane packing
-    // additionally fuses the coalesced requests' shots into shared
-    // fc_plane / mac_tile kernel invocations, which is where single-shot
-    // traffic (--small-shots 1) recovers the SIMD lanes that per-request
-    // dispatch wastes.
+    // one arena acquisition per batch instead of per request — and fuses the
+    // merged requests' shots into shared fc_plane / mac_tile kernel tiles,
+    // which is where single-shot traffic (--small-shots 1) recovers the SIMD
+    // lanes that per-request dispatch wastes. Requests larger than one tile
+    // are never coalesced, so above 64 shots both rows run the plain path.
     const auto small_shots =
         std::max<std::size_t>(1, static_cast<std::size_t>(
                                      cli.get_int("small-shots")));
@@ -199,14 +199,11 @@ int main(int argc, char** argv) {
     struct small_mode {
       const char* name;
       std::size_t coalesce_shots;
-      std::size_t lane_pack_shots;
     };
-    const std::size_t pack_budget = std::min<std::size_t>(
-        small_shots, serve::server_config::kMaxLanePackShots);
     const small_mode small_modes[] = {
-        {"small-requests", 0, 0},
-        {"small-requests-coalesced", small_shots, 0},
-        {"small-requests-lane-packed", small_shots, pack_budget},
+        {"small-requests", 0},
+        {"small-requests-coalesced",
+         std::min(small_shots, serve::server_config::kMaxCoalesceShots)},
     };
     for (const small_mode& mode : small_modes) {
       for (const serve::engine_kind engine :
@@ -220,8 +217,7 @@ int main(int argc, char** argv) {
             std::move(engines),
             {.shard_shots = shard_shots,
              .max_inflight = small_requests_per_round + 1,
-             .coalesce_shots = mode.coalesce_shots,
-             .lane_pack_shots = mode.lane_pack_shots});
+             .coalesce_shots = mode.coalesce_shots});
         serve::readout_result result;
         stopwatch timer;
         for (std::size_t round = 0; round < rounds; ++round) {
@@ -240,7 +236,7 @@ int main(int argc, char** argv) {
                           stats.latency_p50_seconds * 1e3,
                           stats.latency_p99_seconds * 1e3};
         fill_stage_breakdown(record, server);
-        if (mode.lane_pack_shots > 0) {
+        if (mode.coalesce_shots > 0) {
           fill_pack_stats(record, server, stats);
         }
         records.push_back(std::move(record));
@@ -564,14 +560,12 @@ int main(int argc, char** argv) {
     const std::size_t workers = global_thread_pool().worker_count() + 1;
     const char* simd_tier = simd_tier_name(active_simd_tier());
     const char* float_tier = simd_tier_name(active_float_simd_tier());
-    const char* float_path =
-        fused_float_path_enabled() ? "fused" : "unfused";
     std::printf(
         "\n%zu pool worker(s), hw_concurrency %u, %zu qubits x %zu rounds x "
-        "%zu shots (%s build, %s fixed kernels, %s float kernels, %s float "
-        "path, %llu registry churn activations / %llu observed switches)\n",
+        "%zu shots (%s build, %s fixed kernels, %s float kernels, %llu "
+        "registry churn activations / %llu observed switches)\n",
         workers, std::thread::hardware_concurrency(), n_qubits, rounds, block,
-        KLINQ_BUILD_TYPE, simd_tier, float_tier, float_path,
+        KLINQ_BUILD_TYPE, simd_tier, float_tier,
         static_cast<unsigned long long>(churn_activations),
         static_cast<unsigned long long>(churn_switches_observed));
     for (const run_record& r : records) {
@@ -607,7 +601,6 @@ int main(int argc, char** argv) {
                    "  \"build_type\": \"%s\",\n"
                    "  \"simd_tier\": \"%s\",\n"
                    "  \"float_tier\": \"%s\",\n"
-                   "  \"float_path\": \"%s\",\n"
                    "  \"hw_concurrency\": %u,\n"
                    "  \"pool_workers\": %zu,\n"
                    "  \"qubits\": %zu,\n"
@@ -618,7 +611,7 @@ int main(int argc, char** argv) {
                    "  \"registry_churn_activations\": %llu,\n"
                    "  \"registry_churn_switches_observed\": %llu,\n"
                    "  \"results\": [\n",
-                   KLINQ_BUILD_TYPE, simd_tier, float_tier, float_path,
+                   KLINQ_BUILD_TYPE, simd_tier, float_tier,
                    std::thread::hardware_concurrency(), workers, n_qubits,
                    block, rounds, effective_shard_shots, small_shots,
                    static_cast<unsigned long long>(churn_activations),

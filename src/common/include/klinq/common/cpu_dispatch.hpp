@@ -68,14 +68,4 @@ bool deterministic_float_mode() noexcept;
 /// deterministic mode pins scalar64. Resolved once per process.
 simd_tier active_float_simd_tier() noexcept;
 
-/// True unless KLINQ_FUSED=0|false|off requests the legacy two-phase float
-/// inference path (materialize the feature matrix, then batched FC) instead
-/// of the fused per-tile extract→FC→logits pipeline. Both paths are bitwise
-/// identical (the float plane kernels are lane-invariant); the switch
-/// exists for A/B benchmarking and is stamped into BENCH json context.
-/// Lives beside the other process-wide datapath mode flags so reading it
-/// never drags module dependencies into the benches. Resolved once per
-/// process.
-bool fused_float_path_enabled() noexcept;
-
 }  // namespace klinq

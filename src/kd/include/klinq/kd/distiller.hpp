@@ -47,12 +47,10 @@ struct student_config {
 };
 
 /// Reusable buffers for student_model::predict_batch: the network's panel +
-/// plane arena (which the fused extract→logits path writes tiles into), plus
-/// the feature matrix the unfused (KLINQ_FUSED=0) path materializes. Reusing
-/// one scratch across calls of the same batch size makes evaluation
+/// plane arena, which the fused extract→logits path writes tiles into.
+/// Reusing one scratch across calls of the same batch size makes evaluation
 /// allocation-free.
 struct student_scratch {
-  la::matrix_f features;
   nn::inference_scratch net;
 };
 

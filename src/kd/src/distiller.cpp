@@ -5,7 +5,6 @@
 #include <memory>
 #include <ostream>
 
-#include "klinq/common/cpu_dispatch.hpp"
 #include "klinq/common/error.hpp"
 #include "klinq/common/log.hpp"
 #include "klinq/common/stopwatch.hpp"
@@ -42,14 +41,6 @@ void student_model::predict_batch(const data::trace_dataset& dataset,
   KLINQ_REQUIRE(logits_out.size() == dataset.size(),
                 "student_model::predict_batch: one logit per trace required");
   if (dataset.empty()) return;
-  if (!fused_float_path_enabled()) {
-    // Legacy two-phase path (A/B reference): materialize the feature matrix,
-    // then the batched FC — bitwise-identical to the fused path because the
-    // plane kernels are lane-invariant.
-    dsp::batch_extractor(pipeline_).extract(dataset, scratch.features);
-    net_.predict_logits(scratch.features, logits_out, scratch.net);
-    return;
-  }
   constexpr std::size_t kTile = nn::kernels::max_tile_lanes;
   const std::size_t tiles = (dataset.size() + kTile - 1) / kTile;
   if (tiles < 4) {
@@ -89,15 +80,6 @@ void student_model::predict_block(const data::trace_dataset& dataset,
                 "student_model::predict_block: one logit per row required");
   if (count == 0) return;
   const std::size_t width = pipeline_.output_width();
-  if (!fused_float_path_enabled()) {
-    if (scratch.features.rows() != count || scratch.features.cols() != width) {
-      scratch.features.resize(count, width);
-    }
-    dsp::batch_extractor(pipeline_)
-        .extract_block(dataset, row_begin, row_end, scratch.features);
-    net_.predict_logits(scratch.features, logits_out, scratch.net);
-    return;
-  }
   // Fused pipeline: each 64-shot tile is extracted feature-major straight
   // into the first-layer panel and pushed through the plane kernels — the
   // feature matrix never exists, and the tile stays cache-resident from

@@ -14,32 +14,28 @@
 // This bounds both queue memory and result-buffer memory under sustained
 // overload.
 //
-// Request coalescing (ROADMAP item): with `coalesce_shots` > 0, requests of
-// at most that many shots are held in a per-(qubit, engine) pending batch
-// and merged into ONE dispatched task — one queue round-trip and one arena
-// acquisition for the whole batch — once the batch accumulates a full
-// shard's worth of shots. Partial batches are flushed by wait() (only the
-// awaited ticket's batch — other streams keep accumulating), by drain() and
-// destruction (everything), and whenever the inflight window would
-// otherwise fill with undispatched parked work (submit at capacity,
+// Small-request batching: with `coalesce_shots` > 0, requests of at most
+// that many shots (never more than one 64-lane kernel tile) are held in a
+// per-(qubit, engine) pending batch and merged into ONE dispatched task —
+// one queue round-trip and one arena acquisition for the whole batch — once
+// the batch accumulates a full shard's worth of shots. Inside the task the
+// members are lane-packed: grouped by pinned engine version and trace
+// duration, then fused into shared 64-lane kernel tiles, so one fc_plane /
+// mac_tile invocation evaluates many requests' shots instead of each member
+// paying a full padded tile alone. Partial batches are flushed by wait()
+// (only the awaited ticket's batch — other streams keep accumulating), by
+// drain() and destruction (everything), and whenever the inflight window
+// would otherwise fill with undispatched parked work (submit at capacity,
 // try_submit returning nullopt, or parking itself meeting a full window) —
 // so every ticket completes and non-blocking producers cannot livelock.
 // poll() alone does NOT flush (a held ticket polls false until something
-// flushes). Members keep their own tickets/results, bit-identical to
-// uncoalesced execution; the trade is per-request latency (hold time is
-// included in the latency telemetry) for amortized per-request accounting —
+// flushes). Batching changes no observable result: the fixed datapath is
+// exact integer arithmetic and the float plane kernels are lane-invariant,
+// so every member's registers/logits are bit-identical to unbatched
+// execution, and each member still resolves individually (its own status,
+// deadline, cancellation, on_shard event, and stage spans). The trade is
+// per-request latency (hold time is included in the latency telemetry) —
 // built for mid-circuit clients streaming many small same-qubit blocks.
-//
-// Cross-request lane packing: with `lane_pack_shots` > 0, members of a
-// merged batch whose shot counts fit the budget are additionally grouped —
-// per pinned engine version — into shared 64-lane kernel tiles, so one
-// fc_plane / mac_tile invocation evaluates many requests' shots at once
-// instead of each single-shot member paying a full padded tile alone.
-// Packing changes no observable result: the fixed datapath is exact integer
-// arithmetic and the float plane kernels are lane-invariant, so every
-// member's registers/logits are bit-identical to unpacked execution, and
-// each member still resolves individually (its own status, deadline,
-// cancellation, on_shard event, and stage spans).
 //
 // Steady-state allocation: completed slots and shard arenas are recycled
 // through free-lists. The wait(ticket, result&) overload swaps buffers with
@@ -102,18 +98,12 @@ struct server_config {
   std::size_t shard_shots = 0;
   /// Maximum unresolved tickets before submit() blocks. Must be positive.
   std::size_t max_inflight = 64;
-  /// Requests with at most this many shots are held and merged with other
+  /// Requests with at most this many shots are held, merged with other
   /// pending small requests for the same (qubit, engine) into one dispatched
-  /// batch (see the coalescing note above). 0 disables coalescing.
+  /// batch, and lane-packed into shared kernel tiles (see the batching note
+  /// above). 0 disables batching; values above kMaxCoalesceShots (one
+  /// kernel tile) are rejected — a larger request already fills its own.
   std::size_t coalesce_shots = 0;
-  /// Cross-request lane packing inside coalesced batches: members with at
-  /// most this many shots are grouped (per pinned engine version) into
-  /// shared kernel tiles of up to kMaxLanePackShots lanes — one plane-kernel
-  /// dispatch for many requests' shots, bit-identical to unpacked execution
-  /// (see the lane-packing note above). 0 disables packing; values above
-  /// kMaxLanePackShots are rejected. Effective only together with
-  /// coalesce_shots > 0, since packing operates on merged batches.
-  std::size_t lane_pack_shots = 0;
   /// Streaming partial results: invoked from worker threads as each shard of
   /// a request finishes (see shard_callback's contract in request.hpp).
   /// Empty disables the per-shard notifications.
@@ -159,14 +149,14 @@ struct server_config {
   /// default — records nothing; untraced requests cost one branch.
   obs::trace_ring* traces = nullptr;
 
-  /// Largest accepted shard_shots / coalesce_shots value; anything above is
-  /// a config bug, not a workload.
+  /// Largest accepted shard_shots value; anything above is a config bug,
+  /// not a workload.
   static constexpr std::size_t kMaxShardShots = std::size_t{1} << 24;
 
-  /// Largest lane_pack_shots value — one engine kernel tile
+  /// Largest coalesce_shots value — one engine kernel tile
   /// (hw::quantized_network::kBatchTile == nn::kernels::max_tile_lanes), the
-  /// unit both packed executors evaluate at once.
-  static constexpr std::size_t kMaxLanePackShots = 64;
+  /// unit a lane pack evaluates at once.
+  static constexpr std::size_t kMaxCoalesceShots = 64;
 
   /// Throws invalid_argument_error on any inconsistent field (also run by
   /// the readout_server constructor, so a bad config never half-starts a
@@ -324,27 +314,53 @@ class readout_server {
   engine_lease lease_for(const readout_request& request) const;
   ticket submit_locked(const readout_request& request, engine_lease lease,
                        std::unique_lock<std::mutex>& lock);
+  /// One member's pass through a shard executor: what its preamble decided
+  /// and how its execution ended — the input to complete_members.
+  struct member_run {
+    slot* s = nullptr;
+    double exec_begin = 0.0;  // on the member's own submit timer
+    bool cancelled = false;   // skipped: cancel() landed before the start
+    bool expired = false;     // skipped: deadline passed before the start
+    bool event_fired = false;
+    std::exception_ptr error;
+    bool skipped() const noexcept { return cancelled || expired; }
+  };
+
   void run_shard(slot& s, const readout_request& request, std::size_t begin,
                  std::size_t end, shard_arena& arena) const;
-  /// Runs one contiguous row range of a request and performs the shard
-  /// completion accounting (shared by sharded dispatch and merged batches).
+  /// Shard preamble: stamps the exec start, then checks cancellation, the
+  /// deadline and the "serve.shard.run" fault point. True when the member
+  /// should execute; a skipped or faulted member still goes through
+  /// complete_members.
+  bool start_member(member_run& run) const;
+  /// The on_shard event for rows [begin, end) of a member's result.
+  static shard_event shard_event_for(const slot& s, std::size_t begin,
+                                     std::size_t end);
+  /// Runs one contiguous row range of a request (a shard, or a batch member
+  /// that shares no tile) and completes it.
   void execute_range(slot* raw, const readout_request& request,
                      std::size_t begin, std::size_t end, shard_arena& arena);
   /// Enqueues a merged batch as one scheduler task. The batch must already
   /// be stamped (stamp_dispatch_locked) — its members left pending_ under
   /// the lock that called this.
   void dispatch_batch(pending_batch batch);
-  /// Runs a merged batch inside its scheduler task: partitions members into
-  /// lane packs (shots <= lane_pack_shots, grouped by pinned engine
-  /// identity, chunked to kMaxLanePackShots lanes) executed by
-  /// execute_pack, with everything else falling through to execute_range.
+  /// Runs a merged batch inside its scheduler task: groups members by
+  /// pinned engine identity and trace duration, chunks each group greedily
+  /// into kMaxCoalesceShots lanes, and runs each chunk through execute_pack
+  /// (a chunk of one through execute_range).
   void run_batch(const std::vector<pending_member>& members,
                  shard_arena& arena);
   /// Evaluates one lane pack (>= 2 members) through a single shared kernel
   /// tile, honoring each member's cancellation/deadline/fault individually,
-  /// then runs every member's completion accounting.
+  /// then completes every member.
   void execute_pack(const pending_member* const* pack, std::size_t count,
                     shard_arena& arena);
+  /// The one per-member completion routine behind both executors, for
+  /// members of one (qubit, engine): shard timing, error and failure
+  /// counting with the demote decision, shard accounting, status precedence
+  /// and finish_request_locked — all under one mutex_ acquisition — then,
+  /// with the lock released, the completion doorbells and any demote.
+  void complete_members(member_run* runs, std::size_t count);
   /// Stamps the coalesce-hold end on every member. Requires mutex_ — the
   /// batch must be leaving pending_ under the same lock, so no member can
   /// join after the stamp.
@@ -443,7 +459,7 @@ class readout_server {
   /// front end's scheduler must demonstrate).
   std::array<obs::counter*, 2> lane_submitted_{};
   std::array<obs::log_histogram*, 2> lane_seconds_{};
-  /// Occupied lanes per dispatched pack (1..kMaxLanePackShots) — how full
+  /// Occupied lanes per dispatched pack (1..kMaxCoalesceShots) — how full
   /// the shared tiles actually run.
   obs::log_histogram* lane_occupancy_ = nullptr;
 

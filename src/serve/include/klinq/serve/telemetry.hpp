@@ -36,9 +36,8 @@ struct server_stats {
   /// Merged batches dispatched: each one cost a single pool round-trip and
   /// arena acquisition for all of its member requests.
   std::uint64_t coalesced_batches = 0;
-  /// Requests whose shots ran inside a shared lane-packed kernel tile
-  /// (server_config::lane_pack_shots; results stay bit-identical to
-  /// unpacked execution).
+  /// Coalesced requests whose shots ran inside a shared lane-packed kernel
+  /// tile (results stay bit-identical to unpacked execution).
   std::uint64_t packed_requests = 0;
   /// Lane-packed tiles dispatched: each one evaluated several requests'
   /// shots through a single fc_plane / mac_tile kernel invocation.

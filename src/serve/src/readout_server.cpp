@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
-#include <iterator>
 #include <span>
 #include <string>
 #include <utility>
@@ -62,12 +61,9 @@ void server_config::validate() const {
   KLINQ_REQUIRE(shard_shots <= kMaxShardShots,
                 "server_config: shard_shots is implausibly large (wrapped "
                 "negative?)");
-  KLINQ_REQUIRE(coalesce_shots <= kMaxShardShots,
-                "server_config: coalesce_shots is implausibly large (wrapped "
-                "negative?)");
-  KLINQ_REQUIRE(lane_pack_shots <= kMaxLanePackShots,
-                "server_config: lane_pack_shots exceeds one kernel tile "
-                "(kMaxLanePackShots)");
+  KLINQ_REQUIRE(coalesce_shots <= kMaxCoalesceShots,
+                "server_config: coalesce_shots exceeds one kernel tile "
+                "(kMaxCoalesceShots)");
   KLINQ_REQUIRE(
       std::isfinite(default_deadline_seconds) &&
           default_deadline_seconds >= 0.0,
@@ -600,99 +596,127 @@ void readout_server::set_on_complete(completion_callback callback) {
   config_.on_complete = std::move(callback);
 }
 
+bool readout_server::start_member(member_run& run) const {
+  // Expiry/cancellation are checked at shard start: a skipped member costs
+  // nothing but still runs complete_members, which is what guarantees an
+  // expired or cancelled ticket resolves instead of blocking wait() forever.
+  const slot& s = *run.s;
+  run.exec_begin = s.timer.seconds();
+  run.cancelled = s.cancelled.load(std::memory_order_relaxed);
+  run.expired = !run.cancelled && s.deadline_seconds > 0.0 &&
+                run.exec_begin >= s.deadline_seconds;
+  if (run.skipped()) return false;
+  try {
+    if (fault::trigger("serve.shard.run") == fault::action::drop) {
+      throw fault::injected_fault(
+          "injected fault at serve.shard.run: shard result dropped");
+    }
+  } catch (...) {
+    run.error = std::current_exception();
+    return false;
+  }
+  return true;
+}
+
+shard_event readout_server::shard_event_for(const slot& s, std::size_t begin,
+                                            std::size_t end) {
+  const readout_result& result = s.result;
+  const std::size_t count = end - begin;
+  shard_event event;
+  event.request = ticket{s.id};
+  event.qubit = result.qubit;
+  event.engine = result.engine;
+  event.model_version = result.model_version;
+  event.row_begin = begin;
+  event.row_end = end;
+  event.states =
+      std::span<const std::uint8_t>(result.states).subspan(begin, count);
+  if (result.engine == engine_kind::fixed_q16) {
+    event.registers =
+        std::span<const fx::q16_16>(result.registers).subspan(begin, count);
+  } else {
+    event.logits = std::span<const float>(result.logits).subspan(begin, count);
+  }
+  return event;
+}
+
 void readout_server::execute_range(slot* raw, const readout_request& request,
                                    std::size_t begin, std::size_t end,
                                    shard_arena& arena) {
-  const double exec_begin = raw->timer.seconds();
-  std::exception_ptr error;
-  bool event_fired = false;
-  // Expiry/cancellation are checked at shard start: a skipped shard costs
-  // nothing but still runs the completion accounting below, which is what
-  // guarantees an expired or cancelled ticket resolves instead of blocking
-  // wait() forever.
-  bool skipped_cancelled = raw->cancelled.load(std::memory_order_relaxed);
-  bool skipped_deadline =
-      !skipped_cancelled && raw->deadline_seconds > 0.0 &&
-      raw->timer.seconds() >= raw->deadline_seconds;
-  if (!skipped_cancelled && !skipped_deadline) {
+  member_run run{raw};
+  if (start_member(run)) {
     try {
-      if (fault::trigger("serve.shard.run") == fault::action::drop) {
-        throw fault::injected_fault(
-            "injected fault at serve.shard.run: shard result dropped");
-      }
       run_shard(*raw, request, begin, end, arena);
       if (config_.on_shard) {
         // Safe to read the slot's buffers without the mutex: this shard is
         // not yet accounted, so the request cannot complete (and its ticket
         // cannot be consumed) until the callback returns.
-        shard_event event;
-        event.request = ticket{raw->id};
-        event.qubit = request.qubit;
-        event.engine = request.engine;
-        event.model_version = raw->result.model_version;
-        event.row_begin = begin;
-        event.row_end = end;
-        const std::size_t count = end - begin;
-        event.states = std::span<const std::uint8_t>(raw->result.states)
-                           .subspan(begin, count);
-        if (request.engine == engine_kind::fixed_q16) {
-          event.registers = std::span<const fx::q16_16>(raw->result.registers)
-                                .subspan(begin, count);
-        } else {
-          event.logits =
-              std::span<const float>(raw->result.logits).subspan(begin, count);
-        }
-        config_.on_shard(event);
-        event_fired = true;
+        config_.on_shard(shard_event_for(*raw, begin, end));
+        run.event_fired = true;
       }
     } catch (...) {
-      error = std::current_exception();
+      run.error = std::current_exception();
     }
-    // Per-shard execution time (ran or threw — either way it held a worker
-    // for this long). Lock-free: the cell is a pre-resolved histogram.
-    cells_locked(request.qubit, request.engine)
-        .shard_exec->record(raw->timer.seconds() - exec_begin);
+  }
+  complete_members(&run, 1);
+}
+
+void readout_server::complete_members(member_run* runs, std::size_t count) {
+  // A range completes one member and a pack's members share one batch key,
+  // so (qubit, engine kind) is common to every run.
+  const std::size_t qubit = runs[0].s->result.qubit;
+  const engine_kind engine = runs[0].s->result.engine;
+  engine_cells& cells = cells_locked(qubit, engine);
+  // Per-member shard time on the member's own timer (ran or threw — either
+  // way it held a worker this long). Lock-free: a pre-resolved histogram.
+  for (std::size_t i = 0; i < count; ++i) {
+    if (runs[i].skipped()) continue;
+    cells.shard_exec->record(runs[i].s->timer.seconds() - runs[i].exec_begin);
   }
   // The provider demote (below) takes the provider's own locks, so the
   // decision is made under mutex_ but the call happens after it releases.
   bool demote_now = false;
   std::uint64_t failing_version = 0;
-  // Completion doorbell state, captured under the lock: after notify the
-  // slot may be consumed, so the callback call can only use these locals.
-  bool completed_now = false;
-  std::uint64_t done_id = 0;
-  request_status done_status = request_status::ok;
-  const std::size_t qubit = request.qubit;
+  // Doorbell state, captured under the lock: once it releases, a completed
+  // slot may be consumed and recycled, so the callbacks use only these.
+  struct doorbell {
+    std::uint64_t id = 0;
+    request_status status = request_status::ok;
+  };
+  std::array<doorbell, server_config::kMaxCoalesceShots> rung{};
+  std::size_t rung_count = 0;
   {
     const std::lock_guard done_lock(mutex_);
-    if (error && !raw->error) raw->error = error;
-    if (event_fired) shard_events_cell_->inc();
-    if (skipped_deadline) raw->deadline_expired = true;
-    if (raw->first_exec_at < 0.0 || exec_begin < raw->first_exec_at) {
-      raw->first_exec_at = exec_begin;
-    }
-    if (error) {
-      engine_cells& cells = cells_locked(qubit, request.engine);
-      if (cells.shard_failures == nullptr) {
-        cells.shard_failures = &metrics_->get_counter(
-            "klinq_serve_shard_failures_total",
-            {{"qubit", std::to_string(qubit)},
-             {"engine", engine_name(request.engine)}},
-            "Shard executions that threw");
+    for (std::size_t i = 0; i < count; ++i) {
+      const member_run& run = runs[i];
+      slot* raw = run.s;
+      if (run.error && !raw->error) raw->error = run.error;
+      if (run.event_fired) shard_events_cell_->inc();
+      if (run.expired) raw->deadline_expired = true;
+      if (raw->first_exec_at < 0.0 || run.exec_begin < raw->first_exec_at) {
+        raw->first_exec_at = run.exec_begin;
       }
-      cells.shard_failures->inc();
-      if (++consecutive_failures_[qubit] >= config_.failure_threshold) {
-        // Reset before demoting so the next window needs a full threshold
-        // of fresh failures (whether or not the provider switches).
+      if (run.error) {
+        if (cells.shard_failures == nullptr) {
+          cells.shard_failures = &metrics_->get_counter(
+              "klinq_serve_shard_failures_total",
+              {{"qubit", std::to_string(qubit)},
+               {"engine", engine_name(engine)}},
+              "Shard executions that threw");
+        }
+        cells.shard_failures->inc();
+        if (++consecutive_failures_[qubit] >= config_.failure_threshold) {
+          // Reset before demoting so the next window needs a full threshold
+          // of fresh failures (whether or not the provider switches).
+          consecutive_failures_[qubit] = 0;
+          demote_now = true;
+          failing_version = raw->result.model_version;
+        }
+      } else if (!run.skipped()) {
         consecutive_failures_[qubit] = 0;
-        demote_now = true;
-        failing_version = raw->result.model_version;
       }
-    } else if (!skipped_cancelled && !skipped_deadline) {
-      consecutive_failures_[qubit] = 0;
-    }
-    --outstanding_shards_;
-    if (--raw->remaining_shards == 0) {
+      --outstanding_shards_;
+      if (--raw->remaining_shards > 0) continue;
       raw->done = true;
       raw->lease = engine_lease{};  // last shard done: release the snapshot
       raw->result.latency_seconds = raw->timer.seconds();
@@ -707,18 +731,17 @@ void readout_server::execute_range(slot* raw, const readout_request& request,
       } else {
         raw->result.status = request_status::ok;
       }
-      completed_now = true;
-      done_id = raw->id;  // the slot may be recycled to a new id after notify
-      done_status = raw->result.status;
-      finish_request_locked(raw, request.engine);
+      rung[rung_count++] = {raw->id, raw->result.status};
+      finish_request_locked(raw, engine);
     }
-    if (raw->done || outstanding_shards_ == 0) completed_.notify_all();
+    if (rung_count > 0 || outstanding_shards_ == 0) completed_.notify_all();
   }
-  // After notify the slot may already be consumed — only local state from
-  // here on. The doorbell fires before the demote side-trip: a completion
-  // consumer should not wait on provider locks.
-  if (completed_now && config_.on_complete) {
-    config_.on_complete(ticket{done_id}, done_status);
+  // The doorbells fire before the demote side-trip: a completion consumer
+  // should not wait on provider locks.
+  if (config_.on_complete) {
+    for (std::size_t i = 0; i < rung_count; ++i) {
+      config_.on_complete(ticket{rung[i].id}, rung[i].status);
+    }
   }
   if (demote_now && provider_->demote(qubit, failing_version)) {
     const std::lock_guard lock(mutex_);
@@ -745,9 +768,8 @@ void readout_server::stamp_dispatch_locked(pending_batch& batch) {
 }
 
 void readout_server::dispatch_batch(pending_batch batch) {
-  // One scheduler task, one arena: every member runs back to back (lane
-  // packs first, then the serial remainder — see run_batch), completing
-  // (and waking waiters) individually.
+  // One scheduler task, one arena: every member runs back to back in lane
+  // packs (see run_batch), completing (and waking waiters) individually.
   scheduler_.dispatch_one(
       [this, members = std::move(batch.members)](shard_arena& arena) {
         run_batch(members, arena);
@@ -756,114 +778,75 @@ void readout_server::dispatch_batch(pending_batch batch) {
 
 void readout_server::run_batch(const std::vector<pending_member>& members,
                                shard_arena& arena) {
-  const std::size_t pack_shots = config_.lane_pack_shots;
-  if (pack_shots == 0 || members.size() < 2) {
-    for (const pending_member& member : members) {
-      execute_range(member.s, member.request, 0,
-                    member.request.traces->size(), arena);
-    }
-    return;
-  }
-  // Partition in submission order: members whose shots fit the pack budget
-  // group by pinned engine identity (the leased pointer — two hot-swap
-  // versions of one qubit's model must never share a tile), the rest run
-  // the ordinary serial range. The batch key already fixes (qubit, engine
-  // kind), so identity is the only split left.
-  std::vector<const pending_member*> serial;
-  std::vector<std::pair<const void*, std::vector<const pending_member*>>>
-      groups;
-  for (const pending_member& member : members) {
-    const std::size_t shots = member.request.traces->size();
-    if (shots == 0 || shots > pack_shots) {
-      serial.push_back(&member);
-      continue;
-    }
+  // Group in submission order by what one shared tile must agree on: the
+  // pinned engine identity (two hot-swap versions of one qubit's model must
+  // never share a tile) and the trace duration (the front end is built for
+  // one envelope width, so a mismatched member must fail alone, not its
+  // pack-mates). The batch key already fixes (qubit, engine kind).
+  const auto tile_key = [](const pending_member& member) {
+    const qubit_engine& engine = member.s->lease.engine;
     const void* identity =
         member.request.engine == engine_kind::fixed_q16
-            ? static_cast<const void*>(member.s->lease.engine.hardware)
-            : static_cast<const void*>(member.s->lease.engine.student);
-    auto it = std::find_if(
-        groups.begin(), groups.end(),
-        [identity](const auto& group) { return group.first == identity; });
+            ? static_cast<const void*>(engine.hardware)
+            : static_cast<const void*>(engine.student);
+    return std::pair(identity, member.request.traces->samples_per_quadrature());
+  };
+  std::vector<std::vector<const pending_member*>> groups;
+  for (const pending_member& member : members) {
+    const auto it =
+        std::find_if(groups.begin(), groups.end(), [&](const auto& group) {
+          return tile_key(*group.front()) == tile_key(member);
+        });
     if (it == groups.end()) {
-      groups.emplace_back(identity, std::vector<const pending_member*>{});
-      it = std::prev(groups.end());
+      groups.push_back({&member});
+    } else {
+      it->push_back(&member);
     }
-    it->second.push_back(&member);
   }
-  for (auto& [identity, group] : groups) {
-    // Greedy chunking into tiles of at most kMaxLanePackShots total lanes. A
-    // chunk of one (nothing else fit) gains nothing from the packed path and
-    // runs the plain range instead.
-    std::size_t begin = 0;
-    while (begin < group.size()) {
+  for (const std::vector<const pending_member*>& group : groups) {
+    // Greedy chunks of at most one tile of lanes. validate() bounds every
+    // member by one tile, so each chunk takes at least one member; a chunk
+    // of one gains nothing from the shared tile and runs the plain range.
+    for (std::size_t begin = 0, end = 0; begin < group.size(); begin = end) {
       std::size_t lanes = 0;
-      std::size_t end = begin;
-      while (end < group.size()) {
-        const std::size_t shots = group[end]->request.traces->size();
-        if (lanes + shots > server_config::kMaxLanePackShots) break;
-        lanes += shots;
-        ++end;
+      while (end < group.size() &&
+             lanes + group[end]->request.traces->size() <=
+                 server_config::kMaxCoalesceShots) {
+        lanes += group[end++]->request.traces->size();
       }
-      if (end - begin >= 2) {
-        execute_pack(group.data() + begin, end - begin, arena);
+      if (end - begin == 1) {
+        execute_range(group[begin]->s, group[begin]->request, 0, lanes, arena);
       } else {
-        const pending_member* member = group[begin];
-        execute_range(member->s, member->request, 0,
-                      member->request.traces->size(), arena);
+        execute_pack(group.data() + begin, end - begin, arena);
       }
-      begin = end;
     }
-  }
-  for (const pending_member* member : serial) {
-    execute_range(member->s, member->request, 0,
-                  member->request.traces->size(), arena);
   }
 }
 
 void readout_server::execute_pack(const pending_member* const* pack,
                                   std::size_t count, shard_arena& arena) {
-  constexpr std::size_t kMaxLanes = server_config::kMaxLanePackShots;
+  constexpr std::size_t kMaxLanes = server_config::kMaxCoalesceShots;
   constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
-  // The batch key fixes (qubit, engine kind) and run_batch grouped by pinned
-  // engine identity, so one leased engine evaluates every lane.
+  // run_batch grouped by pinned engine identity, so one leased engine
+  // evaluates every lane.
   const engine_kind kind = pack[0]->request.engine;
-  const std::size_t qubit = pack[0]->request.qubit;
   const qubit_engine& engine = pack[0]->s->lease.engine;
 
-  // Per-member shard preamble, mirroring execute_range: exec timestamps come
-  // off each member's own submit timer (stage spans must keep tiling that
-  // member's latency), and cancellation/expiry/fault checks run per member —
-  // a skipped or faulted member is excluded from the shared tile but still
-  // reaches the completion accounting below.
-  std::array<double, kMaxLanes> exec_begin{};
-  std::array<bool, kMaxLanes> skipped_cancelled{};
-  std::array<bool, kMaxLanes> skipped_deadline{};
-  std::array<bool, kMaxLanes> event_fired{};
-  std::array<std::exception_ptr, kMaxLanes> errors{};
+  // Per-member preamble: a skipped or faulted member is excluded from the
+  // shared tile but still reaches complete_members.
+  std::array<member_run, kMaxLanes> runs;
   std::array<std::size_t, kMaxLanes> lane_offset{};
   std::array<const data::trace_dataset*, kMaxLanes> datasets{};
   std::array<std::size_t, kMaxLanes> rows{};
   std::size_t lanes = 0;
+  std::size_t packed = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    slot* raw = pack[i]->s;
-    exec_begin[i] = raw->timer.seconds();
+    runs[i].s = pack[i]->s;
     lane_offset[i] = kNoLane;
-    skipped_cancelled[i] = raw->cancelled.load(std::memory_order_relaxed);
-    skipped_deadline[i] = !skipped_cancelled[i] && raw->deadline_seconds > 0.0 &&
-                          raw->timer.seconds() >= raw->deadline_seconds;
-    if (skipped_cancelled[i] || skipped_deadline[i]) continue;
-    try {
-      if (fault::trigger("serve.shard.run") == fault::action::drop) {
-        throw fault::injected_fault(
-            "injected fault at serve.shard.run: shard result dropped");
-      }
-    } catch (...) {
-      errors[i] = std::current_exception();
-      continue;
-    }
+    if (!start_member(runs[i])) continue;
     const data::trace_dataset& ds = *pack[i]->request.traces;
     lane_offset[i] = lanes;
+    ++packed;
     for (std::size_t r = 0; r < ds.size(); ++r) {
       datasets[lanes] = &ds;
       rows[lanes] = r;
@@ -871,10 +854,10 @@ void readout_server::execute_pack(const pending_member* const* pack,
     }
   }
 
-  // One shared kernel tile for every runnable member's shots. A kernel
-  // exception fails all of them (they shared the execution), never the
-  // members already skipped or faulted out above.
   if (lanes > 0) {
+    // One shared kernel tile for every runnable member's shots. A kernel
+    // exception fails all of them (they shared the execution), never the
+    // members already skipped or faulted out above.
     std::exception_ptr kernel_error;
     try {
       if (kind == engine_kind::fixed_q16) {
@@ -884,10 +867,10 @@ void readout_server::execute_pack(const pending_member* const* pack,
                                       arena.fixed);
         for (std::size_t i = 0; i < count; ++i) {
           if (lane_offset[i] == kNoLane) continue;
-          slot* raw = pack[i]->s;
-          for (std::size_t r = 0; r < raw->shots; ++r) {
-            raw->result.registers[r] = out[lane_offset[i] + r];
-            raw->result.states[r] = raw->result.registers[r].sign_bit() ? 0 : 1;
+          readout_result& result = runs[i].s->result;
+          for (std::size_t r = 0; r < result.registers.size(); ++r) {
+            result.registers[r] = out[lane_offset[i] + r];
+            result.states[r] = result.registers[r].sign_bit() ? 0 : 1;
           }
         }
       } else {
@@ -897,140 +880,39 @@ void readout_server::execute_pack(const pending_member* const* pack,
                                       arena.student);
         for (std::size_t i = 0; i < count; ++i) {
           if (lane_offset[i] == kNoLane) continue;
-          slot* raw = pack[i]->s;
-          for (std::size_t r = 0; r < raw->shots; ++r) {
-            raw->result.logits[r] = out[lane_offset[i] + r];
-            raw->result.states[r] = (raw->result.logits[r] >= 0.0f) ? 1 : 0;
+          readout_result& result = runs[i].s->result;
+          for (std::size_t r = 0; r < result.logits.size(); ++r) {
+            result.logits[r] = out[lane_offset[i] + r];
+            result.states[r] = (result.logits[r] >= 0.0f) ? 1 : 0;
           }
         }
       }
     } catch (...) {
       kernel_error = std::current_exception();
     }
-    if (kernel_error) {
-      for (std::size_t i = 0; i < count; ++i) {
-        if (lane_offset[i] != kNoLane) errors[i] = kernel_error;
-      }
-    } else if (config_.on_shard) {
-      // Per-member events, each covering the member's whole range — same
-      // contract as a coalesced member's single event. A callback throw
-      // fails only the member whose event it was.
-      for (std::size_t i = 0; i < count; ++i) {
-        if (lane_offset[i] == kNoLane) continue;
-        slot* raw = pack[i]->s;
-        shard_event event;
-        event.request = ticket{raw->id};
-        event.qubit = qubit;
-        event.engine = kind;
-        event.model_version = raw->result.model_version;
-        event.row_begin = 0;
-        event.row_end = raw->shots;
-        event.states = std::span<const std::uint8_t>(raw->result.states);
-        if (kind == engine_kind::fixed_q16) {
-          event.registers = std::span<const fx::q16_16>(raw->result.registers);
-        } else {
-          event.logits = std::span<const float>(raw->result.logits);
-        }
+    for (std::size_t i = 0; i < count; ++i) {
+      if (lane_offset[i] == kNoLane) continue;
+      if (kernel_error) {
+        runs[i].error = kernel_error;
+      } else if (config_.on_shard) {
+        // One event per member covering its whole range, as for a member
+        // run alone; a callback throw fails only the member whose event it
+        // was.
         try {
-          config_.on_shard(event);
-          event_fired[i] = true;
+          config_.on_shard(shard_event_for(*runs[i].s, 0, runs[i].s->shots));
+          runs[i].event_fired = true;
         } catch (...) {
-          errors[i] = std::current_exception();
+          runs[i].error = std::current_exception();
         }
       }
     }
     // Pack accounting (lock-free cells): members that shared the tile, the
     // tile itself, and how full it ran.
     packed_batches_cell_->inc();
+    packed_requests_cell_->inc(packed);
     lane_occupancy_->record(static_cast<double>(lanes));
-    for (std::size_t i = 0; i < count; ++i) {
-      if (lane_offset[i] != kNoLane) packed_requests_cell_->inc();
-    }
   }
-  // Per-member shard time: the pack's span measured on each member's own
-  // timer (ran or threw — either way the worker was held).
-  {
-    obs::log_histogram* shard_exec = cells_locked(qubit, kind).shard_exec;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (skipped_cancelled[i] || skipped_deadline[i]) continue;
-      shard_exec->record(pack[i]->s->timer.seconds() - exec_begin[i]);
-    }
-  }
-
-  // Completion accounting for every member, one lock for the whole pack —
-  // the per-member body mirrors execute_range exactly.
-  bool demote_now = false;
-  std::uint64_t failing_version = 0;
-  // Doorbell state per completing member, captured under the lock (slots may
-  // be consumed and recycled the instant it releases).
-  std::array<std::uint64_t, kMaxLanes> done_ids{};
-  std::array<request_status, kMaxLanes> done_statuses{};
-  std::size_t done_count = 0;
-  {
-    const std::lock_guard done_lock(mutex_);
-    for (std::size_t i = 0; i < count; ++i) {
-      slot* raw = pack[i]->s;
-      if (errors[i] && !raw->error) raw->error = errors[i];
-      if (event_fired[i]) shard_events_cell_->inc();
-      if (skipped_deadline[i]) raw->deadline_expired = true;
-      if (raw->first_exec_at < 0.0 || exec_begin[i] < raw->first_exec_at) {
-        raw->first_exec_at = exec_begin[i];
-      }
-      if (errors[i]) {
-        engine_cells& cells = cells_locked(qubit, kind);
-        if (cells.shard_failures == nullptr) {
-          cells.shard_failures = &metrics_->get_counter(
-              "klinq_serve_shard_failures_total",
-              {{"qubit", std::to_string(qubit)}, {"engine", engine_name(kind)}},
-              "Shard executions that threw");
-        }
-        cells.shard_failures->inc();
-        if (++consecutive_failures_[qubit] >= config_.failure_threshold) {
-          consecutive_failures_[qubit] = 0;
-          demote_now = true;
-          failing_version = raw->result.model_version;
-        }
-      } else if (!skipped_cancelled[i] && !skipped_deadline[i]) {
-        consecutive_failures_[qubit] = 0;
-      }
-      --outstanding_shards_;
-      if (--raw->remaining_shards == 0) {
-        raw->done = true;
-        raw->lease = engine_lease{};
-        raw->result.latency_seconds = raw->timer.seconds();
-        if (raw->cancelled.load(std::memory_order_relaxed)) {
-          raw->result.status = request_status::cancelled;
-        } else if (raw->deadline_expired) {
-          raw->result.status = request_status::timed_out;
-        } else if (raw->error) {
-          raw->result.status = request_status::failed;
-        } else {
-          raw->result.status = request_status::ok;
-        }
-        done_ids[done_count] = raw->id;
-        done_statuses[done_count] = raw->result.status;
-        ++done_count;
-        finish_request_locked(raw, kind);
-      }
-    }
-    completed_.notify_all();
-  }
-  if (config_.on_complete) {
-    for (std::size_t i = 0; i < done_count; ++i) {
-      config_.on_complete(ticket{done_ids[i]}, done_statuses[i]);
-    }
-  }
-  if (demote_now && provider_->demote(qubit, failing_version)) {
-    const std::lock_guard lock(mutex_);
-    obs::counter*& cell = qubit_cells_[qubit].rollbacks;
-    if (cell == nullptr) {
-      cell = &metrics_->get_counter(
-          "klinq_serve_rollbacks_total", {{"qubit", std::to_string(qubit)}},
-          "Automatic demote-to-last-known-good rollbacks this server "
-          "triggered");
-    }
-    cell->inc();
-  }
+  complete_members(runs.data(), count);
 }
 
 void readout_server::take_pending_locked(std::vector<pending_batch>& out) {

@@ -265,9 +265,18 @@ TEST(Serve, ConfigRejectsAbsurdShardShots) {
       serve::readout_server(
           f.engines(), {.coalesce_shots = static_cast<std::size_t>(-1)}),
       invalid_argument_error);
-  // The documented boundary itself is accepted.
+  // A coalesced request must fit one lane-packed kernel tile.
+  EXPECT_THROW(
+      serve::readout_server(
+          f.engines(),
+          {.coalesce_shots = serve::server_config::kMaxCoalesceShots + 1}),
+      invalid_argument_error);
+  // The documented boundaries themselves are accepted.
   serve::readout_server ok(
       f.engines(), {.shard_shots = serve::server_config::kMaxShardShots});
+  serve::readout_server ok_coalesce(
+      f.engines(),
+      {.coalesce_shots = serve::server_config::kMaxCoalesceShots});
 }
 
 TEST(Serve, ConfigRejectsEmptyEngineSet) {
@@ -553,8 +562,7 @@ TEST(ServeLanePacking, PackedSingleShotsBitExactAndCounted) {
   serve::readout_server server(
       f.engines(), {.shard_shots = 64,
                     .max_inflight = 512,
-                    .coalesce_shots = 8,
-                    .lane_pack_shots = 8});
+                    .coalesce_shots = 8});
   std::vector<std::vector<data::trace_dataset>> blocks(kQubits);
   std::vector<std::vector<serve::ticket>> fixed_tickets(kQubits);
   std::vector<std::vector<serve::ticket>> float_tickets(kQubits);
@@ -622,8 +630,7 @@ TEST(ServeLanePacking, MixedDeadlineAndCancelInsideOnePack) {
   // the same merged batch and the same pack.
   serve::readout_server server(
       f.engines(), {.shard_shots = 4096,
-                    .coalesce_shots = 64,
-                    .lane_pack_shots = 64});
+                    .coalesce_shots = 64});
   const auto blocks = split_blocks(f.data[0].test, 1);
   const serve::ticket ok1 =
       server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
@@ -657,35 +664,44 @@ TEST(ServeLanePacking, MixedDeadlineAndCancelInsideOnePack) {
   EXPECT_EQ(stats.timed_out_requests, 1u);
 }
 
-// lane_pack_shots defaults to 0: coalesced batches run member-by-member and
-// no packed tiles are counted.
-TEST(ServeLanePacking, DisabledByDefault) {
+// A member whose trace duration differs from its pack-mates' must not share
+// their tile: the fixed front end rejects a mismatched envelope width, and a
+// shared kernel call would fail every lane with it. The wrong-duration
+// member resolves failed on its own; its same-qubit pack-mates stay ok and
+// bit-exact.
+TEST(ServeLanePacking, WrongDurationMemberFailsAlone) {
   auto& f = fixture();
-  serve::readout_server server(
-      f.engines(), {.shard_shots = 16, .coalesce_shots = 8});
   const auto blocks = split_blocks(f.data[0].test, 1);
-  std::vector<serve::ticket> tickets;
-  for (std::size_t b = 0; b < 32; ++b) {
-    tickets.push_back(
-        server.submit({0, &blocks[b], serve::engine_kind::fixed_q16}));
+  const std::size_t n = f.data[0].test.samples_per_quadrature();
+  data::trace_dataset short_trace(1, n / 2);
+  short_trace.resize_traces(1);
+  // shard_shots 4096 with 1-shot members: nothing auto-dispatches, so every
+  // member lands in the one batch the first wait() flushes.
+  serve::readout_server server(
+      f.engines(), {.shard_shots = 4096, .coalesce_shots = 64});
+  const serve::ticket ok1 =
+      server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
+  const serve::ticket bad =
+      server.submit({0, &short_trace, serve::engine_kind::fixed_q16});
+  const serve::ticket ok2 =
+      server.submit({0, &blocks[1], serve::engine_kind::fixed_q16});
+  const serve::ticket ok3 =
+      server.submit({0, &blocks[2], serve::engine_kind::fixed_q16});
+  std::size_t b = 0;
+  for (const serve::ticket t : {ok1, ok2, ok3}) {
+    const serve::readout_result result = server.wait(t);
+    ASSERT_EQ(result.status, serve::request_status::ok) << "member " << b;
+    std::vector<q16_16> registers(1);
+    f.hardware[0].logits(blocks[b], registers);
+    ASSERT_EQ(result.registers[0].raw(), registers[0].raw()) << "member " << b;
+    ++b;
   }
-  for (const serve::ticket t : tickets) {
-    EXPECT_EQ(server.wait(t).status, serve::request_status::ok);
-  }
+  EXPECT_THROW(server.wait(bad), invalid_argument_error);
   const serve::server_stats stats = server.stats();
-  EXPECT_GE(stats.coalesced_batches, 1u);
-  EXPECT_EQ(stats.packed_batches, 0u);
-  EXPECT_EQ(stats.packed_requests, 0u);
-}
-
-TEST(ServeLanePacking, ConfigRejectsOversizedPackBudget) {
-  auto& f = fixture();
-  EXPECT_THROW(
-      serve::readout_server(
-          f.engines(),
-          {.coalesce_shots = 64,
-           .lane_pack_shots = serve::server_config::kMaxLanePackShots + 1}),
-      invalid_argument_error);
+  EXPECT_EQ(stats.failed_requests, 1u);
+  EXPECT_EQ(stats.shard_failures, 1u);
+  EXPECT_EQ(stats.packed_batches, 1u);
+  EXPECT_EQ(stats.packed_requests, 3u);
 }
 
 // --- streaming partial results (per-shard completion callback) -------------
@@ -1299,7 +1315,13 @@ TEST(ServeLane, FeedbackBypassesCoalescingAndIsCounted) {
                                   serve::engine_kind::fixed_q16};
   feedback.lane = serve::lane_class::feedback;
   const serve::ticket feedback_ticket = server.submit(feedback);
+  // It runs on a pool worker, so give it time — poll() never flushes, and
+  // the bulk member must still be parked once the feedback one is done.
+  for (int spin = 0; spin < 10000 && !server.poll(feedback_ticket); ++spin) {
+    std::this_thread::yield();
+  }
   EXPECT_TRUE(server.poll(feedback_ticket));
+  EXPECT_FALSE(server.poll(bulk_ticket));
   const serve::readout_result result = server.wait(feedback_ticket);
   EXPECT_EQ(result.status, serve::request_status::ok);
   // Bit-exact against the serial path for those rows.
@@ -1444,6 +1466,9 @@ TEST(ServeDoorbell, SetOnCompleteRequiresQuiescence) {
       server.submit({0, &blocks[1], serve::engine_kind::fixed_q16});
   server.cancel(t);
   server.wait(t);
+  // The doorbell rings after the ticket resolves, from the task that
+  // resolved it; drain() waits for that task body to return.
+  server.drain();
   EXPECT_EQ(rings.load(), 1);
   server.set_on_complete({});  // clearing is also a swap: needs quiescence
 }
