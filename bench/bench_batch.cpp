@@ -21,7 +21,7 @@
 #include "klinq/fixed/fixed.hpp"
 #include "klinq/hw/fixed_discriminator.hpp"
 #include "klinq/kd/distiller.hpp"
-#include "klinq/linalg/gemm.hpp"
+#include "klinq/linalg/matrix.hpp"
 #include "klinq/nn/kernels.hpp"
 #include "klinq/qsim/dataset_builder.hpp"
 
@@ -121,30 +121,10 @@ void BM_StudentSingleShotLogit(benchmark::State& state) {
 }
 BENCHMARK(BM_StudentSingleShotLogit)->UseRealTime();
 
-/// The la:: scalar reference GEMM on the student's first (widest) layer:
-/// (batch × 31) · (16 × 31)ᵀ — kept as the baseline the dispatched kernels
-/// are compared against.
-void BM_GemmNtStudentLayer(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  xoshiro256 rng(17);
-  la::matrix_f a(batch, 31);
-  la::matrix_f b(16, 31);
-  for (auto& v : a.flat()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto& v : b.flat()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  la::matrix_f c(batch, 16);
-  for (auto _ : state) {
-    la::gemm_nt(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_GemmNtStudentLayer)->Arg(32)->Arg(256)->Arg(4096)->UseRealTime();
-
 /// The dispatched float kernel (nn::kernels::gemm_nt_bias_act, AVX2 FMA
-/// where available) on the same first-layer shape, bias + ReLU fused — the
-/// microkernel the inference engine actually runs.
+/// where available) on the student's first (widest) layer,
+/// (batch × 31) · (16 × 31)ᵀ, bias + ReLU fused — the microkernel the
+/// inference engine actually runs.
 void BM_NnKernelsGemmNtStudentLayer(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   xoshiro256 rng(17);

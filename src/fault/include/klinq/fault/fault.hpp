@@ -53,9 +53,10 @@
 //                           flush round is skipped — a stalled sender)
 //   net.decode              request-payload decode (throw => typed error
 //                           frame, connection closed)
-//   net.complete            completion-thread handoff (delay => responses
-//                           stall while inflight accumulates — admission
-//                           and shedding fodder)
+//   net.complete            the front end's completion doorbell, on the
+//                           thread that finished the request (delay =>
+//                           responses stall while inflight accumulates —
+//                           admission and shedding fodder)
 //
 // Thread-safety: every entry point is safe to call concurrently. Firing
 // decisions use a per-site atomic counter hashed with the seed, so they are

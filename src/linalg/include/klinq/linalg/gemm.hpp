@@ -1,12 +1,11 @@
 // Threaded single-precision matrix kernels for NN training.
 //
-// Three layouts cover every pass of backprop without materializing
-// transposes:
-//   gemm_nt : C = A · Bᵀ   (forward:   Y[b,o]  = X[b,i]  · W[o,i])
+// Two layouts cover the backward pass without materializing transposes:
 //   gemm_nn : C = A · B    (backward:  dX[b,i] = dY[b,o] · W[o,i] as A·B)
 //   gemm_tn : C = Aᵀ · B   (gradient:  dW[o,i] = dY[b,o]ᵀ · X[b,i])
-// plus fused bias/accumulate options where the trainer needs them.
-// All kernels parallelize over row blocks of C via the global thread pool.
+// with an accumulate option where the trainer needs it. The forward pass
+// (C = A · Bᵀ) runs on the dispatched klinq/nn/kernels.hpp drivers.
+// Both kernels parallelize over row blocks of C via the global thread pool.
 #pragma once
 
 #include <span>
@@ -15,12 +14,8 @@
 
 namespace klinq::la {
 
-/// C = A(m×k) · B(n×k)ᵀ → (m×n). If bias is non-empty it must have n entries
-/// and is added to every row. `accumulate` adds into C instead of overwriting.
-void gemm_nt(const matrix_f& a, const matrix_f& b, matrix_f& c,
-             std::span<const float> bias = {}, bool accumulate = false);
-
-/// C = A(m×k) · B(k×n) → (m×n).
+/// C = A(m×k) · B(k×n) → (m×n). `accumulate` adds into C instead of
+/// overwriting.
 void gemm_nn(const matrix_f& a, const matrix_f& b, matrix_f& c,
              bool accumulate = false);
 

@@ -25,11 +25,8 @@ void for_each_row_block(std::size_t rows, std::size_t flops, Body&& body) {
 }
 
 /// Shared dot-product reduction: four independent accumulator lanes over the
-/// unrolled body, lanes combined pairwise, scalar tail. Every float inner
-/// product in this module — gemv rows, gemm_nt edge outputs, and each output
-/// of the register-blocked microkernel — reduces in exactly this order, so
-/// the batched (GEMM) and single-shot (GEMV) inference paths are
-/// bit-identical.
+/// unrolled body, lanes combined pairwise, scalar tail. gemv rows and dot()
+/// both reduce in exactly this order.
 inline float dot_lanes(const float* a, const float* b, std::size_t k) {
   float acc0 = 0.0f;
   float acc1 = 0.0f;
@@ -47,55 +44,7 @@ inline float dot_lanes(const float* a, const float* b, std::size_t k) {
   return acc;
 }
 
-/// B rows per cache panel of gemm_nt. A panel (8 × k floats ≤ 32 KiB for the
-/// teacher's k = 1000) stays L1-resident while every row of A streams across
-/// it, so each B row loads from cache m times instead of from memory.
-///
-/// This module is the dependency-free scalar reference (and the backward-
-/// pass workhorse). The float inference hot path no longer runs through it:
-/// klinq/nn/kernels.hpp provides the runtime-dispatched AVX2-FMA/scalar
-/// forward kernels (gemm_nt / gemm_nt_bias_act over packed feature-major
-/// tiles), and the nn layer calls those directly.
-constexpr std::size_t kNtPanelRows = 8;
-
 }  // namespace
-
-void gemm_nt(const matrix_f& a, const matrix_f& b, matrix_f& c,
-             std::span<const float> bias, bool accumulate) {
-  KLINQ_REQUIRE(a.cols() == b.cols(), "gemm_nt: inner dimensions differ");
-  KLINQ_REQUIRE(c.rows() == a.rows() && c.cols() == b.rows(),
-                "gemm_nt: output shape mismatch");
-  KLINQ_REQUIRE(bias.empty() || bias.size() == b.rows(),
-                "gemm_nt: bias length must equal output columns");
-  const std::size_t m = a.rows();
-  const std::size_t n = b.rows();
-  const std::size_t k = a.cols();
-
-  const auto store = [&bias, accumulate](float* c_row, std::size_t j,
-                                         float acc) {
-    if (!bias.empty()) acc += bias[j];
-    if (accumulate) {
-      c_row[j] += acc;
-    } else {
-      c_row[j] = acc;
-    }
-  };
-
-  for_each_row_block(m, m * n * k, [&](std::size_t row_begin,
-                                       std::size_t row_end) {
-    for (std::size_t panel_begin = 0; panel_begin < n;
-         panel_begin += kNtPanelRows) {
-      const std::size_t panel_end = std::min(panel_begin + kNtPanelRows, n);
-      for (std::size_t i = row_begin; i < row_end; ++i) {
-        const float* a_row = a.data() + i * k;
-        float* c_row = c.data() + i * n;
-        for (std::size_t j = panel_begin; j < panel_end; ++j) {
-          store(c_row, j, dot_lanes(a_row, b.data() + j * k, k));
-        }
-      }
-    }
-  });
-}
 
 void gemm_nn(const matrix_f& a, const matrix_f& b, matrix_f& c,
              bool accumulate) {
@@ -155,8 +104,8 @@ void gemv(const matrix_f& m, std::span<const float> x, std::span<float> y,
   KLINQ_REQUIRE(y.size() == m.rows(), "gemv: y length must equal rows");
   KLINQ_REQUIRE(bias.empty() || bias.size() == m.rows(),
                 "gemv: bias length must equal rows");
-  // Same reduction order (and bias-last placement) as gemm_nt, so a
-  // single-row gemv matches the corresponding gemm_nt output bit for bit.
+  // The bias is added after the reduction (dot_lanes order), so a gemv row
+  // is a fixed scalar reference for one row of a forward GEMM.
   for (std::size_t i = 0; i < m.rows(); ++i) {
     const float* row = m.data() + i * m.cols();
     float acc = dot_lanes(row, x.data(), m.cols());

@@ -5,30 +5,26 @@
 // hostile clients, partial frames, disconnects mid-request, and saturation
 // are treated as the normal case.
 //
-// Threading (three threads, all owned by the front end):
+// Threading: one loop thread, owned by the front end, polls the listen
+// socket, every connection socket and a wake pipe. Each iteration it accepts
+// (enforcing the connection cap: an over-cap connection gets a best-effort
+// busy frame and is closed at once), reads and parses frames, admits and
+// submits requests, turns finished tickets into responses, flushes write
+// queues, and enforces the idle/stall deadlines. No other thread touches a
+// socket.
 //
-//   acceptor   blocks in accept(); enforces the connection cap (over-cap
-//              connections get a best-effort busy frame and are closed
-//              immediately) and hands accepted fds to the poll loop.
-//   poll loop  owns every connection socket: readiness-driven reads/writes
-//              (non-blocking fds, TCP_NODELAY), frame parsing, admission
-//              control, submission into the server, idle/slow-loris
-//              enforcement, and eviction. No other thread touches a socket.
-//   completion drains the doorbell queue fed by the server's on_complete
-//              callback: claims each finished ticket with wait(), encodes
-//              the response into the owning connection's write queue (or
-//              drops it, counted, when the client is gone) and wakes the
-//              poll loop.
-//
-// Locking: `state_mutex_` guards connections and the ticket map;
-// `completion_mutex_` guards only the doorbell queue. The poll loop holds
-// state_mutex_ across try_submit + ticket registration, and the on_complete
-// doorbell (which may fire inline during try_submit on a workerless pool)
-// touches only the completion queue — so the completion thread, which takes
-// state_mutex_ after popping, can never observe an unregistered ticket.
-// Lock order is state → completion and state → server everywhere; the
-// completion side never nests into state-holding server calls it didn't
-// originate.
+// Locking: one mutex, `state_mutex`, guards connections and the ticket map.
+// The loop holds it around all of an iteration's event handling and
+// releases it across poll(); stats(), connections() and shutdown() take it
+// between iterations. The completion doorbell (the server's on_complete)
+// runs on whichever thread finished the request and never takes
+// state_mutex: it fires the net.complete fault site, appends the ticket id
+// to a small mutex-guarded vector and writes a wake byte. (A request that
+// try_submit ran inline, on a workerless pool, rings on the loop itself; the
+// loop delivers it the same way, off the lock, before its next poll().) The
+// loop consumes that vector after reads and hangups, so a ticket is always
+// registered before its completion is processed, and a departed client's
+// result is dropped rather than queued.
 //
 // Robustness contracts (each has a test in tests/test_net.cpp and a chaos
 // scenario in `klinq_serve --listen --chaos`):
@@ -44,8 +40,8 @@
 //     reconciled like a disconnect.
 //   * Disconnect reconciliation: every in-flight ticket of a dead
 //     connection is cancelled through the server's cancel() path and its
-//     result claimed and dropped (counted) by the completion thread —
-//     tickets are never leaked, so ticket accounting reconciles exactly.
+//     result claimed and dropped (counted) by the loop — tickets are never
+//     leaked, so ticket accounting reconciles exactly.
 //   * Graceful drain: stop accepting → shed new requests (busy/draining) →
 //     resolve every in-flight ticket → flush write queues → goodbye frames
 //     → close. Bounded by drain_timeout_seconds, then force-cancel.
@@ -179,10 +175,12 @@ struct connection_info {
 class tcp_front_end {
  public:
   /// Binds, listens, installs the server's completion doorbell, and starts
-  /// the three service threads. The server is borrowed and must outlive the
-  /// front end; the front end must be its only ticket consumer while
-  /// running (it installs server.set_on_complete, so the server must have
-  /// no unresolved tickets and no other on_complete user).
+  /// the loop thread. The server is borrowed and must outlive the front
+  /// end; the front end must be its only ticket consumer while running (it
+  /// installs server.set_on_complete, so the server must have no unresolved
+  /// tickets and no other on_complete user). A constructor that throws (a
+  /// taken port, a busy server) leaves no open descriptor, no doorbell in
+  /// the server and no collector in the metric registry.
   tcp_front_end(serve::readout_server& server, front_end_config config = {});
 
   /// shutdown() if still serving.
@@ -197,8 +195,8 @@ class tcp_front_end {
   /// Graceful drain and stop (idempotent): stop accepting, shed new
   /// requests, resolve every in-flight ticket (bounded by
   /// drain_timeout_seconds, then force-cancel), flush write queues, send
-  /// goodbye frames, close every connection, join the threads, and uninstall
-  /// the server doorbell.
+  /// goodbye frames, close every connection, join the loop thread, and
+  /// uninstall the server doorbell.
   void shutdown();
 
   front_end_stats stats() const;

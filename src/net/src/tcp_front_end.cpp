@@ -15,7 +15,6 @@
 #include <chrono>
 #include <optional>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -175,23 +174,33 @@ front_end_config front_end_config::from_env(front_end_config base) {
 
 namespace {
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  KLINQ_REQUIRE(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-                "net: fcntl(O_NONBLOCK) failed");
-}
-
 void set_nodelay(int fd) {
   const int one = 1;
   // Best effort — latency tuning, not correctness.
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// The front end whose loop runs on this thread (null elsewhere): a doorbell
+/// that rings there ran inline inside try_submit.
+thread_local const void* t_loop_owner = nullptr;
+
+/// A file descriptor closed on destruction, so a constructor that throws
+/// after opening its sockets leaks none of them.
+struct owned_fd {
+  int fd = -1;
+  owned_fd() = default;
+  owned_fd(const owned_fd&) = delete;
+  owned_fd& operator=(const owned_fd&) = delete;
+  ~owned_fd() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
 }  // namespace
 
 struct tcp_front_end::impl {
-  // One client connection, owned by the poll loop; queue/counter fields are
-  // shared with the completion thread under state_mutex_.
+  // One client connection, owned by the loop thread (stats() and
+  // connections() read it under state_mutex).
   struct connection {
     int fd = -1;
     std::uint64_t id = 0;
@@ -254,30 +263,26 @@ struct tcp_front_end::impl {
   std::unique_ptr<obs::metric_registry> owned_metrics;
   obs::metric_registry* metrics = nullptr;
 
-  int listen_fd = -1;
+  owned_fd listen_fd;
   std::uint16_t bound_port = 0;
-  int wake_pipe[2] = {-1, -1};  // poll-loop wakeup (acceptor + completion)
+  owned_fd wake_read;  // loop wakeup (doorbell, shutdown)
+  owned_fd wake_write;
 
   stopwatch clock;
   std::atomic<bool> draining{false};
   std::atomic<bool> stopping{false};
   bool shut_down = false;  // shutdown() ran to completion (main thread only)
 
-  // --- state_mutex_ domain -----------------------------------------------
+  // --- state_mutex domain ------------------------------------------------
   mutable std::mutex state_mutex;
   std::uint64_t next_conn_id = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<connection>> conns;
-  std::vector<int> pending_accepts;
   std::unordered_map<std::uint64_t, inflight_ticket> tickets;
 
-  // --- completion_mutex_ domain ------------------------------------------
-  std::mutex completion_mutex;
-  std::condition_variable completion_ready;
-  std::deque<std::uint64_t> done_queue;
-
-  std::thread acceptor_thread;
-  std::thread poll_thread;
-  std::thread completion_thread;
+  // --- the doorbell's hand-off (never nested in state_mutex) -------------
+  std::mutex done_mutex;
+  std::vector<std::uint64_t> done_ids;  // finished tickets, not yet consumed
+  std::vector<std::uint64_t> inline_done;  // loop thread only (see doorbell)
 
   // --- metric cells (pre-resolved; recording is lock-free) ---------------
   obs::counter* accepted_cell = nullptr;
@@ -301,26 +306,34 @@ struct tcp_front_end::impl {
   std::array<obs::log_histogram*, 2> lane_seconds{};  // by lane_class
   std::uint64_t collector_id = 0;
 
+  std::thread poll_thread;  // last: it uses every member above
+
   explicit impl(serve::readout_server& srv, front_end_config cfg)
       : server(srv), config(std::move(cfg)) {
     config.validate();
-    init_metrics();
-    // Pull collector: every snapshot() re-derives the two gauges from the
-    // authoritative maps, so the scraped families cannot drift from the
-    // front end's own accounting (collectors run outside registry locks,
-    // so taking state_mutex here is cycle-free).
-    collector_id = metrics->add_collector([this] {
-      const std::lock_guard lock(state_mutex);
-      open_conns_cell->set(
-          static_cast<double>(conns.size() + pending_accepts.size()));
-      inflight_cell->set(static_cast<double>(tickets.size()));
-    });
     open_sockets();
+    init_metrics();
+    // Last, once a taken port or a bad config can no longer throw: only now
+    // may the server and the registry hold pointers into this impl. A server
+    // with unresolved tickets throws here, before anything is registered.
     server.set_on_complete(
         [this](serve::ticket t, serve::request_status) { doorbell(t.id); });
-    acceptor_thread = std::thread([this] { acceptor_loop(); });
-    poll_thread = std::thread([this] { poll_loop(); });
-    completion_thread = std::thread([this] { completion_loop(); });
+    try {
+      // Pull collector: every snapshot() re-derives the two gauges from the
+      // authoritative maps, so the scraped families cannot drift from the
+      // front end's own accounting (collectors run outside registry locks,
+      // so taking state_mutex here is cycle-free).
+      collector_id = metrics->add_collector([this] {
+        const std::lock_guard lock(state_mutex);
+        open_conns_cell->set(static_cast<double>(conns.size()));
+        inflight_cell->set(static_cast<double>(tickets.size()));
+      });
+      poll_thread = std::thread([this] { poll_loop(); });
+    } catch (...) {
+      if (collector_id != 0) metrics->remove_collector(collector_id);
+      server.set_on_complete({});
+      throw;
+    }
   }
 
   void init_metrics() {
@@ -386,53 +399,69 @@ struct tcp_front_end::impl {
   }
 
   void open_sockets() {
-    KLINQ_REQUIRE(::pipe(wake_pipe) == 0, "net: pipe() failed");
-    set_nonblocking(wake_pipe[0]);
-    set_nonblocking(wake_pipe[1]);
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    KLINQ_REQUIRE(listen_fd >= 0, "net: socket() failed");
+    int pipe_fds[2];
+    KLINQ_REQUIRE(::pipe2(pipe_fds, O_NONBLOCK) == 0, "net: pipe() failed");
+    wake_read.fd = pipe_fds[0];
+    wake_write.fd = pipe_fds[1];
+    listen_fd.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    KLINQ_REQUIRE(listen_fd.fd >= 0, "net: socket() failed");
     const int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    ::setsockopt(listen_fd.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(config.port);
     KLINQ_REQUIRE(
         ::inet_pton(AF_INET, config.bind_address.c_str(), &addr.sin_addr) == 1,
         "net: bind_address is not a valid IPv4 address");
-    KLINQ_REQUIRE(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+    KLINQ_REQUIRE(::bind(listen_fd.fd, reinterpret_cast<sockaddr*>(&addr),
                          sizeof(addr)) == 0,
                   "net: bind() failed (port in use?)");
-    KLINQ_REQUIRE(::listen(listen_fd, config.listen_backlog) == 0,
+    KLINQ_REQUIRE(::listen(listen_fd.fd, config.listen_backlog) == 0,
                   "net: listen() failed");
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);
-    KLINQ_REQUIRE(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound),
-                                &len) == 0,
+    KLINQ_REQUIRE(::getsockname(listen_fd.fd,
+                                reinterpret_cast<sockaddr*>(&bound), &len) == 0,
                   "net: getsockname() failed");
     bound_port = ntohs(bound.sin_port);
   }
 
-  ~impl() {
-    // shutdown() already ran (the wrapper guarantees it); release the fds.
-    if (listen_fd >= 0) ::close(listen_fd);
-    if (wake_pipe[0] >= 0) ::close(wake_pipe[0]);
-    if (wake_pipe[1] >= 0) ::close(wake_pipe[1]);
-  }
-
-  // --- doorbell (runs on shard executors / submitting threads) -----------
+  // --- doorbell (runs on whichever thread finished the request) ----------
 
   void doorbell(std::uint64_t ticket_id) {
-    {
-      const std::lock_guard lock(completion_mutex);
-      done_queue.push_back(ticket_id);
+    if (t_loop_owner == this) {
+      // Ran inline inside try_submit (a workerless pool): park it for
+      // poll_loop, which delivers it off the lock before its next poll().
+      inline_done.push_back(ticket_id);
+      return;
     }
-    completion_ready.notify_one();
+    deliver(ticket_id);
+  }
+
+  /// Fires the net.complete site, then hands the ticket to the loop. Off the
+  /// loop thread, so delay mode stalls only the response path while
+  /// admission quotas fill — deterministic fodder for the shedding tests.
+  void deliver(std::uint64_t ticket_id) {
+    try {
+      fault::trigger("net.complete");
+    } catch (const std::exception&) {
+      // A throwing completion site must not lose the ticket.
+    }
+    bool first = false;
+    {
+      const std::lock_guard lock(done_mutex);
+      first = done_ids.empty();
+      done_ids.push_back(ticket_id);
+    }
+    // A non-empty vector already has a wake byte in flight: the loop drains
+    // the pipe before it swaps the vector out.
+    if (first) wake_poll();
   }
 
   void wake_poll() {
     const std::uint8_t byte = 1;
     // The pipe being full is fine: a queued byte already guarantees a wake.
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe[1], &byte, 1);
+    [[maybe_unused]] const ssize_t n = ::write(wake_write.fd, &byte, 1);
   }
 
   // --- wire tracing -------------------------------------------------------
@@ -462,15 +491,89 @@ struct tcp_front_end::impl {
     ring.record(std::move(span));
   }
 
-  // --- acceptor -----------------------------------------------------------
+  // --- the loop thread ----------------------------------------------------
+  //
+  // Every handler from poll_loop() down to the shutdown section runs with
+  // state_mutex held: the loop takes it once per iteration, around all event
+  // handling, and releases it across poll().
 
-  void acceptor_loop() {
+  void poll_loop() {
+    std::vector<pollfd> pfds;
+    std::vector<connection*> pfd_conns;  // pfds[i + 2] watches pfd_conns[i]
+    std::vector<std::uint64_t> done;
+    std::vector<std::uint8_t> read_chunk(std::size_t{64} << 10);
+    const int timeout_ms =
+        std::max(1, static_cast<int>(config.poll_interval_seconds * 1000.0));
+    t_loop_owner = this;
+    std::unique_lock lock(state_mutex);
+    // shutdown() sets stopping only after its bounded flush window, so
+    // leaving at once cannot strand a flushable write queue.
     while (!stopping.load(std::memory_order_relaxed)) {
-      pollfd pfd{listen_fd, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 200);
-      if (ready <= 0) continue;
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) continue;
+      pfds.assign({{wake_read.fd, POLLIN, 0}, {listen_fd.fd, POLLIN, 0}});
+      pfd_conns.clear();
+      for (auto& [id, conn] : conns) {
+        short events = conn->closing ? 0 : POLLIN;
+        if (!conn->write_queue.empty()) events |= POLLOUT;
+        if (events == 0) events = POLLERR;  // still watch for hangup
+        pfds.push_back({conn->fd, events, 0});
+        pfd_conns.push_back(conn.get());
+      }
+      lock.unlock();
+      // Inline completions get their net.complete site here, off the lock
+      // and before the poll() that reports their client leaving, so a delay
+      // drops a departed client's result as it does on a pool worker. Each
+      // delivery wakes the poll() at once.
+      for (const std::uint64_t ticket_id : inline_done) deliver(ticket_id);
+      inline_done.clear();
+      ::poll(pfds.data(), pfds.size(), timeout_ms);
+      if (pfds[0].revents & POLLIN) {
+        std::uint8_t drain_buf[64];
+        while (::read(wake_read.fd, drain_buf, sizeof(drain_buf)) > 0) {
+        }
+      }
+      lock.lock();
+      if (pfds[1].revents & POLLIN) accept_connections();
+      // Only this thread adds or removes connections, so each pointer stays
+      // valid until its own handler closes it. Writability is served by the
+      // flush in flush_and_reap().
+      for (std::size_t i = 0; i < pfd_conns.size(); ++i) {
+        const short revents = pfds[i + 2].revents;
+        if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
+          close_connection(*pfd_conns[i]);
+        } else if (revents & POLLIN) {
+          handle_readable(*pfd_conns[i], read_chunk);
+        }
+      }
+      // Completions drain after the hangups, so a departed client's result
+      // is dropped (counted), not queued.
+      {
+        const std::lock_guard done_lock(done_mutex);
+        done.swap(done_ids);
+      }
+      for (const std::uint64_t ticket_id : done) process_completion(ticket_id);
+      done.clear();
+      flush_and_reap();
+    }
+    // Exiting: close every remaining socket (tickets were reconciled by
+    // shutdown before stopping was set).
+    for (auto& [id, conn] : conns) {
+      ::close(conn->fd);
+      closed_cell->inc();
+      if (conn->evict) evicted_cell->inc();
+    }
+    conns.clear();
+    open_conns_cell->set(0.0);
+  }
+
+  /// Accepts until the backlog is empty. Over the connection cap (or while
+  /// draining) a connection gets a busy frame and is closed at once.
+  void accept_connections() {
+    for (;;) {
+      const int fd = ::accept4(listen_fd.fd, nullptr, nullptr, SOCK_NONBLOCK);
+      if (fd < 0) {
+        if (errno == EINTR || errno == ECONNABORTED) continue;
+        return;  // EAGAIN: the backlog is drained
+      }
       try {
         fault::trigger("net.accept");
       } catch (const std::exception&) {
@@ -478,105 +581,19 @@ struct tcp_front_end::impl {
         rejected_cell->inc();
         continue;
       }
-      bool over_cap = false;
-      {
-        const std::lock_guard lock(state_mutex);
-        over_cap = conns.size() + pending_accepts.size() >=
-                       config.max_connections ||
-                   draining.load(std::memory_order_relaxed);
-        if (!over_cap) {
-          pending_accepts.push_back(fd);
-          accepted_cell->inc();
-          open_conns_cell->set(
-              static_cast<double>(conns.size() + pending_accepts.size()));
-        }
-      }
-      if (over_cap) {
-        // Best-effort shed before closing: the fd is still blocking, and the
-        // frame is tiny.
-        const std::vector<std::uint8_t> busy = encode_busy(
-            0, draining.load(std::memory_order_relaxed)
-                   ? busy_reason::draining
-                   : busy_reason::server_busy);
-        ::send(fd, busy.data(), busy.size(), MSG_NOSIGNAL);
-        ::close(fd);
+      const bool drain = draining.load(std::memory_order_relaxed);
+      if (drain || conns.size() >= config.max_connections) {
+        const busy_reason reason =
+            drain ? busy_reason::draining : busy_reason::server_busy;
+        // Counted before the send: a client that reads its busy frame
+        // always finds the rejection in stats().
         rejected_cell->inc();
-        shed_cells[static_cast<std::size_t>(
-                       draining.load(std::memory_order_relaxed)
-                           ? busy_reason::draining
-                           : busy_reason::server_busy)]
-            ->inc();
+        shed_cells[static_cast<std::size_t>(reason)]->inc();
+        const std::vector<std::uint8_t> busy = encode_busy(0, reason);
+        ::send(fd, busy.data(), busy.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
+        ::close(fd);
         continue;
       }
-      wake_poll();
-    }
-  }
-
-  // --- poll loop ----------------------------------------------------------
-
-  void poll_loop() {
-    std::vector<pollfd> pfds;
-    std::vector<std::uint64_t> pfd_conn_ids;
-    std::vector<std::uint8_t> read_chunk(std::size_t{64} << 10);
-    for (;;) {
-      // shutdown() set stopping only after its bounded flush window, so
-      // breaking immediately cannot strand a flushable write queue.
-      if (stopping.load(std::memory_order_relaxed)) break;
-      pfds.clear();
-      pfd_conn_ids.clear();
-      pfds.push_back({wake_pipe[0], POLLIN, 0});
-      {
-        const std::lock_guard lock(state_mutex);
-        adopt_pending_locked();
-        for (auto& [id, conn] : conns) {
-          short events = conn->closing ? 0 : POLLIN;
-          if (!conn->write_queue.empty()) events |= POLLOUT;
-          if (events == 0) events = POLLERR;  // still watch for hangup
-          pfds.push_back({conn->fd, events, 0});
-          pfd_conn_ids.push_back(id);
-        }
-      }
-      const int timeout_ms = std::max(
-          1, static_cast<int>(config.poll_interval_seconds * 1000.0));
-      ::poll(pfds.data(), pfds.size(), timeout_ms);
-      if (pfds[0].revents & POLLIN) {
-        std::uint8_t drain_buf[64];
-        while (::read(wake_pipe[0], drain_buf, sizeof(drain_buf)) > 0) {
-        }
-      }
-      for (std::size_t i = 1; i < pfds.size(); ++i) {
-        const std::uint64_t conn_id = pfd_conn_ids[i - 1];
-        const short revents = pfds[i].revents;
-        if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
-          close_connection(conn_id, /*evicted=*/false);
-          continue;
-        }
-        if (revents & POLLIN) handle_readable(conn_id, read_chunk);
-        if (revents & POLLOUT) handle_writable(conn_id);
-      }
-      enforce_deadlines();
-      finish_closing_connections();
-    }
-    // Exiting: close every remaining socket (tickets were reconciled by
-    // shutdown before stopping was set).
-    const std::lock_guard lock(state_mutex);
-    for (auto& [id, conn] : conns) {
-      ::close(conn->fd);
-      closed_cell->inc();
-      if (conn->evict) evicted_cell->inc();
-    }
-    conns.clear();
-    for (int fd : pending_accepts) {
-      ::close(fd);
-      closed_cell->inc();
-    }
-    pending_accepts.clear();
-    open_conns_cell->set(0.0);
-  }
-
-  void adopt_pending_locked() {
-    for (int fd : pending_accepts) {
-      set_nonblocking(fd);
       set_nodelay(fd);
       auto conn = std::make_unique<connection>();
       conn->fd = fd;
@@ -585,63 +602,49 @@ struct tcp_front_end::impl {
       conn->last_write_progress_at = conn->last_read_at;
       conn->accepted_at = conn->last_read_at;
       conns.emplace(conn->id, std::move(conn));
+      accepted_cell->inc();
+      open_conns_cell->set(static_cast<double>(conns.size()));
     }
-    pending_accepts.clear();
   }
 
-  void handle_readable(std::uint64_t conn_id,
-                       std::vector<std::uint8_t>& chunk) {
-    bool close_now = false;
-    bool evict = false;
-    {
-      const std::lock_guard lock(state_mutex);
-      const auto it = conns.find(conn_id);
-      if (it == conns.end()) return;
-      connection& conn = *it->second;
-      if (conn.closing) return;
-      if (trace_sink() != nullptr) {
-        // Anchor for the net.read span of any traced request this batch of
-        // socket reads completes (one clock read per readiness event).
-        conn.read_batch_start_us = obs::trace_clock_us();
-      }
-      for (;;) {
-        const ssize_t n = ::read(conn.fd, chunk.data(), chunk.size());
-        if (n == 0) {
-          close_now = true;  // orderly peer close
-          break;
-        }
-        if (n < 0) {
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          if (errno == EINTR) continue;
-          close_now = true;  // hard read error
-          break;
-        }
-        bytes_in_cell->inc(static_cast<std::uint64_t>(n));
-        conn.last_read_at = clock.seconds();
-        bool discard = false;
-        try {
-          // drop: the bytes vanish, desyncing the framing — downstream the
-          // malformed-frame path takes over, which is the point.
-          discard = fault::trigger("net.read") == fault::action::drop;
-        } catch (const std::exception&) {
-          close_now = true;
-          evict = true;
-          break;
-        }
-        if (!discard) {
-          conn.read_buffer.insert(conn.read_buffer.end(), chunk.data(),
-                                  chunk.data() + n);
-        }
-        if (static_cast<std::size_t>(n) < chunk.size()) break;
-      }
-      if (!close_now) parse_frames_locked(conn);
+  void handle_readable(connection& conn, std::vector<std::uint8_t>& chunk) {
+    if (trace_sink() != nullptr) {
+      // Anchor for the net.read span of any traced request this batch of
+      // socket reads completes (one clock read per readiness event).
+      conn.read_batch_start_us = obs::trace_clock_us();
     }
-    if (close_now) close_connection(conn_id, evict);
+    for (;;) {
+      const ssize_t n = ::read(conn.fd, chunk.data(), chunk.size());
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      if (n <= 0) {
+        close_connection(conn);  // orderly peer close, or a hard read error
+        return;
+      }
+      bytes_in_cell->inc(static_cast<std::uint64_t>(n));
+      conn.last_read_at = clock.seconds();
+      bool discard = false;
+      try {
+        // drop: the bytes vanish, desyncing the framing — downstream the
+        // malformed-frame path takes over, which is the point.
+        discard = fault::trigger("net.read") == fault::action::drop;
+      } catch (const std::exception&) {
+        conn.evict = true;
+        close_connection(conn);
+        return;
+      }
+      if (!discard) {
+        conn.read_buffer.insert(conn.read_buffer.end(), chunk.data(),
+                                chunk.data() + n);
+      }
+      if (static_cast<std::size_t>(n) < chunk.size()) break;
+    }
+    parse_frames(conn);
   }
 
-  /// Parses every complete frame in the connection's read buffer. Requires
-  /// state_mutex_. May mark the connection closing (protocol violation).
-  void parse_frames_locked(connection& conn) {
+  /// Parses every complete frame in the connection's read buffer. May mark
+  /// the connection closing (protocol violation).
+  void parse_frames(connection& conn) {
     std::size_t offset = 0;
     while (!conn.closing &&
            conn.read_buffer.size() - offset >= kHeaderSize) {
@@ -653,14 +656,13 @@ struct tcp_front_end::impl {
             verdict == header_verdict::bad_version ? error_code::bad_version
             : verdict == header_verdict::bad_type  ? error_code::bad_type
                                                    : error_code::malformed_frame;
-        protocol_error_locked(conn, header.request_id, code,
-                              "frame header rejected");
+        protocol_error(conn, header.request_id, code,
+                       "frame header rejected");
         break;
       }
       if (header.payload_size > config.max_frame_payload) {
-        protocol_error_locked(conn, header.request_id,
-                              error_code::oversize_frame,
-                              "payload length above the configured bound");
+        protocol_error(conn, header.request_id, error_code::oversize_frame,
+                       "payload length above the configured bound");
         break;
       }
       // Per-connection version negotiation: the first well-formed frame
@@ -669,7 +671,7 @@ struct tcp_front_end::impl {
       const std::size_t frame_size = kHeaderSize + header.payload_size;
       if (conn.read_buffer.size() - offset < frame_size) break;  // partial
       frames_in_cell->inc();
-      handle_frame_locked(
+      handle_frame(
           conn, header,
           std::span<const std::uint8_t>(
               conn.read_buffer.data() + offset + kHeaderSize,
@@ -683,11 +685,11 @@ struct tcp_front_end::impl {
     }
   }
 
-  void handle_frame_locked(connection& conn, const frame_header& header,
-                           std::span<const std::uint8_t> payload) {
+  void handle_frame(connection& conn, const frame_header& header,
+                    std::span<const std::uint8_t> payload) {
     switch (header.type) {
       case frame_type::request:
-        handle_request_locked(conn, header, payload);
+        handle_request(conn, header, payload);
         return;
       case frame_type::cancel: {
         cancels_cell->inc();
@@ -702,9 +704,8 @@ struct tcp_front_end::impl {
       }
       case frame_type::ping:
         pings_cell->inc();
-        queue_frame_locked(conn, encode_control(frame_type::pong,
-                                                header.request_id,
-                                                conn_version(conn)));
+        queue_frame(conn, encode_control(frame_type::pong, header.request_id,
+                                         conn_version(conn)));
         pongs_cell->inc();
         return;
       case frame_type::goodbye:
@@ -714,14 +715,14 @@ struct tcp_front_end::impl {
       case frame_type::pong:
       case frame_type::busy:
       case frame_type::error:
-        protocol_error_locked(conn, header.request_id, error_code::bad_type,
-                              "server-to-client frame type from a client");
+        protocol_error(conn, header.request_id, error_code::bad_type,
+                       "server-to-client frame type from a client");
         return;
     }
   }
 
-  void handle_request_locked(connection& conn, const frame_header& header,
-                             std::span<const std::uint8_t> payload) {
+  void handle_request(connection& conn, const frame_header& header,
+                      std::span<const std::uint8_t> payload) {
     // v2 trace context rides as the first payload bytes of a flagged frame;
     // strip it before the admission/decode path sees the request payload.
     // When tracing is disarmed server-side the context is still stripped
@@ -729,9 +730,8 @@ struct tcp_front_end::impl {
     trace_context tctx;
     if (header.has_trace()) {
       if (payload.size() < kTraceContextSize) {
-        protocol_error_locked(conn, header.request_id,
-                              error_code::decode_error,
-                              "trace-flagged request shorter than its context");
+        protocol_error(conn, header.request_id, error_code::decode_error,
+                       "trace-flagged request shorter than its context");
         return;
       }
       tctx = decode_trace_context(payload.data());
@@ -750,16 +750,16 @@ struct tcp_front_end::impl {
     // Admission control, cheapest checks first; every rejection is an
     // explicit retriable busy frame, never an unbounded queue.
     if (draining.load(std::memory_order_relaxed)) {
-      shed_locked(conn, header.request_id, busy_reason::draining);
+      shed(conn, header.request_id, busy_reason::draining);
       return;
     }
     if (conn.inflight >= config.max_inflight_per_connection) {
-      shed_locked(conn, header.request_id, busy_reason::connection_inflight);
+      shed(conn, header.request_id, busy_reason::connection_inflight);
       return;
     }
     if (conn.inflight_bytes + payload.size() >
         config.max_inflight_bytes_per_connection) {
-      shed_locked(conn, header.request_id, busy_reason::connection_bytes);
+      shed(conn, header.request_id, busy_reason::connection_bytes);
       return;
     }
     const bool feedback = header.lane == serve::lane_class::feedback;
@@ -767,7 +767,7 @@ struct tcp_front_end::impl {
         feedback ? config.max_inflight
                  : config.max_inflight - config.feedback_reserve;
     if (tickets.size() >= budget) {
-      shed_locked(conn, header.request_id, busy_reason::server_busy);
+      shed(conn, header.request_id, busy_reason::server_busy);
       return;
     }
 
@@ -778,8 +778,8 @@ struct tcp_front_end::impl {
       fault::trigger("net.decode");
       info = decode_request(payload, *traces);
     } catch (const std::exception& e) {
-      protocol_error_locked(conn, header.request_id, error_code::decode_error,
-                            e.what());
+      protocol_error(conn, header.request_id, error_code::decode_error,
+                     e.what());
       return;
     }
     if (traced) {
@@ -800,19 +800,18 @@ struct tcp_front_end::impl {
     std::optional<serve::ticket> ticket;
     try {
       // May execute the whole request inline (workerless pool) — the
-      // completion doorbell only touches the completion queue, and the
-      // completion thread re-locks state_mutex_ after popping, so it cannot
-      // observe the ticket before the registration below.
+      // doorbell only appends to done_ids, which this thread consumes after
+      // the registration below, so no completion precedes its ticket.
       ticket = server.try_submit(request);
     } catch (const std::exception& e) {
       // Semantically invalid (bad qubit, missing engine path): a protocol
       // contract violation, handled like any malformed frame.
-      protocol_error_locked(conn, header.request_id, error_code::decode_error,
-                            e.what());
+      protocol_error(conn, header.request_id, error_code::decode_error,
+                     e.what());
       return;
     }
     if (!ticket) {
-      shed_locked(conn, header.request_id, busy_reason::server_busy);
+      shed(conn, header.request_id, busy_reason::server_busy);
       return;
     }
     inflight_ticket entry;
@@ -839,27 +838,25 @@ struct tcp_front_end::impl {
     }
   }
 
-  void shed_locked(connection& conn, std::uint64_t request_id,
-                   busy_reason reason) {
+  void shed(connection& conn, std::uint64_t request_id, busy_reason reason) {
     shed_cells[static_cast<std::size_t>(reason)]->inc();
-    queue_frame_locked(conn,
-                       encode_busy(request_id, reason, conn_version(conn)));
+    queue_frame(conn, encode_busy(request_id, reason, conn_version(conn)));
   }
 
   /// Typed error frame, then close exactly this connection (reads stop now;
   /// the frame flushes before the fd closes).
-  void protocol_error_locked(connection& conn, std::uint64_t request_id,
-                             error_code code, const std::string& message) {
+  void protocol_error(connection& conn, std::uint64_t request_id,
+                      error_code code, const std::string& message) {
     malformed_cells[static_cast<std::size_t>(code)]->inc();
-    queue_frame_locked(
+    queue_frame(
         conn, encode_error(request_id, code, message, conn_version(conn)));
-    queue_frame_locked(
+    queue_frame(
         conn, encode_control(frame_type::goodbye, 0, conn_version(conn)));
     conn.closing = true;
     conn.evict = true;
   }
 
-  void queue_frame_locked(connection& conn, std::vector<std::uint8_t> bytes) {
+  void queue_frame(connection& conn, std::vector<std::uint8_t> bytes) {
     if (conn.write_queue.empty()) {
       conn.last_write_progress_at = clock.seconds();
     }
@@ -875,21 +872,9 @@ struct tcp_front_end::impl {
     }
   }
 
-  void handle_writable(std::uint64_t conn_id) {
-    bool close_now = false;
-    {
-      const std::lock_guard lock(state_mutex);
-      const auto it = conns.find(conn_id);
-      if (it == conns.end()) return;
-      close_now = !flush_writes_locked(*it->second);
-      if (close_now) it->second->evict = true;
-    }
-    if (close_now) close_connection(conn_id, /*evicted=*/true);
-  }
-
   /// Writes as much of the queue as the socket accepts. Returns false when
   /// the connection must be evicted (write error / injected fault).
-  bool flush_writes_locked(connection& conn) {
+  bool flush_writes(connection& conn) {
     try {
       if (fault::trigger("net.write") == fault::action::drop) {
         return true;  // skip this flush round — a stalled sender
@@ -904,7 +889,7 @@ struct tcp_front_end::impl {
                                remaining, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          complete_write_spans_locked(conn);  // earlier frames may be out
+          complete_write_spans(conn);  // earlier frames may be out
           return true;
         }
         if (errno == EINTR) continue;
@@ -920,13 +905,13 @@ struct tcp_front_end::impl {
         conn.write_offset = 0;
       }
     }
-    complete_write_spans_locked(conn);
+    complete_write_spans(conn);
     return true;
   }
 
   /// Emits net.write spans whose response bytes have fully left the socket
   /// buffer (flushed_bytes_total reached the target stamped at queue time).
-  void complete_write_spans_locked(connection& conn) {
+  void complete_write_spans(connection& conn) {
     if (conn.write_spans.empty()) return;
     obs::trace_ring* ring = trace_sink();
     const std::uint64_t now_us =
@@ -941,108 +926,51 @@ struct tcp_front_end::impl {
     });
   }
 
-  void enforce_deadlines() {
+  /// The tail of each iteration: flushes every write queue, then closes what
+  /// must go — write failures and expired deadlines (evicted), and closing
+  /// connections whose queue has drained.
+  void flush_and_reap() {
     const double now = clock.seconds();
-    std::vector<std::uint64_t> to_evict;
-    {
-      const std::lock_guard lock(state_mutex);
-      for (auto& [id, conn] : conns) {
-        if (conn->closing) continue;
-        if (config.read_idle_seconds > 0.0 &&
-            now - conn->last_read_at > config.read_idle_seconds) {
-          to_evict.push_back(id);  // slow loris: trickling or silent
-          continue;
-        }
-        if (config.write_stall_seconds > 0.0 &&
-            !conn->write_queue.empty() &&
-            now - conn->last_write_progress_at > config.write_stall_seconds) {
-          to_evict.push_back(id);  // reader stopped reading
-        }
+    std::vector<connection*> done;
+    for (auto& [id, conn] : conns) {
+      if (!conn->write_queue.empty() && !flush_writes(*conn)) {
+        conn->evict = true;  // write error or injected fault
+      } else if (conn->closing) {
+        if (!conn->write_queue.empty()) continue;  // still flushing
+      } else if (config.read_idle_seconds > 0.0 &&
+                 now - conn->last_read_at > config.read_idle_seconds) {
+        conn->evict = true;  // slow loris: trickling or silent
+      } else if (config.write_stall_seconds > 0.0 &&
+                 !conn->write_queue.empty() &&
+                 now - conn->last_write_progress_at >
+                     config.write_stall_seconds) {
+        conn->evict = true;  // reader stopped reading
+      } else {
+        continue;
       }
+      done.push_back(conn.get());
     }
-    for (const std::uint64_t id : to_evict) {
-      close_connection(id, /*evicted=*/true);
-    }
-  }
-
-  /// Closes connections that were marked closing once their write queue is
-  /// flushed (or immediately when flushing cannot progress anyway).
-  void finish_closing_connections() {
-    std::vector<std::pair<std::uint64_t, bool>> done;
-    {
-      const std::lock_guard lock(state_mutex);
-      for (auto& [id, conn] : conns) {
-        if (!conn->closing) continue;
-        flush_writes_locked(*conn);
-        if (conn->write_queue.empty()) done.emplace_back(id, conn->evict);
-      }
-    }
-    for (const auto& [id, evict] : done) close_connection(id, evict);
+    for (connection* conn : done) close_connection(*conn);
   }
 
   /// Removes a connection and reconciles its in-flight tickets: every one
-  /// still unresolved is cancelled through the server (the completion thread
-  /// then claims and drops the result, counted). Never called with
-  /// state_mutex_ held.
-  void close_connection(std::uint64_t conn_id, bool evicted) {
-    std::unique_ptr<connection> conn;
-    std::vector<std::uint64_t> to_cancel;
-    {
-      const std::lock_guard lock(state_mutex);
-      const auto it = conns.find(conn_id);
-      if (it == conns.end()) return;
-      conn = std::move(it->second);
-      conns.erase(it);
-      for (const auto& [request_id, ticket_id] : conn->requests) {
-        if (tickets.find(ticket_id) != tickets.end()) {
-          to_cancel.push_back(ticket_id);
-        }
-      }
-      // Cancel under the same lock that guards ticket consumption: entries
-      // still in `tickets` are provably unconsumed (the completion thread
-      // waits and erases under this mutex), so cancel() cannot throw for a
-      // consumed ticket; false (already done) is fine — the completion
-      // thread will drop the result on arrival.
-      for (const std::uint64_t ticket_id : to_cancel) {
-        server.cancel(serve::ticket{ticket_id});
-      }
-      closed_cell->inc();
-      if (evicted || conn->evict) evicted_cell->inc();
-      open_conns_cell->set(
-          static_cast<double>(conns.size() + pending_accepts.size()));
+  /// still unresolved is cancelled through the server, and the loop drops
+  /// its result, counted, when the doorbell delivers it.
+  void close_connection(connection& conn) {
+    // Entries still in `tickets` are unconsumed (only this thread consumes
+    // them, under this lock), so cancel() cannot throw for a consumed
+    // ticket; false (already done) is fine.
+    for (const auto& [request_id, ticket_id] : conn.requests) {
+      if (tickets.contains(ticket_id)) server.cancel(serve::ticket{ticket_id});
     }
-    ::close(conn->fd);
-  }
-
-  // --- completion thread --------------------------------------------------
-
-  void completion_loop() {
-    for (;;) {
-      std::uint64_t ticket_id = 0;
-      {
-        std::unique_lock lock(completion_mutex);
-        completion_ready.wait(lock, [this] {
-          return stopping.load(std::memory_order_relaxed) ||
-                 !done_queue.empty();
-        });
-        if (done_queue.empty()) return;  // stopping and drained
-        ticket_id = done_queue.front();
-        done_queue.pop_front();
-      }
-      try {
-        // delay mode stalls the response path while admission quotas fill —
-        // deterministic fodder for the shedding tests.
-        fault::trigger("net.complete");
-      } catch (const std::exception&) {
-        // A throwing completion site must not lose the ticket.
-      }
-      process_completion(ticket_id);
-      wake_poll();
-    }
+    closed_cell->inc();
+    if (conn.evict) evicted_cell->inc();
+    ::close(conn.fd);
+    conns.erase(conn.id);  // destroys conn
+    open_conns_cell->set(static_cast<double>(conns.size()));
   }
 
   void process_completion(std::uint64_t ticket_id) {
-    const std::lock_guard lock(state_mutex);
     const auto it = tickets.find(ticket_id);
     if (it == tickets.end()) return;  // foreign ticket: not ours to consume
     inflight_ticket entry = std::move(it->second);
@@ -1050,7 +978,7 @@ struct tcp_front_end::impl {
     serve::readout_result result;
     try {
       // The doorbell fired, so the ticket is done: wait() returns
-      // immediately. Consuming under state_mutex_ is what makes the
+      // immediately. Consuming under state_mutex is what makes the
       // disconnect path's cancel() race-free (see close_connection).
       server.wait(serve::ticket{ticket_id}, result);
     } catch (const std::exception&) {
@@ -1082,12 +1010,12 @@ struct tcp_front_end::impl {
     const std::uint64_t write_start_us =
         entry.trace_id != 0 && trace_sink() != nullptr ? obs::trace_clock_us()
                                                        : 0;
-    queue_frame_locked(
+    queue_frame(
         conn, encode_response(entry.request_id, result, conn_version(conn)));
     responses_cell->inc();
     if (write_start_us != 0) {
       // The net.write span runs from response-queued to the flush that
-      // drains it off the write queue (completed in flush_writes_locked).
+      // drains it off the write queue (completed in flush_writes).
       conn.write_spans.push_back({entry.trace_id, entry.trace_parent,
                                   write_start_us, conn.queued_bytes_total});
     }
@@ -1118,14 +1046,14 @@ struct tcp_front_end::impl {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    // Phase 2: goodbye frames, then give the poll loop one drain window to
-    // flush the write queues.
+    // Phase 2: goodbye frames, then give the loop one drain window to flush
+    // the write queues.
     {
       const std::lock_guard lock(state_mutex);
       for (auto& [id, conn] : conns) {
         if (!conn->closing) {
-          queue_frame_locked(*conn, encode_control(frame_type::goodbye, 0,
-                                                   conn_version(*conn)));
+          queue_frame(*conn, encode_control(frame_type::goodbye, 0,
+                                            conn_version(*conn)));
         }
       }
     }
@@ -1143,15 +1071,11 @@ struct tcp_front_end::impl {
       if (flushed || clock.seconds() >= flush_deadline) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    // Phase 3: stop the threads. The poll loop exits once no writes are
-    // pending (it closes every socket on the way out); the completion
-    // thread exits when its queue is empty.
+    // Phase 3: stop the loop. The wake byte interrupts its poll(), and it
+    // closes every socket on the way out.
     stopping.store(true, std::memory_order_relaxed);
     wake_poll();
-    completion_ready.notify_all();
-    acceptor_thread.join();
     poll_thread.join();
-    completion_thread.join();
     // The registry may outlive the front end (shared backend): unbind the
     // pull collector before the impl it captures goes away.
     metrics->remove_collector(collector_id);
@@ -1184,7 +1108,7 @@ struct tcp_front_end::impl {
     s.cancels_received = cancels_cell->value();
     s.pings_received = pings_cell->value();
     s.pongs_sent = pongs_cell->value();
-    s.open_connections = conns.size() + pending_accepts.size();
+    s.open_connections = conns.size();
     s.inflight = tickets.size();
     return s;
   }

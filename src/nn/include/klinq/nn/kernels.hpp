@@ -211,7 +211,7 @@ void gemm_nt_bias_act(const la::matrix_f& a, const la::matrix_f& b,
                       activation act);
 
 /// Bias-only forward GEMM: C = A · Bᵀ (+ bias), optionally accumulating
-/// into C — the drop-in replacement for la::gemm_nt on the float hot path.
+/// into C.
 void gemm_nt(const la::matrix_f& a, const la::matrix_f& b, la::matrix_f& c,
              std::span<const float> bias = {}, bool accumulate = false);
 

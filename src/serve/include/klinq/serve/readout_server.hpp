@@ -120,7 +120,7 @@ struct server_config {
   /// Completion doorbell: invoked exactly once per submitted ticket at the
   /// moment it reaches a terminal status, with no server lock held (see
   /// completion_callback in request.hpp). Empty disables it. The TCP front
-  /// end uses this to drive its completion thread instead of polling.
+  /// end uses this to wake its poll loop instead of polling.
   completion_callback on_complete;
   /// Consecutive shard failures on one qubit before the server asks the
   /// engine provider to demote the serving version (the registry rolls back

@@ -163,7 +163,7 @@ using shard_callback = std::function<void(const shard_event&)>;
 /// whatever thread finished the request — a shard executor, or the
 /// submitting thread for zero-shot / inline-executed requests — with no
 /// server lock held. The result is *not* passed: the callback is a doorbell
-/// for an event-driven consumer (the TCP front end's completion thread),
+/// for an event-driven consumer (the TCP front end's poll loop),
 /// which claims the result with wait()/poll() at its leisure. Must not
 /// throw; may call back into the server except drain()/destructor.
 using completion_callback = std::function<void(ticket, request_status)>;

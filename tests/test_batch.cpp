@@ -84,31 +84,6 @@ void expect_logit_close(float batched, float single, const char* what,
   EXPECT_NEAR(batched, single, tol) << what << " row " << row;
 }
 
-// --- linalg: GEMM and GEMV must share one reduction order ------------------
-
-TEST(BatchParity, GemmNtBitIdenticalToGemv) {
-  xoshiro256 rng(42);
-  // Shapes hit the 2×4 main tile, odd row/column edges, and k tails.
-  const struct { std::size_t m, n, k; } shapes[] = {
-      {1, 1, 1}, {2, 4, 8}, {5, 7, 13}, {9, 16, 31}, {64, 8, 31}};
-  for (const auto& s : shapes) {
-    const la::matrix_f a = random_matrix(s.m, s.k, rng);
-    const la::matrix_f b = random_matrix(s.n, s.k, rng);
-    std::vector<float> bias(s.n);
-    for (auto& v : bias) v = static_cast<float>(rng.uniform(-0.5, 0.5));
-    la::matrix_f c(s.m, s.n);
-    la::gemm_nt(a, b, c, bias);
-    std::vector<float> y(s.n);
-    for (std::size_t i = 0; i < s.m; ++i) {
-      la::gemv(b, a.row(i), y, bias);
-      for (std::size_t j = 0; j < s.n; ++j) {
-        ASSERT_EQ(c(i, j), y[j]) << "shape " << s.m << "x" << s.n << "x" << s.k
-                                 << " at (" << i << "," << j << ")";
-      }
-    }
-  }
-}
-
 // --- nn: batched predict_logits vs single-shot predict_logit ---------------
 
 TEST(BatchParity, NetworkBatchedLogitsMatchSingleShotWithinTolerance) {

@@ -17,6 +17,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
@@ -116,6 +118,15 @@ bool wait_until(const std::function<bool()>& probe,
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return probe();
+}
+
+/// Entries of a /proc/self directory: open fds ("fd") or live threads
+/// ("task").
+std::size_t proc_self_entries(const char* dir) {
+  const std::filesystem::directory_iterator it(
+      std::filesystem::path("/proc/self") / dir);
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::begin(it), std::filesystem::end(it)));
 }
 
 net::request_info fixed_request(double deadline_seconds = 0.0) {
@@ -630,6 +641,32 @@ TEST(NetAdmission, ConnectionCapShedsAtAccept) {
   EXPECT_GE(front.stats().connections_rejected, 1u);
 }
 
+TEST(NetAdmission, ConnectBurstOverCapCountsEveryRejection) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::front_end_config cfg;
+  cfg.max_connections = 1;
+  net::tcp_front_end front(server, cfg);
+  net::client first("127.0.0.1", front.port());
+  first.send_ping(1);
+  ASSERT_TRUE(first.read_frame().has_value());  // first is fully registered
+
+  std::vector<net::client> burst;
+  for (int i = 0; i < 8; ++i) burst.emplace_back("127.0.0.1", front.port());
+  for (net::client& cli : burst) {
+    const auto frame = cli.read_frame();
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_EQ(frame->header.type, net::frame_type::busy);
+    EXPECT_EQ(net::decode_busy(frame->payload), net::busy_reason::server_busy);
+  }
+  // Each rejection is counted before its busy frame is sent, so one read
+  // with no waiting sees all eight.
+  const net::front_end_stats stats = front.stats();
+  EXPECT_EQ(stats.connections_rejected, 8u);
+  EXPECT_EQ(stats.busy_rejections, 8u);
+  stats.validate();
+}
+
 // --- hostile clients --------------------------------------------------------
 
 TEST(NetHostile, MalformedFrameKillsOnlyTheOffendingConnection) {
@@ -889,6 +926,56 @@ TEST(NetFault, DecodeFaultAnswersTypedErrorAndCloses) {
   fault::disarm_all();
   EXPECT_EQ(front.stats().requests_admitted, 0u);
   front.stats().validate();
+}
+
+// --- lifecycle and thread model -------------------------------------------
+
+TEST(NetLifecycle, BindFailureLeavesNoCollectorAndNoFds) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  obs::metric_registry metrics;
+  // A plain listener holds an ephemeral port, so the front end's bind fails.
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  net::front_end_config cfg;
+  cfg.port = ntohs(addr.sin_port);
+  cfg.metrics = &metrics;
+  const std::size_t fds_before = proc_self_entries("fd");
+  EXPECT_THROW({ net::tcp_front_end front(server, cfg); }, klinq::error);
+  EXPECT_EQ(proc_self_entries("fd"), fds_before);
+  // The shared registry holds no collector into the freed front end (under
+  // ASAN a dangling one is a heap-use-after-free right here), and the
+  // failed constructor registered nothing else either.
+  const obs::metrics_snapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.find("klinq_net_open_connections"), nullptr);
+  ::close(holder);
+
+  // Nor was the server's doorbell installed: direct submits still work.
+  const data::trace_dataset block = f.small_block(4);
+  const serve::ticket t =
+      server.submit({0, &block, serve::engine_kind::fixed_q16});
+  EXPECT_EQ(server.wait(t).status, serve::request_status::ok);
+}
+
+TEST(NetLoop, FrontEndRunsOneThread) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  const std::size_t before = proc_self_entries("task");
+  net::tcp_front_end front(server);
+  EXPECT_EQ(proc_self_entries("task"), before + 1);
+  front.shutdown();
+  // join() returns once the thread has exited; the kernel may reap its
+  // task entry a moment later.
+  EXPECT_TRUE(wait_until([&] { return proc_self_entries("task") == before; }));
 }
 
 // --- graceful shutdown ------------------------------------------------------
