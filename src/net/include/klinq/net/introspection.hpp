@@ -3,16 +3,16 @@
 //
 // The HTTP server itself lives in obs (it cannot see net); this module is
 // the glue that knows about the TCP front end's connection table and drain
-// state, the flight recorder, and the trace ring, and renders them for a
-// human (or a Prometheus scraper) mid-incident:
+// state and the trace ring, and renders them for a human (or a Prometheus
+// scraper) mid-incident:
 //
 //   /metrics  Prometheus text exposition of the registry snapshot
 //             (lint-clean under obs::lint_prometheus_text).
 //   /healthz  200 "ok" when serving; 503 naming every failing probe when
 //             draining, degraded, or any caller-supplied probe fires.
 //   /statusz  Front-end counters, the live per-connection table (inflight,
-//             bytes, lane mix, age, idle), flight-recorder anomalies and
-//             slowest requests, plus caller-supplied sections.
+//             bytes, lane mix, age, idle), the trace ring's kept anomalies
+//             and slowest requests, plus caller-supplied sections.
 //   /tracez   Recently completed traces from the ring, spans indented under
 //             their trace with offsets on the shared microsecond timeline.
 //
@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "klinq/obs/flight_recorder.hpp"
 #include "klinq/obs/http.hpp"
 #include "klinq/obs/metrics.hpp"
 #include "klinq/obs/trace.hpp"
@@ -40,10 +39,9 @@ struct introspection_config {
   obs::metric_registry* metrics = nullptr;
   /// Front end: /healthz drain probe + /statusz connection table. Optional.
   tcp_front_end* front_end = nullptr;
-  /// Trace ring behind /tracez. Optional (endpoint reports "tracing off").
+  /// Trace ring behind /tracez and the /statusz kept-trace section.
+  /// Optional (/tracez reports "tracing off", /statusz omits the section).
   obs::trace_ring* traces = nullptr;
-  /// Flight recorder for the /statusz slowest/anomaly section. Optional.
-  const obs::flight_recorder* recorder = nullptr;
   /// Named health probes; a probe returning true marks the process
   /// UNHEALTHY and its name is listed in the 503 body (e.g. {"degraded",
   /// [&] { return registry_degraded(reg); }}).

@@ -66,16 +66,15 @@ std::string render_front_end(const tcp_front_end& fe) {
   return out;
 }
 
-std::string render_recorder(const obs::flight_recorder& recorder) {
-  std::string out = "flight_recorder:\n";
-  appendf(out, "  captured=%" PRIu64 "\n", recorder.captured());
-  for (const obs::flight_record& r : recorder.records()) {
-    appendf(out, "  [%s] id=%" PRIu64 " total=%.6fs", r.kind.c_str(), r.id,
-            r.total_seconds);
-    for (const obs::flight_stage& stage : r.stages) {
-      appendf(out, " %s=%.6fs", stage.name.c_str(), stage.seconds);
+std::string render_kept(const obs::trace_ring& ring) {
+  std::string out = "kept_traces:\n";
+  for (const obs::kept_trace& k : ring.kept()) {
+    appendf(out, "  [%s] trace=%016" PRIx64 " total=%.6fs", k.status.c_str(),
+            k.trace_id, k.duration_us / 1e6);
+    for (const obs::trace_span& span : k.spans) {
+      appendf(out, " %s=%.6fs", span.name.c_str(), span.duration_us / 1e6);
     }
-    for (const auto& [key, value] : r.attributes) {
+    for (const auto& [key, value] : k.attributes) {
       appendf(out, " %s=%s", key.c_str(), value.c_str());
     }
     out += "\n";
@@ -145,8 +144,8 @@ void install_introspection_handlers(obs::http_server& http,
       out += render_front_end(*shared->front_end);
       out += "\n";
     }
-    if (shared->recorder != nullptr) {
-      out += render_recorder(*shared->recorder);
+    if (shared->traces != nullptr) {
+      out += render_kept(*shared->traces);
       out += "\n";
     }
     for (const auto& [name, section] : shared->sections) {

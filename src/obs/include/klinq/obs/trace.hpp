@@ -1,5 +1,6 @@
 // Distributed request tracing: a shared microsecond clock, a bounded span
-// ring, and a Chrome trace-event (Perfetto-loadable) exporter.
+// ring with tail retention, and a Chrome trace-event (Perfetto-loadable)
+// exporter.
 //
 // Spans from every layer of one request — the client's RTT span, the TCP
 // front end's read/decode/admit/write spans, the serve layer's
@@ -9,10 +10,14 @@
 // timeline. chrome_trace_json() renders that as trace-event JSON that
 // chrome://tracing and ui.perfetto.dev load directly.
 //
-// Cost discipline mirrors the flight recorder: the hot-path gate (armed) is
-// one relaxed atomic load, and producers additionally skip span construction
-// for requests whose trace_id is zero (unsampled), so disabled or
-// head-sampled-out tracing costs one load and one branch per site.
+// Cost discipline: the hot-path gate (armed) is one relaxed atomic load, and
+// producers additionally skip span construction for requests whose trace_id
+// is zero (unsampled), so disabled or head-sampled-out tracing costs one load
+// and one branch per site.
+//
+// Head sampling alone would lose the requests worth looking at, so the ring
+// also keeps failed and slow requests in a kept set apart from its span FIFO
+// (trace_ring::keep), sampled or not and armed or not.
 // Enabled from the environment:
 //
 //   KLINQ_TRACE_FILE=/path/trace.json  KLINQ_TRACE_SAMPLE=0.01
@@ -23,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace klinq::obs {
@@ -41,6 +47,16 @@ struct trace_span {
   std::uint64_t duration_us = 0;
   std::string name;      // e.g. "net.read", "serve.exec", "client.rtt"
   std::string category;  // track grouping: "client" | "net" | "serve"
+};
+
+/// One request retained by the ring's tail policy (trace_ring::keep).
+struct kept_trace {
+  std::uint64_t trace_id = 0;  // the wire trace id, or a fresh one
+  std::string status;          // terminal status, e.g. "ok" / "failed"
+  bool anomalous = false;      // failed, timed out or cancelled
+  std::uint64_t duration_us = 0;
+  std::vector<trace_span> spans;  // stage breakdown, wall order
+  std::vector<std::pair<std::string, std::string>> attributes;
 };
 
 /// Bounded MPSC-friendly span store. record() under a mutex is fine because
@@ -69,9 +85,6 @@ class trace_ring {
   /// All stored spans, oldest first.
   std::vector<trace_span> spans() const;
 
-  /// Spans of one trace, wall order (empty when the id is unknown).
-  std::vector<trace_span> trace(std::uint64_t trace_id) const;
-
   struct trace_view {
     std::uint64_t trace_id = 0;
     std::vector<trace_span> spans;  // wall order
@@ -91,7 +104,29 @@ class trace_ring {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Empties the ring and resets the recorded/dropped counters.
+  /// Tail retention: the newest anomalous requests and the slowest ok ones.
+  static constexpr std::size_t kKeptAnomalies = 32;
+  static constexpr std::size_t kKeptSlowest = 8;
+
+  /// Tail-retention gate: no load for an anomaly, one relaxed load
+  /// otherwise. May rarely admit an entry keep() then drops, never the
+  /// reverse. Producers build a kept_trace only when this is true.
+  bool should_keep(std::uint64_t duration_us, bool anomalous) const noexcept {
+    return anomalous ||
+           duration_us >= slowest_bar_.load(std::memory_order_relaxed);
+  }
+
+  /// Retains an entry in the kept set, armed or not: an anomaly overwrites
+  /// the oldest once kKeptAnomalies are held; an ok entry displaces the
+  /// fastest of the kKeptSlowest when it is slower.
+  void keep(kept_trace entry);
+
+  /// The kept set: anomalies oldest first, then the slowest ok requests
+  /// fastest first.
+  std::vector<kept_trace> kept() const;
+
+  /// Empties the ring and the kept set and resets the recorded/dropped
+  /// counters.
   void clear();
 
  private:
@@ -105,26 +140,31 @@ class trace_ring {
   std::vector<trace_span> ring_;  // ring, next_ = oldest once wrapped
   std::size_t next_ = 0;
   bool wrapped_ = false;
+  std::vector<kept_trace> anomalies_;  // ring, next_anomaly_ = oldest
+  std::size_t next_anomaly_ = 0;
+  std::vector<kept_trace> slowest_;  // ascending by duration_us
+  // Smallest ok duration should_keep admits: 0 until the slowest set is
+  // full, then one past its fastest member.
+  std::atomic<std::uint64_t> slowest_bar_{0};
 };
 
 /// Process-wide ring shared by client, front end, and server (leaked
 /// singleton, same discipline as default_registry()).
 trace_ring& default_trace_ring();
 
-/// Deterministic head sampler: stamps every (1/rate)-th trace (rate in
-/// [0, 1]; 0 never samples, 1 samples everything). Counter-based, so a run
-/// of N requests at rate r yields round(N*r) traces regardless of timing.
+/// Deterministic head sampler (rate in [0, 1]; 0 never samples, 1 samples
+/// everything). Counter-based: call n is sampled iff
+/// ceil((n+1)*rate) > ceil(n*rate), so the first N calls yield round(N*rate)
+/// traces regardless of timing, and a rate of 1/k samples calls 0, k, 2k, ...
 class trace_sampler {
  public:
   explicit trace_sampler(double rate) noexcept;
   // Copyable (the atomic counter is carried over) so holders can reassign.
   trace_sampler(const trace_sampler& other) noexcept
       : rate_(other.rate_),
-        period_(other.period_),
         count_(other.count_.load(std::memory_order_relaxed)) {}
   trace_sampler& operator=(const trace_sampler& other) noexcept {
     rate_ = other.rate_;
-    period_ = other.period_;
     count_.store(other.count_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
     return *this;
@@ -134,7 +174,6 @@ class trace_sampler {
 
  private:
   double rate_ = 0.0;
-  std::uint64_t period_ = 0;  // 0 = never
   std::atomic<std::uint64_t> count_{0};
 };
 

@@ -91,18 +91,6 @@ std::vector<trace_span> trace_ring::spans() const {
   return out;
 }
 
-std::vector<trace_span> trace_ring::trace(std::uint64_t trace_id) const {
-  std::vector<trace_span> out;
-  for (auto& span : spans()) {
-    if (span.trace_id == trace_id) out.push_back(std::move(span));
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const trace_span& a, const trace_span& b) {
-                     return a.start_us < b.start_us;
-                   });
-  return out;
-}
-
 std::vector<trace_ring::trace_view> trace_ring::traces(
     std::size_t max_traces) const {
   std::map<std::uint64_t, trace_view> grouped;
@@ -136,11 +124,55 @@ std::vector<trace_ring::trace_view> trace_ring::traces(
   return out;
 }
 
+void trace_ring::keep(kept_trace entry) {
+  const std::lock_guard lock(mutex_);
+  if (entry.anomalous) {
+    if (anomalies_.size() < kKeptAnomalies) {
+      anomalies_.push_back(std::move(entry));
+    } else {
+      anomalies_[next_anomaly_] = std::move(entry);
+      next_anomaly_ = (next_anomaly_ + 1) % kKeptAnomalies;
+    }
+    return;
+  }
+  // Re-check under the lock: the lock-free gate may race the bar.
+  if (slowest_.size() == kKeptSlowest &&
+      entry.duration_us <= slowest_.front().duration_us) {
+    return;
+  }
+  const auto pos = std::upper_bound(
+      slowest_.begin(), slowest_.end(), entry.duration_us,
+      [](std::uint64_t d, const kept_trace& k) { return d < k.duration_us; });
+  slowest_.insert(pos, std::move(entry));
+  if (slowest_.size() > kKeptSlowest) slowest_.erase(slowest_.begin());
+  if (slowest_.size() == kKeptSlowest) {
+    slowest_bar_.store(slowest_.front().duration_us + 1,
+                       std::memory_order_relaxed);
+  }
+}
+
+std::vector<kept_trace> trace_ring::kept() const {
+  const std::lock_guard lock(mutex_);
+  std::vector<kept_trace> out;
+  out.reserve(anomalies_.size() + slowest_.size());
+  // Unroll the anomaly ring oldest first.
+  const std::size_t n = anomalies_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(anomalies_[(next_anomaly_ + i) % n]);
+  }
+  out.insert(out.end(), slowest_.begin(), slowest_.end());
+  return out;
+}
+
 void trace_ring::clear() {
   const std::lock_guard lock(mutex_);
   ring_.clear();
   next_ = 0;
   wrapped_ = false;
+  anomalies_.clear();
+  next_anomaly_ = 0;
+  slowest_.clear();
+  slowest_bar_.store(0, std::memory_order_relaxed);
   recorded_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
 }
@@ -150,23 +182,15 @@ trace_ring& default_trace_ring() {
   return *ring;
 }
 
-trace_sampler::trace_sampler(double rate) noexcept {
-  if (!std::isfinite(rate) || rate <= 0.0) {
-    rate_ = 0.0;
-    period_ = 0;
-  } else if (rate >= 1.0) {
-    rate_ = 1.0;
-    period_ = 1;
-  } else {
-    rate_ = rate;
-    period_ = static_cast<std::uint64_t>(std::llround(1.0 / rate));
-  }
-}
+trace_sampler::trace_sampler(double rate) noexcept
+    : rate_(std::isfinite(rate) ? std::clamp(rate, 0.0, 1.0) : 0.0) {}
 
 bool trace_sampler::sample() noexcept {
-  if (period_ == 0) return false;
-  if (period_ == 1) return true;
-  return count_.fetch_add(1, std::memory_order_relaxed) % period_ == 0;
+  if (rate_ <= 0.0) return false;
+  if (rate_ >= 1.0) return true;
+  const auto n = static_cast<double>(
+      count_.fetch_add(1, std::memory_order_relaxed));
+  return std::ceil((n + 1.0) * rate_) > std::ceil(n * rate_);
 }
 
 std::string chrome_trace_json(const std::vector<trace_span>& spans) {

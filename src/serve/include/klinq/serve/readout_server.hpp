@@ -81,7 +81,6 @@
 #include <vector>
 
 #include "klinq/common/stopwatch.hpp"
-#include "klinq/obs/flight_recorder.hpp"
 #include "klinq/obs/metrics.hpp"
 #include "klinq/obs/trace.hpp"
 #include "klinq/serve/engine_provider.hpp"
@@ -135,18 +134,14 @@ struct server_config {
   /// does) to land every subsystem in one dump. Either way the families
   /// are identical and readable through readout_server::metrics().
   obs::metric_registry* metrics = nullptr;
-  /// Flight recorder capacities: every anomalous (failed / timed-out /
-  /// cancelled) completion is kept in a ring of `flight_anomalies`, and
-  /// the `flight_slowest` slowest ok completions are kept alongside. 0/0
-  /// disables capture entirely (the completion-path gate is one relaxed
-  /// load either way).
-  std::size_t flight_anomalies = 32;
-  std::size_t flight_slowest = 8;
-  /// Distributed-tracing sink (borrowed; must outlive the server). When set
-  /// and armed, requests carrying a nonzero readout_request::trace_id get
-  /// their hold/queue/exec stage spans recorded here on completion, on the
-  /// same trace_clock_us timeline the network layers stamp. Null — the
-  /// default — records nothing; untraced requests cost one branch.
+  /// Span store (borrowed; must outlive the server). When armed, requests
+  /// carrying a nonzero readout_request::trace_id get their hold/queue/exec
+  /// stage spans recorded here on completion, on the same trace_clock_us
+  /// timeline the network layers stamp. Armed or not, its kept set retains
+  /// every failed, timed-out or cancelled request and the slowest ok ones
+  /// with the same spans. Null — the default — gives the server a private
+  /// ring that is never armed, so only the kept set fills. Either way it is
+  /// readable through readout_server::traces().
   obs::trace_ring* traces = nullptr;
 
   /// Largest accepted shard_shots value; anything above is a config bug,
@@ -236,16 +231,11 @@ class readout_server {
   /// through it: metrics().prometheus_text(), metrics().snapshot(), ...
   const obs::metric_registry& metrics() const noexcept { return *metrics_; }
 
-  /// Flight-recorder contents: every anomalous completion (bounded ring)
-  /// plus the slowest ok requests, each with its hold/queue/exec span
-  /// breakdown. See server_config::flight_anomalies / flight_slowest.
-  std::vector<obs::flight_record> flight_records() const {
-    return recorder_.records();
-  }
-
-  /// The underlying recorder (internally synchronized) — the /statusz data
-  /// source for net::install_introspection_handlers.
-  const obs::flight_recorder& recorder() const noexcept { return recorder_; }
+  /// The span store behind this server (the private one, or
+  /// server_config::traces when shared). Its kept() set holds every
+  /// anomalous completion plus the slowest ok requests, each with its
+  /// hold/queue/exec spans.
+  const obs::trace_ring& traces() const noexcept { return *traces_; }
 
  private:
   static constexpr std::uint64_t kNoVersionYet =
@@ -283,7 +273,7 @@ class readout_server {
     /// Earliest shard-execution start (min across shards; guarded by
     /// mutex_). Negative until the first shard reports in.
     double first_exec_at = -1.0;
-    /// Total shards this request was split into (for flight records).
+    /// Total shards this request was split into (for kept traces).
     std::size_t shard_count = 0;
     // --- wire tracing (sampled requests only) ----------------------------
     /// Trace correlation copied from the readout_request at submit; 0 means
@@ -293,7 +283,8 @@ class readout_server {
     std::uint64_t trace_parent = 0;
     /// trace_clock_us() at submit — the absolute anchor that places the
     /// relative stage stamps (dispatch_at / first_exec_at / latency) on the
-    /// shared trace timeline. Stamped only for traced requests.
+    /// shared trace timeline. Stamped only for traced requests; a kept
+    /// untraced request is anchored at completion instead.
     std::uint64_t submit_us = 0;
   };
 
@@ -435,14 +426,15 @@ class readout_server {
   stage_cells& stages_locked(std::size_t qubit, engine_kind engine,
                              request_status status);
   /// Completion bookkeeping shared by the shard path and the zero-shot
-  /// submit path: status counters, stage/latency records, flight-recorder
-  /// capture. Requires mutex_; `raw` must already be done with its status
-  /// and latency resolved.
+  /// submit path: status counters, stage/latency records, stage spans for
+  /// traced requests and the trace ring's kept set. Requires mutex_; `raw`
+  /// must already be done with its status and latency resolved.
   void finish_request_locked(slot* raw, engine_kind engine);
 
   std::unique_ptr<obs::metric_registry> owned_metrics_;
   obs::metric_registry* metrics_ = nullptr;
-  obs::flight_recorder recorder_;
+  std::unique_ptr<obs::trace_ring> owned_traces_;
+  obs::trace_ring* traces_ = nullptr;
 
   stopwatch uptime_;
   std::vector<std::array<engine_cells, 2>> cells_;  // [qubit][engine_kind]

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <exception>
 #include <span>
 #include <string>
@@ -139,7 +138,6 @@ readout_server::readout_server(std::vector<qubit_engine> qubits,
       provider_(owned_provider_.get()),
       config_(std::move(config)),
       scheduler_(global_thread_pool(), config_.shard_shots),
-      recorder_(config_.flight_anomalies, config_.flight_slowest),
       consecutive_failures_(provider_->qubit_count(), 0),
       last_version_(provider_->qubit_count(), kNoVersionYet) {
   config_.validate();
@@ -151,7 +149,6 @@ readout_server::readout_server(const engine_provider& provider,
     : provider_(&provider),
       config_(std::move(config)),
       scheduler_(global_thread_pool(), config_.shard_shots),
-      recorder_(config_.flight_anomalies, config_.flight_slowest),
       consecutive_failures_(provider_->qubit_count(), 0),
       last_version_(provider_->qubit_count(), kNoVersionYet) {
   KLINQ_REQUIRE(provider_->qubit_count() > 0,
@@ -182,6 +179,14 @@ void readout_server::init_metrics() {
   } else {
     owned_metrics_ = std::make_unique<obs::metric_registry>();
     metrics_ = owned_metrics_.get();
+  }
+  if (config_.traces != nullptr) {
+    traces_ = config_.traces;
+  } else {
+    // Never armed (traces() is const), so a one-span FIFO suffices: only
+    // the kept set fills.
+    owned_traces_ = std::make_unique<obs::trace_ring>(1);
+    traces_ = owned_traces_.get();
   }
   obs::metric_registry& m = *metrics_;
   requests_coalesced_cell_ =
@@ -286,67 +291,75 @@ void readout_server::finish_request_locked(slot* raw, engine_kind engine) {
   }
   completed->inc();
   cells.shots_completed->inc(raw->shots);
-  // Stage spans, all relative to the submit timer: hold is the coalesce
-  // park time (0 for direct dispatch), queue is scheduler wait until the
-  // first shard started, exec covers first shard start → last shard done.
+  // Stage boundaries on the trace clock's microsecond grid, relative to
+  // submit: hold is the coalesce park time (0 for direct dispatch), queue is
+  // scheduler wait until the first shard started, exec covers first shard
+  // start → last shard done. Each boundary is floor(t·1e6) and each stage
+  // the difference of two, so the three stages tile the request exactly.
   const double total = raw->result.latency_seconds;
-  const double hold = raw->dispatch_at;
-  const double first =
-      raw->first_exec_at < 0.0 ? raw->dispatch_at : raw->first_exec_at;
-  const double queue = first - raw->dispatch_at;
-  const double exec = total - first;
+  const auto to_us = [](double seconds) {
+    return static_cast<std::uint64_t>(std::max(seconds, 0.0) * 1e6);
+  };
+  const std::uint64_t dispatch_us = to_us(raw->dispatch_at);
+  const std::uint64_t exec_us = std::max(
+      dispatch_us,
+      to_us(raw->first_exec_at < 0.0 ? raw->dispatch_at : raw->first_exec_at));
+  const std::uint64_t done_us = std::max(exec_us, to_us(total));
   stage_cells& stages = stages_locked(qubit, engine, status);
-  stages.hold->record(hold);
-  stages.queue->record(queue);
-  stages.exec->record(exec);
+  stages.hold->record(static_cast<double>(dispatch_us) * 1e-6);
+  stages.queue->record(static_cast<double>(exec_us - dispatch_us) * 1e-6);
+  stages.exec->record(static_cast<double>(done_us - exec_us) * 1e-6);
   request_seconds_->record(total);
   lane_seconds_[static_cast<std::size_t>(raw->lane)]->record(total);
+
+  // Spans: recorded for traced requests (the ring was armed at submit),
+  // kept for anomalies and slow requests whatever the sampling decision.
+  obs::trace_ring& ring = *traces_;
+  const bool traced = raw->trace_id != 0;
   const bool anomalous = status != request_status::ok;
-  if (recorder_.enabled() && recorder_.should_capture(total, anomalous)) {
-    obs::flight_record rec;
-    rec.id = raw->id;
-    rec.kind = status_name(status);
-    rec.anomalous = anomalous;
-    rec.total_seconds = total;
-    rec.stages = {{"hold", hold}, {"queue", queue}, {"exec", exec}};
-    rec.attributes = {
+  const bool keep = ring.should_keep(done_us, anomalous);
+  if (!traced && !keep) return;
+  std::uint64_t submit_us = raw->submit_us;
+  if (!traced) {
+    const std::uint64_t now_us = obs::trace_clock_us();
+    submit_us = now_us - std::min(now_us, done_us);
+  }
+  const std::uint64_t trace_id = traced ? raw->trace_id : ring.next_trace_id();
+  // All three spans share the client's parent so the RTT span brackets them
+  // in the viewer.
+  const auto span = [&](const char* name, std::uint64_t begin_us,
+                        std::uint64_t end_us) {
+    obs::trace_span out;
+    out.trace_id = trace_id;
+    out.span_id = ring.next_span_id();
+    out.parent_span = raw->trace_parent;
+    out.start_us = submit_us + begin_us;
+    out.duration_us = end_us - begin_us;
+    out.name = name;
+    out.category = "serve";
+    return out;
+  };
+  const std::array<obs::trace_span, 3> spans{
+      span("serve.hold", 0, dispatch_us),
+      span("serve.queue", dispatch_us, exec_us),
+      span("serve.exec", exec_us, done_us)};
+  if (traced) {
+    for (const obs::trace_span& sampled : spans) ring.record(sampled);
+  }
+  if (keep) {
+    obs::kept_trace entry;
+    entry.trace_id = trace_id;
+    entry.status = status_name(status);
+    entry.anomalous = anomalous;
+    entry.duration_us = done_us;
+    entry.spans.assign(spans.begin(), spans.end());
+    entry.attributes = {
         {"qubit", std::to_string(qubit)},
         {"engine", engine_name(engine)},
         {"version", std::to_string(raw->result.model_version)},
         {"shots", std::to_string(raw->shots)},
         {"shards", std::to_string(raw->shard_count)}};
-    if (raw->trace_id != 0) {
-      // Joins the flight record to the wire trace: grep the exported trace
-      // JSON for this hex id to see the request's full timeline.
-      char hex[17];
-      std::snprintf(hex, sizeof(hex), "%016llx",
-                    static_cast<unsigned long long>(raw->trace_id));
-      rec.attributes.emplace_back("trace_id", hex);
-    }
-    recorder_.capture(std::move(rec));
-  }
-  if (raw->trace_id != 0 && config_.traces != nullptr &&
-      config_.traces->armed()) {
-    // The same hold/queue/exec breakdown the stage histograms aggregate,
-    // placed absolutely via the submit-time anchor. All three spans share
-    // the client's parent so the RTT span brackets them in the viewer.
-    obs::trace_ring& ring = *config_.traces;
-    auto emit = [&](const char* name, double start_s, double dur_s) {
-      obs::trace_span span;
-      span.trace_id = raw->trace_id;
-      span.span_id = ring.next_span_id();
-      span.parent_span = raw->trace_parent;
-      span.start_us =
-          raw->submit_us + static_cast<std::uint64_t>(start_s * 1e6);
-      span.duration_us =
-          static_cast<std::uint64_t>(std::max(dur_s, 0.0) * 1e6);
-      span.name = name;
-      span.category = "serve";
-      ring.record(std::move(span));
-    };
-    emit("serve.hold", 0.0, hold);
-    emit("serve.queue", hold, queue);
-    emit("serve.exec", first, exec);
+    ring.keep(std::move(entry));
   }
 }
 
@@ -502,8 +515,7 @@ ticket readout_server::submit_locked(const readout_request& request,
   s->trace_id = 0;
   s->trace_parent = 0;
   s->submit_us = 0;
-  if (request.trace_id != 0 && config_.traces != nullptr &&
-      config_.traces->armed()) {
+  if (request.trace_id != 0 && traces_->armed()) {
     s->trace_id = request.trace_id;
     s->trace_parent = request.trace_parent;
     s->submit_us = obs::trace_clock_us();

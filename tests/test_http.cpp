@@ -10,7 +10,8 @@
 //   * the standard introspection handlers: /metrics is a lint-clean
 //     Prometheus scrape, /healthz flips 200 → 503 under degradation probes
 //     and front-end drain (naming each reason), /statusz renders the live
-//     connection table, /tracez renders completed traces.
+//     connection table and the trace ring's kept requests, /tracez renders
+//     completed traces.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -322,7 +323,6 @@ TEST(HttpIntrospection, StatuszAndTracezRenderLiveState) {
   ic.metrics = &metrics;
   ic.front_end = &front;
   ic.traces = &ring;
-  ic.recorder = &server.recorder();
   ic.sections.push_back(
       {"build", [] { return std::string("  version=test\n"); }});
   net::install_introspection_handlers(http, std::move(ic));
@@ -350,6 +350,33 @@ TEST(HttpIntrospection, StatuszAndTracezRenderLiveState) {
   EXPECT_NE(traces.body.find("client.rtt"), std::string::npos);
   EXPECT_NE(traces.body.find("serve.exec"), std::string::npos);
   EXPECT_NE(traces.body.find("net.write"), std::string::npos);
+}
+
+TEST(HttpIntrospection, StatuszListsKeptTraces) {
+  auto& f = plane();
+  obs::metric_registry metrics;
+  obs::trace_ring ring;  // never armed: only the kept set fills
+  serve::server_config scfg;
+  scfg.metrics = &metrics;
+  scfg.traces = &ring;
+  serve::readout_server server(f.engines(), scfg);
+  serve::readout_request late{0, &f.data.test, serve::engine_kind::fixed_q16};
+  late.deadline_seconds = 1e-9;  // expires before any shard starts
+  EXPECT_EQ(server.wait(server.submit(late)).status,
+            serve::request_status::timed_out);
+
+  obs::http_server http = make_server();
+  net::introspection_config ic;
+  ic.metrics = &metrics;
+  ic.traces = &ring;
+  net::install_introspection_handlers(http, std::move(ic));
+  const obs::http_result status =
+      obs::http_get(http.host(), http.port(), "/statusz");
+  ASSERT_EQ(status.status, 200);
+  EXPECT_NE(status.body.find("kept_traces:"), std::string::npos);
+  EXPECT_NE(status.body.find("[timed-out]"), std::string::npos);
+  EXPECT_NE(status.body.find("serve.exec="), std::string::npos);
+  EXPECT_NE(status.body.find("qubit=0"), std::string::npos);
 }
 
 }  // namespace

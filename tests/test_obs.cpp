@@ -1,5 +1,5 @@
-// klinq::obs — labeled metrics registry, exposition formats, flight
-// recorder, fault mirror and JSONL emitter.
+// klinq::obs — labeled metrics registry, exposition formats, fault mirror,
+// JSONL emitter and the trace plane.
 //
 // Contracts under test:
 //   * log_histogram: interpolated quantiles exact at the observed extremes
@@ -12,15 +12,16 @@
 //   * exposition: Prometheus text passes the strict linter and matches a
 //     golden rendering; the linter catches the malformed inputs it exists
 //     for; JSON snapshot lines are single-line and parseable-ish;
-//   * flight_recorder: anomaly ring overwrites oldest, slowest-N set keeps
-//     the right members, the admission gate stays cheap and truthful;
 //   * fault mirror: fault::report() deltas land as counters and survive
 //     the counter reset on re-arm;
 //   * metrics_emitter: background JSONL lines appear and stop() flushes a
 //     final one; environment wiring via KLINQ_METRICS_FILE;
 //   * trace plane: the shared microsecond clock is monotonic, the span ring
 //     gates on armed(), bounds memory by overwriting oldest, and groups
-//     spans into traces; the head sampler is deterministic at any rate;
+//     spans into traces; its kept set (tail retention) overwrites the
+//     oldest anomaly, keeps the slowest ok requests, keeps their spans
+//     while disarmed, and its admission gate stays cheap and truthful; the
+//     head sampler is deterministic at any rate;
 //     chrome_trace_json is structurally valid trace-event JSON; the file
 //     sink + KLINQ_TRACE_FILE / KLINQ_TRACE_SAMPLE env wiring.
 #include <gtest/gtest.h>
@@ -34,6 +35,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "klinq/common/error.hpp"
@@ -41,7 +43,6 @@
 #include "klinq/obs/emitter.hpp"
 #include "klinq/obs/exposition.hpp"
 #include "klinq/obs/fault_mirror.hpp"
-#include "klinq/obs/flight_recorder.hpp"
 #include "klinq/obs/histogram.hpp"
 #include "klinq/obs/trace.hpp"
 #include "klinq/obs/metrics.hpp"
@@ -348,70 +349,6 @@ TEST(ObsExposition, JsonSnapshotIsOneLine) {
   EXPECT_NE(line.find("\"count\":1"), std::string::npos);
 }
 
-// --- flight recorder -------------------------------------------------------
-
-obs::flight_record make_record(std::uint64_t id, double total,
-                               bool anomalous) {
-  obs::flight_record r;
-  r.id = id;
-  r.kind = anomalous ? "failed" : "ok";
-  r.anomalous = anomalous;
-  r.total_seconds = total;
-  r.stages = {{"hold", total * 0.1}, {"queue", total * 0.2},
-              {"exec", total * 0.7}};
-  return r;
-}
-
-TEST(ObsFlightRecorder, AnomalyRingOverwritesOldest) {
-  obs::flight_recorder rec(3, 0);
-  for (std::uint64_t id = 1; id <= 5; ++id) {
-    ASSERT_TRUE(rec.should_capture(1e-3, true));
-    rec.capture(make_record(id, 1e-3, true));
-  }
-  const std::vector<obs::flight_record> records = rec.records();
-  ASSERT_EQ(records.size(), 3u);  // ring kept the newest three, oldest first
-  EXPECT_EQ(records[0].id, 3u);
-  EXPECT_EQ(records[1].id, 4u);
-  EXPECT_EQ(records[2].id, 5u);
-  EXPECT_FALSE(rec.should_capture(10.0, false));  // slowest set disabled
-}
-
-TEST(ObsFlightRecorder, SlowestSetKeepsTopN) {
-  obs::flight_recorder rec(0, 3);
-  const double totals[] = {5e-3, 1e-3, 9e-3, 2e-3, 7e-3, 4e-3};
-  for (std::size_t i = 0; i < 6; ++i) {
-    if (rec.should_capture(totals[i], false)) {
-      rec.capture(make_record(i, totals[i], false));
-    }
-  }
-  const std::vector<obs::flight_record> records = rec.records();
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_DOUBLE_EQ(records[0].total_seconds, 5e-3);  // ascending
-  EXPECT_DOUBLE_EQ(records[1].total_seconds, 7e-3);
-  EXPECT_DOUBLE_EQ(records[2].total_seconds, 9e-3);
-  // Once full, the floor rejects anything at or below the current minimum.
-  EXPECT_FALSE(rec.should_capture(4e-3, false));
-  EXPECT_TRUE(rec.should_capture(6e-3, false));
-  EXPECT_FALSE(rec.should_capture(1.0, true));  // anomaly ring disabled
-  rec.clear();
-  EXPECT_TRUE(rec.records().empty());
-  EXPECT_TRUE(rec.should_capture(1e-9, false));  // floor reset
-}
-
-TEST(ObsFlightRecorder, StagesSurviveCapture) {
-  obs::flight_recorder rec(4, 4);
-  obs::flight_record r = make_record(17, 1e-2, false);
-  r.attributes = {{"qubit", "2"}, {"engine", "fixed-q16.16"}};
-  rec.capture(r);
-  const std::vector<obs::flight_record> records = rec.records();
-  ASSERT_EQ(records.size(), 1u);
-  ASSERT_EQ(records[0].stages.size(), 3u);
-  EXPECT_EQ(records[0].stages[0].name, "hold");
-  EXPECT_EQ(records[0].stages[2].name, "exec");
-  EXPECT_EQ(records[0].attributes[0].second, "2");
-  EXPECT_EQ(records[0].sequence, 1u);
-}
-
 // --- fault mirror ----------------------------------------------------------
 
 TEST(ObsFaultMirror, ReportDeltasBecomeCounters) {
@@ -573,12 +510,6 @@ TEST(ObsTrace, TracesGroupByIdMostRecentlyFinishedFirst) {
   ring.record(make_span(7, 2, 12, 10, "b", /*parent=*/1));
   ring.record(make_span(9, 3, 40, 5, "c"));
 
-  const std::vector<obs::trace_span> only7 = ring.trace(7);
-  ASSERT_EQ(only7.size(), 2u);
-  EXPECT_EQ(only7[0].name, "a");
-  EXPECT_EQ(only7[1].name, "b");
-  EXPECT_TRUE(ring.trace(12345).empty());
-
   const auto views = ring.traces();
   ASSERT_EQ(views.size(), 2u);
   EXPECT_EQ(views[0].trace_id, 9u);  // finished latest (t=45)
@@ -587,6 +518,84 @@ TEST(ObsTrace, TracesGroupByIdMostRecentlyFinishedFirst) {
   EXPECT_EQ(views[1].duration_us, 20u);  // earliest start → latest end
   ASSERT_EQ(ring.traces(1).size(), 1u);
   EXPECT_EQ(ring.traces(1)[0].trace_id, 9u);
+}
+
+obs::kept_trace make_kept(std::uint64_t trace_id, std::uint64_t total_us,
+                          bool anomalous) {
+  obs::kept_trace k;
+  k.trace_id = trace_id;
+  k.status = anomalous ? "failed" : "ok";
+  k.anomalous = anomalous;
+  k.duration_us = total_us;
+  k.spans = {make_span(trace_id, 1, 0, total_us / 10, "serve.hold"),
+             make_span(trace_id, 2, total_us / 10, total_us / 5, "serve.queue"),
+             make_span(trace_id, 3, total_us * 3 / 10, total_us * 7 / 10,
+                       "serve.exec")};
+  return k;
+}
+
+TEST(ObsTrace, KeptAnomaliesOverwriteOldest) {
+  obs::trace_ring ring(8);
+  const std::size_t n = obs::trace_ring::kKeptAnomalies + 2;
+  for (std::uint64_t id = 1; id <= n; ++id) {
+    ASSERT_TRUE(ring.should_keep(1000, true));
+    ring.keep(make_kept(id, 1000, true));
+  }
+  const std::vector<obs::kept_trace> kept = ring.kept();
+  // The ring kept the newest kKeptAnomalies, oldest first.
+  ASSERT_EQ(kept.size(), obs::trace_ring::kKeptAnomalies);
+  EXPECT_EQ(kept.front().trace_id, 3u);
+  EXPECT_EQ(kept.back().trace_id, n);
+  for (const obs::kept_trace& k : kept) EXPECT_TRUE(k.anomalous);
+}
+
+TEST(ObsTrace, KeptSlowestSetKeepsTopN) {
+  obs::trace_ring ring(8);
+  const std::size_t n = obs::trace_ring::kKeptSlowest;
+  // Durations 1..3n in a scrambled order; the top n are 2n+1..3n.
+  for (std::uint64_t i = 0; i < 3 * n; ++i) {
+    const std::uint64_t total = (i * 7) % (3 * n) + 1;
+    if (ring.should_keep(total, false)) {
+      ring.keep(make_kept(i + 1, total, false));
+    }
+  }
+  const std::vector<obs::kept_trace> kept = ring.kept();
+  ASSERT_EQ(kept.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(kept[i].duration_us, 2 * n + 1 + i);  // ascending
+    EXPECT_FALSE(kept[i].anomalous);
+  }
+  // Once full, the gate rejects anything at or below the current minimum.
+  EXPECT_FALSE(ring.should_keep(2 * n + 1, false));
+  EXPECT_TRUE(ring.should_keep(2 * n + 2, false));
+  EXPECT_TRUE(ring.should_keep(0, true));  // anomalies always pass
+  // keep() re-checks under its lock: a stale gate cannot evict a slower one.
+  ring.keep(make_kept(99, 1, false));
+  EXPECT_EQ(ring.kept().front().duration_us, 2 * n + 1);
+  ring.clear();
+  EXPECT_TRUE(ring.kept().empty());
+  EXPECT_TRUE(ring.should_keep(0, false));  // bar reset
+}
+
+TEST(ObsTrace, KeptSpansSurviveCaptureApartFromTheFifo) {
+  obs::trace_ring ring(8);
+  ASSERT_FALSE(ring.armed());  // kept entries do not need the ring armed
+  obs::kept_trace k = make_kept(17, 10000, false);
+  k.attributes = {{"qubit", "2"}, {"engine", "fixed-q16.16"}};
+  ring.keep(k);
+  const std::vector<obs::kept_trace> kept = ring.kept();
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].trace_id, 17u);
+  EXPECT_EQ(kept[0].status, "ok");
+  ASSERT_EQ(kept[0].spans.size(), 3u);
+  EXPECT_EQ(kept[0].spans[0].name, "serve.hold");
+  EXPECT_EQ(kept[0].spans[2].name, "serve.exec");
+  EXPECT_EQ(kept[0].spans[2].duration_us, 7000u);
+  EXPECT_EQ(kept[0].attributes[0].second, "2");
+  // The head-sampled FIFO is untouched.
+  EXPECT_TRUE(ring.spans().empty());
+  EXPECT_TRUE(ring.traces().empty());
+  EXPECT_EQ(ring.recorded(), 0u);
 }
 
 TEST(ObsTrace, SamplerIsDeterministicAtEveryRate) {
@@ -611,6 +620,15 @@ TEST(ObsTrace, SamplerIsDeterministicAtEveryRate) {
   int copy_hits = 0;
   for (int i = 0; i < 16; ++i) copy_hits += copy.sample() ? 1 : 0;
   EXPECT_EQ(copy_hits, 4);
+
+  // Rates that are not 1/k: the first N calls yield exactly round(N*rate).
+  for (const auto& [rate, expected] :
+       {std::pair{0.4, 400}, {0.6, 600}, {0.75, 750}, {0.9, 900}}) {
+    obs::trace_sampler sampler(rate);
+    int hits = 0;
+    for (int i = 0; i < 1000; ++i) hits += sampler.sample() ? 1 : 0;
+    EXPECT_EQ(hits, expected) << "rate " << rate;
+  }
 }
 
 // Tiny structural JSON scanner: validates balanced {}/[] outside strings,

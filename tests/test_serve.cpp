@@ -1111,14 +1111,13 @@ TEST(SystemServe, MeasureBatchMatchesSerialPerQubit) {
   EXPECT_EQ(partial[2], sharded[2]);
 }
 
-// --- observability: stage tracing, flight recorder, full-stack dump --------
+// --- observability: stage tracing, kept traces, full-stack dump ------------
 
 TEST(ObsServe, StageSpansSumToRequestLatency) {
   auto& f = fixture();
   obs::metric_registry metrics;
   serve::server_config config;
   config.metrics = &metrics;
-  config.flight_slowest = 16;  // large enough to keep every ok request here
   serve::readout_server server(f.engines(), config);
 
   std::vector<serve::ticket> tickets;
@@ -1132,22 +1131,29 @@ TEST(ObsServe, StageSpansSumToRequestLatency) {
     EXPECT_EQ(server.wait(t).status, serve::request_status::ok);
   }
 
-  const std::vector<obs::flight_record> records = server.flight_records();
-  ASSERT_EQ(records.size(), tickets.size());
-  for (const obs::flight_record& record : records) {
-    EXPECT_FALSE(record.anomalous);
-    EXPECT_EQ(record.kind, "ok");
-    ASSERT_EQ(record.stages.size(), 3u);
-    EXPECT_EQ(record.stages[0].name, "hold");
-    EXPECT_EQ(record.stages[1].name, "queue");
-    EXPECT_EQ(record.stages[2].name, "exec");
+  // Every ok request fits in the slowest set here.
+  ASSERT_LE(tickets.size(), obs::trace_ring::kKeptSlowest);
+  const std::vector<obs::kept_trace> kept = server.traces().kept();
+  ASSERT_EQ(kept.size(), tickets.size());
+  for (const obs::kept_trace& entry : kept) {
+    EXPECT_FALSE(entry.anomalous);
+    EXPECT_EQ(entry.status, "ok");
+    ASSERT_EQ(entry.spans.size(), 3u);
+    EXPECT_EQ(entry.spans[0].name, "serve.hold");
+    EXPECT_EQ(entry.spans[1].name, "serve.queue");
+    EXPECT_EQ(entry.spans[2].name, "serve.exec");
     // The three spans tile the submit→completion interval exactly: hold ends
     // where queue starts, queue where the first shard starts, exec at the
-    // last shard. Only float rounding separates their sum from the total.
-    double sum = 0.0;
-    for (const obs::flight_stage& stage : record.stages) sum += stage.seconds;
-    EXPECT_NEAR(sum, record.total_seconds,
-                1e-9 + 1e-6 * record.total_seconds);
+    // last shard, all on the same microsecond grid.
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < entry.spans.size(); ++i) {
+      sum += entry.spans[i].duration_us;
+      if (i + 1 < entry.spans.size()) {
+        EXPECT_EQ(entry.spans[i].start_us + entry.spans[i].duration_us,
+                  entry.spans[i + 1].start_us);
+      }
+    }
+    EXPECT_EQ(sum, entry.duration_us);
   }
 
   // The same spans landed in the labeled stage histograms: one ok request
@@ -1174,17 +1180,15 @@ TEST(ObsServe, StageSpansSumToRequestLatency) {
   EXPECT_LE(exec_p100, total_p100 * (1.0 + 1e-9));
 }
 
-TEST(ObsServe, FlightRecorderCapturesInjectedFaults) {
+TEST(ObsServe, KeptTracesCaptureInjectedFaults) {
   auto& f = fixture();
   fault::disarm_all();
   obs::metric_registry metrics;
   serve::server_config config;
   config.metrics = &metrics;
-  config.flight_anomalies = 4;
-  config.flight_slowest = 4;
   serve::readout_server server(f.engines(), config);
 
-  // Baseline request so the recorder has a realistic "fast" latency on file.
+  // Baseline request so the kept set has a realistic "fast" latency on file.
   EXPECT_EQ(server
                 .wait(server.submit(
                     {0, &f.data[0].test, serve::engine_kind::fixed_q16}))
@@ -1209,23 +1213,23 @@ TEST(ObsServe, FlightRecorderCapturesInjectedFaults) {
   EXPECT_THROW(server.wait(doomed), fault::injected_fault);
   fault::disarm_all();
 
-  const std::vector<obs::flight_record> records = server.flight_records();
-  const obs::flight_record* failed = nullptr;
-  const obs::flight_record* slow_ok = nullptr;
-  for (const obs::flight_record& record : records) {
-    if (record.anomalous && record.kind == "failed") failed = &record;
-    if (!record.anomalous && record.total_seconds >= 0.02) slow_ok = &record;
+  const std::vector<obs::kept_trace> kept = server.traces().kept();
+  const obs::kept_trace* failed = nullptr;
+  const obs::kept_trace* slow_ok = nullptr;
+  for (const obs::kept_trace& entry : kept) {
+    if (entry.anomalous && entry.status == "failed") failed = &entry;
+    if (!entry.anomalous && entry.duration_us >= 20000) slow_ok = &entry;
   }
   ASSERT_NE(failed, nullptr) << "anomaly ring missed the failed request";
   ASSERT_NE(slow_ok, nullptr) << "slowest set missed the delayed request";
-  for (const obs::flight_record* record : {failed, slow_ok}) {
-    ASSERT_EQ(record->stages.size(), 3u);
-    EXPECT_EQ(record->stages[0].name, "hold");
-    EXPECT_EQ(record->stages[1].name, "queue");
-    EXPECT_EQ(record->stages[2].name, "exec");
+  for (const obs::kept_trace* entry : {failed, slow_ok}) {
+    ASSERT_EQ(entry->spans.size(), 3u);
+    EXPECT_EQ(entry->spans[0].name, "serve.hold");
+    EXPECT_EQ(entry->spans[1].name, "serve.queue");
+    EXPECT_EQ(entry->spans[2].name, "serve.exec");
   }
   // The delay accrued inside shard execution, not while queued.
-  EXPECT_GE(slow_ok->stages[2].seconds, 0.02);
+  EXPECT_GE(slow_ok->spans[2].duration_us, 20000u);
 
   const obs::metrics_snapshot snap = metrics.snapshot();
   EXPECT_EQ(snap.value("klinq_serve_requests_completed_total",
@@ -1233,6 +1237,36 @@ TEST(ObsServe, FlightRecorderCapturesInjectedFaults) {
                         {"status", "failed"}}),
             1.0);
   EXPECT_EQ(server.stats().failed_requests, 1u);
+}
+
+TEST(ObsServe, DisarmedRingStillKeepsFailedRequests) {
+  auto& f = fixture();
+  fault::disarm_all();
+  obs::metric_registry metrics;
+  obs::trace_ring ring;  // never armed: head sampling records nothing
+  serve::server_config config;
+  config.metrics = &metrics;
+  config.traces = &ring;
+  serve::readout_server server(f.engines(), config);
+
+  fault::arm_from_string("serve.shard.run:throw:1.0:9");
+  serve::readout_request request{0, &f.data[0].test,
+                                 serve::engine_kind::fixed_q16};
+  request.trace_id = 0xFEEDu;  // a wire trace id does not arm the ring
+  const serve::ticket doomed = server.submit(request);
+  EXPECT_THROW(server.wait(doomed), fault::injected_fault);
+  fault::disarm_all();
+
+  EXPECT_EQ(ring.recorded(), 0u);
+  EXPECT_TRUE(ring.spans().empty());
+  const std::vector<obs::kept_trace> kept = ring.kept();
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_TRUE(kept[0].anomalous);
+  EXPECT_EQ(kept[0].status, "failed");
+  EXPECT_NE(kept[0].trace_id, 0u);
+  ASSERT_EQ(kept[0].spans.size(), 3u);
+  EXPECT_EQ(kept[0].spans[2].name, "serve.exec");
+  EXPECT_EQ(&server.traces(), &ring);
 }
 
 TEST(ObsServe, FullStackPrometheusDumpLintsClean) {

@@ -214,7 +214,6 @@ int run_listen_stream(serve::readout_server& server,
     ic.metrics = &metrics;
     ic.front_end = &front_end;
     ic.traces = &obs::default_trace_ring();
-    ic.recorder = &server.recorder();
     net::install_introspection_handlers(*http, std::move(ic));
     std::printf("introspection on http://%s:%u\n", http->host().c_str(),
                 http->port());
@@ -326,7 +325,6 @@ int run_listen_chaos(serve::readout_server& server,
     ic.metrics = &metrics;
     ic.front_end = &front_end;
     ic.traces = &obs::default_trace_ring();
-    ic.recorder = &server.recorder();
     ic.unhealthy_when.push_back(
         {"faults-armed", [] { return fault::any_armed(); }});
     net::install_introspection_handlers(http, std::move(ic));
@@ -787,12 +785,18 @@ int main(int argc, char** argv) {
         info.train_accuracy = retrained.accuracy(data[0].train);
         const std::uint64_t version = reg->publish(
             0, registry::model_snapshot(std::move(retrained), info));
+        // Shards run later on the pool, so settle every open request before
+        // arming (and before disarming below): otherwise which shards see
+        // the armed window is a race, and qubit 0 may get too few of them
+        // to trip its failure threshold.
+        while (!open.empty()) consume_oldest();
         fault::arm_from_string(
             "serve.shard.run:throw:0.85:7,serve.submit.lease:throw:0.05:11");
         std::printf("chaos: deployed qubit 0 v%llu and armed faults\n",
                     static_cast<unsigned long long>(version));
       }
       if (chaos && round == (2 * rounds) / 3) {
+        while (!open.empty()) consume_oldest();
         chaos_report = fault::report();
         // Latch the fired counts into the metrics mirror before disarm_all()
         // clears the fault sites (the mirror collects at snapshot time).
@@ -914,14 +918,14 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(row.fired),
                     static_cast<unsigned long long>(row.evaluations));
       }
-      const std::vector<obs::flight_record> flights = server->flight_records();
+      const std::vector<obs::kept_trace> kept = server->traces().kept();
       std::size_t anomalous = 0;
-      for (const obs::flight_record& flight : flights) {
-        if (flight.anomalous) ++anomalous;
+      for (const obs::kept_trace& entry : kept) {
+        if (entry.anomalous) ++anomalous;
       }
-      std::printf("              flight recorder holds %zu record(s), "
+      std::printf("              trace ring keeps %zu request(s), "
                   "%zu anomalous\n",
-                  flights.size(), anomalous);
+                  kept.size(), anomalous);
       std::printf("  chaos smoke %s\n", chaos_ok ? "PASS" : "FAIL");
     }
 
