@@ -48,17 +48,6 @@ class thread_pool {
   /// route errors through your own completion state.
   void submit(std::function<void()> task);
 
-  /// Like submit() but enqueues at the *front* of the shared queue, ahead of
-  /// every already-queued task — the latency-class hook used by the serve
-  /// feedback lane. Urgent tasks only jump the queue; they never preempt a
-  /// task already executing, and on a workerless pool (or when called from a
-  /// worker) they run inline exactly like submit(), so urgency is a
-  /// scheduling hint, not a guarantee of reduced latency. Two urgent submits
-  /// run in LIFO order relative to each other; that is acceptable because the
-  /// feedback lane carries single-shot requests with per-request deadlines,
-  /// not ordered streams.
-  void submit_urgent(std::function<void()> task);
-
   /// True when the current thread is one of this pool's workers (or is
   /// running an inline-executed submit on a workerless pool).
   static bool on_worker() noexcept;

@@ -84,21 +84,6 @@ void thread_pool::submit(std::function<void()> task) {
   task_ready_.notify_one();
 }
 
-void thread_pool::submit_urgent(std::function<void()> task) {
-  if (workers_.empty() || t_on_pool_worker) {
-    // Same inline rules as submit(): with nobody safe to hand the task to,
-    // "ahead of the queue" degenerates to "right now".
-    const worker_scope scope;
-    task();
-    return;
-  }
-  {
-    const std::lock_guard lock(mutex_);
-    tasks_.push_front(std::move(task));
-  }
-  task_ready_.notify_one();
-}
-
 void thread_pool::parallel_for_chunked(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& chunk_body) {

@@ -14,6 +14,11 @@
 // This bounds both queue memory and result-buffer memory under sustained
 // overload.
 //
+// Feedback lane: a feedback request of at most kMaxCoalesceShots shots (one
+// shard) runs on the submitting thread, inside submit()/try_submit(), through
+// the same cancel/deadline/fault/completion path as a dispatched shard, so it
+// never waits behind a running bulk shard. Larger ones are dispatched FIFO.
+//
 // Small-request batching: with `coalesce_shots` > 0, requests of at most
 // that many shots (never more than one 64-lane kernel tile) are held in a
 // per-(qubit, engine) pending batch and merged into ONE dispatched task —
@@ -51,9 +56,9 @@
 // publication is never disruptive and no request observes a torn model.
 //
 // Streaming partial results: server_config::on_shard delivers each finished
-// shard's row range (decisions + engine-native logits) from the worker
-// thread that produced it, before the whole request drains — see
-// shard_event in request.hpp for the aliasing/threading contract.
+// shard's row range (decisions + engine-native logits) from the thread that
+// produced it, before the whole request drains — see shard_event in
+// request.hpp for the aliasing/threading contract.
 //
 // Failure model: a request always resolves — as ok, timed_out (its deadline
 // expired before every shard ran; late answers are worthless to feedback
@@ -104,8 +109,9 @@ struct server_config {
   /// kernel tile) are rejected — a larger request already fills its own.
   std::size_t coalesce_shots = 0;
   /// Streaming partial results: invoked from worker threads as each shard of
-  /// a request finishes (see shard_callback's contract in request.hpp).
-  /// Empty disables the per-shard notifications.
+  /// a request finishes (see shard_callback's contract in request.hpp); on
+  /// the submitting thread, before submit() returns, for an inline feedback
+  /// request or a workerless pool. Empty disables the notifications.
   shard_callback on_shard;
   /// Deadline applied to requests that do not carry their own
   /// readout_request::deadline_seconds; 0 = no default deadline. Must be
@@ -118,8 +124,9 @@ struct server_config {
   double feedback_default_deadline_seconds = 0.0;
   /// Completion doorbell: invoked exactly once per submitted ticket at the
   /// moment it reaches a terminal status, with no server lock held (see
-  /// completion_callback in request.hpp). Empty disables it. The TCP front
-  /// end uses this to wake its poll loop instead of polling.
+  /// completion_callback in request.hpp); like on_shard, it may fire before
+  /// submit() returns. Empty disables it. The TCP front end uses this to
+  /// wake its poll loop instead of polling.
   completion_callback on_complete;
   /// Consecutive shard failures on one qubit before the server asks the
   /// engine provider to demote the serving version (the registry rolls back
@@ -187,7 +194,8 @@ class readout_server {
   std::size_t qubit_count() const noexcept { return provider_->qubit_count(); }
   std::size_t shard_shots() const noexcept { return scheduler_.shard_shots(); }
 
-  /// Enqueues a request, blocking while the server is at max_inflight.
+  /// Enqueues a request (or runs a small feedback one), blocking while the
+  /// server is at max_inflight.
   /// Throws invalid_argument_error for a bad qubit index, null traces, or a
   /// missing engine path.
   ticket submit(const readout_request& request);
@@ -348,9 +356,10 @@ class readout_server {
                     shard_arena& arena);
   /// The one per-member completion routine behind both executors, for
   /// members of one (qubit, engine): shard timing, error and failure
-  /// counting with the demote decision, shard accounting, status precedence
-  /// and finish_request_locked — all under one mutex_ acquisition — then,
-  /// with the lock released, the completion doorbells and any demote.
+  /// counting, any demote (with mutex_ released but before any shard is
+  /// accounted, so the tripping request resolves after its rollback), shard
+  /// accounting, status precedence and finish_request_locked, then, with
+  /// the lock released, the completion doorbells.
   void complete_members(member_run* runs, std::size_t count);
   /// Stamps the coalesce-hold end on every member. Requires mutex_ — the
   /// batch must be leaving pending_ under the same lock, so no member can
@@ -361,6 +370,8 @@ class readout_server {
   /// submit_locked also flushes whenever parking would leave the inflight
   /// window full of undispatched work).
   void flush_pending();
+  /// flush_pending() under a held `lock` (released while dispatching).
+  void flush_pending_locked(std::unique_lock<std::mutex>& lock);
   /// Dispatches only the parked batch holding `t` (no-op when the ticket is
   /// not parked) — wait()'s flush, which leaves other streams' batches
   /// accumulating so prompt waiters don't defeat the amortization.

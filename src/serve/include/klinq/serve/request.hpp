@@ -56,10 +56,10 @@ enum class lane_class : std::uint8_t {
   /// Throughput lane: eligible for coalescing/lane packing, dispatched FIFO.
   bulk = 0,
   /// Mid-circuit feedback lane: bypasses coalescing entirely (a parked batch
-  /// would add queueing delay a feedback controller cannot absorb) and its
-  /// shard tasks jump ahead of already-queued bulk work
-  /// (thread_pool::submit_urgent). Per-lane p50/p99 SLO histograms track the
-  /// separation.
+  /// would add queueing delay a feedback controller cannot absorb). A
+  /// request of at most one kernel tile runs on the submitting thread, so it
+  /// never waits behind bulk work; a larger one is dispatched FIFO like bulk
+  /// work. Per-lane p50/p99 SLO histograms track the separation.
   feedback = 1,
 };
 
@@ -88,8 +88,8 @@ struct readout_request {
   /// A shard already running is finished, not interrupted — expiry is
   /// checked at shard start, so enforcement granularity is one shard.
   double deadline_seconds = 0.0;
-  /// Latency class; feedback requests skip coalescing and dispatch ahead of
-  /// queued bulk shards. A feedback request with deadline_seconds == 0
+  /// Latency class; feedback requests skip coalescing, and small ones run
+  /// on the submitting thread. A feedback request with deadline_seconds == 0
   /// inherits server_config::feedback_default_deadline_seconds before
   /// falling back to default_deadline_seconds.
   lane_class lane = lane_class::bulk;
@@ -151,9 +151,10 @@ struct shard_event {
   std::span<const float> logits;
 };
 
-/// Invoked from worker threads as each shard finishes — latency-critical
-/// consumers act on finished 64-shot tiles before the whole request drains.
-/// Must be thread-safe (shards of one request may complete concurrently)
+/// Invoked from worker threads (or the submitting thread, for an inline
+/// feedback request) as each shard finishes — latency-critical consumers
+/// act on finished 64-shot tiles before the whole request drains. Must be
+/// thread-safe (shards of one request may complete concurrently)
 /// and fast (it runs on the shard executor); an exception thrown from the
 /// callback fails the request and is rethrown by wait().
 using shard_callback = std::function<void(const shard_event&)>;
@@ -161,11 +162,11 @@ using shard_callback = std::function<void(const shard_event&)>;
 /// Invoked exactly once per submitted ticket, the moment the request reaches
 /// its terminal status (the same instant wait() would unblock). Runs on
 /// whatever thread finished the request — a shard executor, or the
-/// submitting thread for zero-shot / inline-executed requests — with no
-/// server lock held. The result is *not* passed: the callback is a doorbell
-/// for an event-driven consumer (the TCP front end's poll loop),
-/// which claims the result with wait()/poll() at its leisure. Must not
-/// throw; may call back into the server except drain()/destructor.
+/// submitting thread for zero-shot, inline feedback or workerless-pool
+/// requests — with no server lock held. The result is *not* passed: the
+/// callback is a doorbell for an event-driven consumer (the TCP front end's
+/// poll loop), which claims the result with wait()/poll() at its leisure.
+/// Must not throw; may call back into the server except drain()/destructor.
 using completion_callback = std::function<void(ticket, request_status)>;
 
 }  // namespace klinq::serve

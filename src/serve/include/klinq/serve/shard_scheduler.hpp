@@ -60,20 +60,29 @@ class shard_scheduler {
   /// pool. run_shard must be internally synchronized for completion
   /// accounting and must not throw (route errors through your own state);
   /// it may run on the calling thread when the pool has no workers.
-  /// `urgent` tasks jump ahead of already-queued work (feedback lane); see
-  /// thread_pool::submit_urgent for the exact semantics.
   void dispatch(std::size_t shots,
                 std::function<void(std::size_t, std::size_t, shard_arena&)>
-                    run_shard,
-                bool urgent = false);
+                    run_shard);
 
   /// Enqueues a single pool task that runs `run` with one borrowed arena —
   /// the request-coalescing entry point: one queue round-trip and one arena
   /// acquisition for work merged from several small requests. Same contract
   /// as dispatch's run_shard (internally synchronized, must not throw, may
   /// run inline on a workerless pool).
-  void dispatch_one(std::function<void(shard_arena&)> run,
-                    bool urgent = false);
+  void dispatch_one(std::function<void(shard_arena&)> run);
+
+  /// Runs `run` with one borrowed arena on the calling thread, needing no
+  /// pool worker; same contract as dispatch_one, and drain() waits for it.
+  template <typename Fn>
+  void run_inline(Fn&& run) {
+    {
+      const std::lock_guard lock(mutex_);
+      ++pending_;
+    }
+    std::unique_ptr<shard_arena> arena = acquire();
+    run(*arena);
+    finish_shard(std::move(arena));
+  }
 
   /// Blocks until every shard task dispatched so far has finished.
   void drain();

@@ -65,8 +65,8 @@ struct server_stats {
   /// demote the failing version and the provider switched (the registry
   /// rolls back to last-known-good).
   std::uint64_t rollbacks = 0;
-  /// Requests submitted on the feedback lane (bypass coalescing, urgent
-  /// dispatch); bulk-lane submissions are requests_submitted minus this.
+  /// Requests submitted on the feedback lane (bypass coalescing; small ones
+  /// run inline); bulk-lane submissions are requests_submitted minus this.
   std::uint64_t feedback_requests = 0;
   /// Requests submitted but not yet consumed by wait().
   std::size_t inflight = 0;

@@ -365,30 +365,17 @@ void readout_server::finish_request_locked(slot* raw, engine_kind engine) {
 
 readout_server::~readout_server() {
   // Unconsumed results are discarded, but every enqueued shard still holds a
-  // pointer into this server — dispatch any parked coalescing batches, then
-  // wait for all of them before tearing down.
-  flush_pending();
-  {
-    std::unique_lock lock(mutex_);
-    completed_.wait(lock, [this] { return outstanding_shards_ == 0; });
-    // The drop is silent no longer: every unconsumed non-ok result is logged
-    // on its way out (counters were recorded at completion time, so stats()
-    // already reflected these even while unclaimed).
-    for (const auto& [id, s] : active_) {
-      if (s->result.status == request_status::ok) continue;
-      log_warn("readout_server: dropping unconsumed ",
-               status_name(s->result.status), " ticket ", id, " (qubit ",
-               s->result.qubit, ", ", s->shots, " shots)");
-    }
+  // pointer into this server: drain() waits for all of them.
+  drain();
+  // Log every dropped non-ok result (its counters were recorded at
+  // completion, so stats() already reflected it).
+  const std::lock_guard lock(mutex_);
+  for (const auto& [id, s] : active_) {
+    if (s->result.status == request_status::ok) continue;
+    log_warn("readout_server: dropping unconsumed ",
+             status_name(s->result.status), " ticket ", id, " (qubit ",
+             s->result.qubit, ", ", s->shots, " shots)");
   }
-  // outstanding_shards_ hits zero inside a task's locked completion block,
-  // but the task *body* is still running after that: the post-notify demote
-  // branch re-takes mutex_ and touches metrics_, both of which are destroyed
-  // before scheduler_ (reverse member order). Wait for the task bodies
-  // themselves — the scheduler decrements its pending count only after a
-  // body fully returns — so no shard can outlive the members it uses. The
-  // cancel-during-flush TSAN hammer in test_serve.cpp regresses this.
-  scheduler_.drain();
 }
 
 engine_lease readout_server::lease_for(const readout_request& request) const {
@@ -418,17 +405,9 @@ ticket readout_server::submit(const readout_request& request) {
   // capacity.
   engine_lease lease = lease_for(request);
   std::unique_lock lock(mutex_);
-  // Parked coalescing batches can never be the reason the window is full:
-  // submit_locked flushes whenever parking meets a full window, so by the
-  // time this wait blocks every active slot holds dispatched work and a
-  // consumer's wait() will eventually free one.
-  if (active_.size() >= config_.max_inflight && !pending_.empty()) {
-    std::vector<pending_batch> ready;
-    take_pending_locked(ready);
-    lock.unlock();
-    for (pending_batch& batch : ready) dispatch_batch(std::move(batch));
-    lock.lock();
-  }
+  // A direct dispatch can fill the window over parked batches: flush them,
+  // so every slot this wait blocks on holds dispatched work.
+  if (active_.size() >= config_.max_inflight) flush_pending_locked(lock);
   capacity_.wait(lock,
                  [this] { return active_.size() < config_.max_inflight; });
   return submit_locked(request, std::move(lease), lock);
@@ -442,12 +421,7 @@ std::optional<ticket> readout_server::try_submit(
     // Non-blocking producers never call wait() before retrying: dispatch any
     // parked batches so the held tickets can complete (and poll() can turn
     // true) instead of livelocking the retry loop.
-    if (!pending_.empty()) {
-      std::vector<pending_batch> ready;
-      take_pending_locked(ready);
-      lock.unlock();
-      for (pending_batch& batch : ready) dispatch_batch(std::move(batch));
-    }
+    flush_pending_locked(lock);
     return std::nullopt;
   }
   return submit_locked(request, std::move(lease), lock);
@@ -581,14 +555,20 @@ ticket readout_server::submit_locked(const readout_request& request,
   // complete early — remaining_shards is already final.
   raw->dispatch_at = raw->timer.seconds();
   lock.unlock();
+  if (request.lane == lane_class::feedback &&
+      shots <= server_config::kMaxCoalesceShots) {
+    // One shard of feedback runs here: a few microseconds of engine work,
+    // where a queued task would wait behind any bulk shard already running.
+    scheduler_.run_inline([&](shard_arena& arena) {
+      execute_range(raw, request, 0, shots, arena);
+    });
+    return t;
+  }
   const readout_request req = request;
-  scheduler_.dispatch(
-      shots,
-      [this, req, raw](std::size_t begin, std::size_t end,
-                       shard_arena& arena) {
-        execute_range(raw, req, begin, end, arena);
-      },
-      /*urgent=*/request.lane == lane_class::feedback);
+  scheduler_.dispatch(shots, [this, req, raw](std::size_t begin,
+                                              std::size_t end, shard_arena& a) {
+    execute_range(raw, req, begin, end, a);
+  });
   return t;
 }
 
@@ -685,8 +665,9 @@ void readout_server::complete_members(member_run* runs, std::size_t count) {
     if (runs[i].skipped()) continue;
     cells.shard_exec->record(runs[i].s->timer.seconds() - runs[i].exec_begin);
   }
-  // The provider demote (below) takes the provider's own locks, so the
-  // decision is made under mutex_ but the call happens after it releases.
+  // The demote takes the provider's locks, so it runs with mutex_ released,
+  // but before any shard is accounted: the tripping request stays open
+  // until the rollback has landed.
   bool demote_now = false;
   std::uint64_t failing_version = 0;
   // Doorbell state, captured under the lock: once it releases, a completed
@@ -697,74 +678,78 @@ void readout_server::complete_members(member_run* runs, std::size_t count) {
   };
   std::array<doorbell, server_config::kMaxCoalesceShots> rung{};
   std::size_t rung_count = 0;
-  {
-    const std::lock_guard done_lock(mutex_);
-    for (std::size_t i = 0; i < count; ++i) {
-      const member_run& run = runs[i];
-      slot* raw = run.s;
-      if (run.error && !raw->error) raw->error = run.error;
-      if (run.event_fired) shard_events_cell_->inc();
-      if (run.expired) raw->deadline_expired = true;
-      if (raw->first_exec_at < 0.0 || run.exec_begin < raw->first_exec_at) {
-        raw->first_exec_at = run.exec_begin;
-      }
-      if (run.error) {
-        if (cells.shard_failures == nullptr) {
-          cells.shard_failures = &metrics_->get_counter(
-              "klinq_serve_shard_failures_total",
-              {{"qubit", std::to_string(qubit)},
-               {"engine", engine_name(engine)}},
-              "Shard executions that threw");
-        }
-        cells.shard_failures->inc();
-        if (++consecutive_failures_[qubit] >= config_.failure_threshold) {
-          // Reset before demoting so the next window needs a full threshold
-          // of fresh failures (whether or not the provider switches).
-          consecutive_failures_[qubit] = 0;
-          demote_now = true;
-          failing_version = raw->result.model_version;
-        }
-      } else if (!run.skipped()) {
-        consecutive_failures_[qubit] = 0;
-      }
-      --outstanding_shards_;
-      if (--raw->remaining_shards > 0) continue;
-      raw->done = true;
-      raw->lease = engine_lease{};  // last shard done: release the snapshot
-      raw->result.latency_seconds = raw->timer.seconds();
-      // Resolution precedence: an explicit cancel outranks expiry, expiry
-      // outranks a shard error (the caller asked for the answer's absence).
-      if (raw->cancelled.load(std::memory_order_relaxed)) {
-        raw->result.status = request_status::cancelled;
-      } else if (raw->deadline_expired) {
-        raw->result.status = request_status::timed_out;
-      } else if (raw->error) {
-        raw->result.status = request_status::failed;
-      } else {
-        raw->result.status = request_status::ok;
-      }
-      rung[rung_count++] = {raw->id, raw->result.status};
-      finish_request_locked(raw, engine);
+  std::unique_lock lock(mutex_);
+  for (std::size_t i = 0; i < count; ++i) {
+    const member_run& run = runs[i];
+    slot* raw = run.s;
+    if (run.error && !raw->error) raw->error = run.error;
+    if (run.event_fired) shard_events_cell_->inc();
+    if (run.expired) raw->deadline_expired = true;
+    if (raw->first_exec_at < 0.0 || run.exec_begin < raw->first_exec_at) {
+      raw->first_exec_at = run.exec_begin;
     }
-    if (rung_count > 0 || outstanding_shards_ == 0) completed_.notify_all();
+    if (run.error) {
+      if (cells.shard_failures == nullptr) {
+        cells.shard_failures = &metrics_->get_counter(
+            "klinq_serve_shard_failures_total",
+            {{"qubit", std::to_string(qubit)},
+             {"engine", engine_name(engine)}},
+            "Shard executions that threw");
+      }
+      cells.shard_failures->inc();
+      if (++consecutive_failures_[qubit] >= config_.failure_threshold) {
+        // Reset before demoting so the next window needs a full threshold
+        // of fresh failures (whether or not the provider switches).
+        consecutive_failures_[qubit] = 0;
+        demote_now = true;
+        failing_version = raw->result.model_version;
+      }
+    } else if (!run.skipped()) {
+      consecutive_failures_[qubit] = 0;
+    }
   }
-  // The doorbells fire before the demote side-trip: a completion consumer
-  // should not wait on provider locks.
+  if (demote_now) {
+    lock.unlock();
+    const bool demoted = provider_->demote(qubit, failing_version);
+    lock.lock();
+    if (demoted) {
+      obs::counter*& cell = qubit_cells_[qubit].rollbacks;
+      if (cell == nullptr) {
+        cell = &metrics_->get_counter(
+            "klinq_serve_rollbacks_total", {{"qubit", std::to_string(qubit)}},
+            "Automatic demote-to-last-known-good rollbacks this server "
+            "triggered");
+      }
+      cell->inc();
+    }
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    slot* raw = runs[i].s;
+    --outstanding_shards_;
+    if (--raw->remaining_shards > 0) continue;
+    raw->done = true;
+    raw->lease = engine_lease{};  // last shard done: release the snapshot
+    raw->result.latency_seconds = raw->timer.seconds();
+    // Resolution precedence: an explicit cancel outranks expiry, expiry
+    // outranks a shard error (the caller asked for the answer's absence).
+    if (raw->cancelled.load(std::memory_order_relaxed)) {
+      raw->result.status = request_status::cancelled;
+    } else if (raw->deadline_expired) {
+      raw->result.status = request_status::timed_out;
+    } else if (raw->error) {
+      raw->result.status = request_status::failed;
+    } else {
+      raw->result.status = request_status::ok;
+    }
+    rung[rung_count++] = {raw->id, raw->result.status};
+    finish_request_locked(raw, engine);
+  }
+  if (rung_count > 0 || outstanding_shards_ == 0) completed_.notify_all();
+  lock.unlock();
   if (config_.on_complete) {
     for (std::size_t i = 0; i < rung_count; ++i) {
       config_.on_complete(ticket{rung[i].id}, rung[i].status);
     }
-  }
-  if (demote_now && provider_->demote(qubit, failing_version)) {
-    const std::lock_guard lock(mutex_);
-    obs::counter*& cell = qubit_cells_[qubit].rollbacks;
-    if (cell == nullptr) {
-      cell = &metrics_->get_counter(
-          "klinq_serve_rollbacks_total", {{"qubit", std::to_string(qubit)}},
-          "Automatic demote-to-last-known-good rollbacks this server "
-          "triggered");
-    }
-    cell->inc();
   }
 }
 
@@ -945,12 +930,17 @@ void readout_server::flush_pending() {
   // Early-out keeps the default (coalescing-off) wait/drain path at a
   // single mutex acquisition.
   if (config_.coalesce_shots == 0) return;
+  std::unique_lock lock(mutex_);
+  flush_pending_locked(lock);
+}
+
+void readout_server::flush_pending_locked(std::unique_lock<std::mutex>& lock) {
+  if (pending_.empty()) return;
   std::vector<pending_batch> ready;
-  {
-    const std::lock_guard lock(mutex_);
-    take_pending_locked(ready);
-  }
+  take_pending_locked(ready);
+  lock.unlock();
   for (pending_batch& batch : ready) dispatch_batch(std::move(batch));
+  lock.lock();
 }
 
 void readout_server::flush_pending_for(ticket t) {
@@ -1103,10 +1093,13 @@ void readout_server::drain() {
     std::unique_lock lock(mutex_);
     completed_.wait(lock, [this] { return outstanding_shards_ == 0; });
   }
-  // Same task-body wait as the destructor: "drained" must mean no shard
-  // task is still inside execute_range/execute_pack (the post-notify demote
-  // tail runs after the shard count reaches zero), not merely that every
-  // ticket is resolved — callers use drain() as a teardown barrier.
+  // outstanding_shards_ hits zero inside a task's locked completion block,
+  // but the task *body* is still running after that: the post-unlock
+  // doorbell reads config_, which the destructor tears down before
+  // scheduler_ (reverse member order). So "drained" waits for the task
+  // bodies themselves — the scheduler decrements its pending count only
+  // after a body fully returns. The cancel-during-flush TSAN hammer in
+  // test_serve.cpp regresses this.
   scheduler_.drain();
 }
 

@@ -36,8 +36,7 @@ shard_scheduler::~shard_scheduler() { drain(); }
 
 void shard_scheduler::dispatch(
     std::size_t shots,
-    std::function<void(std::size_t, std::size_t, shard_arena&)> run_shard,
-    bool urgent) {
+    std::function<void(std::size_t, std::size_t, shard_arena&)> run_shard) {
   if (shots == 0) return;
   // One shared copy of the callable: shard tasks outlive this call, and the
   // last one to finish releases it.
@@ -53,35 +52,24 @@ void shard_scheduler::dispatch(
   }
   for (std::size_t begin = 0; begin < shots; begin += shard_shots_) {
     const std::size_t end = std::min(begin + shard_shots_, shots);
-    auto task = [this, shared_run, begin, end] {
+    pool_->submit([this, shared_run, begin, end] {
       std::unique_ptr<shard_arena> arena = acquire();
       (*shared_run)(begin, end, *arena);
       finish_shard(std::move(arena));
-    };
-    if (urgent) {
-      pool_->submit_urgent(std::move(task));
-    } else {
-      pool_->submit(std::move(task));
-    }
+    });
   }
 }
 
-void shard_scheduler::dispatch_one(std::function<void(shard_arena&)> run,
-                                   bool urgent) {
+void shard_scheduler::dispatch_one(std::function<void(shard_arena&)> run) {
   {
     const std::lock_guard lock(mutex_);
     ++pending_;
   }
-  auto task = [this, run = std::move(run)] {
+  pool_->submit([this, run = std::move(run)] {
     std::unique_ptr<shard_arena> arena = acquire();
     run(*arena);
     finish_shard(std::move(arena));
-  };
-  if (urgent) {
-    pool_->submit_urgent(std::move(task));
-  } else {
-    pool_->submit(std::move(task));
-  }
+  });
 }
 
 void shard_scheduler::drain() {

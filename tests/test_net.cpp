@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -27,6 +28,7 @@
 
 #include "klinq/common/error.hpp"
 #include "klinq/common/stopwatch.hpp"
+#include "klinq/common/thread_pool.hpp"
 #include "klinq/fault/fault.hpp"
 #include "klinq/hw/fixed_discriminator.hpp"
 #include "klinq/kd/distiller.hpp"
@@ -476,7 +478,7 @@ TEST(NetServing, FeedbackLaneBypassesCoalescingAndCancelWorksOverWire) {
   auto& f = fixture();
   // Coalescing parks small bulk requests, so the bulk request is
   // deterministically held while the feedback request — which bypasses
-  // coalescing and dispatches urgent — completes immediately.
+  // coalescing and runs on the loop thread — completes immediately.
   serve::readout_server server(f.engines(),
                                {.shard_shots = 256, .coalesce_shots = 32});
   net::tcp_front_end front(server);
@@ -508,6 +510,51 @@ TEST(NetServing, FeedbackLaneBypassesCoalescingAndCancelWorksOverWire) {
   EXPECT_EQ(stats.requests_admitted, 2u);
   EXPECT_EQ(stats.responses_sent, 2u);
   EXPECT_EQ(stats.cancels_received, 1u);
+}
+
+/// Parks every global_thread_pool() worker in a spinning task until
+/// destroyed, so only work that needs no pool worker can make progress.
+class parked_workers {
+ public:
+  parked_workers() {
+    thread_pool& pool = global_thread_pool();
+    for (std::size_t w = 0; w < pool.worker_count(); ++w) {
+      pool.submit([this] {
+        ++parked_;
+        while (!release_.load()) std::this_thread::yield();
+        --parked_;
+      });
+    }
+    while (parked_.load() < pool.worker_count()) std::this_thread::yield();
+  }
+  ~parked_workers() {
+    release_ = true;
+    while (parked_.load() > 0) std::this_thread::yield();
+  }
+  parked_workers(const parked_workers&) = delete;
+  parked_workers& operator=(const parked_workers&) = delete;
+
+ private:
+  std::atomic<bool> release_{false};
+  std::atomic<std::size_t> parked_{0};
+};
+
+TEST(NetServing, FeedbackReplyArrivesWhileEveryWorkerIsBusy) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::tcp_front_end front(server);
+  net::client cli("127.0.0.1", front.port());
+  const data::trace_dataset block = f.small_block(1);
+
+  const parked_workers parked;
+  // The loop thread runs the request itself, so the reply needs no worker.
+  const std::uint64_t id =
+      cli.send_request(fixed_request(), block, serve::lane_class::feedback);
+  const auto reply = cli.read_reply(id);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->header.type, net::frame_type::response);
+  expect_fixed_response(net::decode_response(reply->payload), block);
+  EXPECT_EQ(server.stats().feedback_requests, 1u);
 }
 
 // --- admission control and shedding ----------------------------------------

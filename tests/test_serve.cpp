@@ -1349,11 +1349,8 @@ TEST(ServeLane, FeedbackBypassesCoalescingAndIsCounted) {
                                   serve::engine_kind::fixed_q16};
   feedback.lane = serve::lane_class::feedback;
   const serve::ticket feedback_ticket = server.submit(feedback);
-  // It runs on a pool worker, so give it time — poll() never flushes, and
-  // the bulk member must still be parked once the feedback one is done.
-  for (int spin = 0; spin < 10000 && !server.poll(feedback_ticket); ++spin) {
-    std::this_thread::yield();
-  }
+  // It ran inside submit, on this thread; poll() never flushes, so the bulk
+  // member is still parked.
   EXPECT_TRUE(server.poll(feedback_ticket));
   EXPECT_FALSE(server.poll(bulk_ticket));
   const serve::readout_result result = server.wait(feedback_ticket);
@@ -1375,6 +1372,60 @@ TEST(ServeLane, FeedbackBypassesCoalescingAndIsCounted) {
   server.stats().validate();
 }
 
+/// Parks every global_thread_pool() worker in a spinning task until
+/// destroyed, so only work that needs no pool worker can make progress.
+class parked_workers {
+ public:
+  parked_workers() {
+    thread_pool& pool = global_thread_pool();
+    for (std::size_t w = 0; w < pool.worker_count(); ++w) {
+      pool.submit([this] {
+        ++parked_;
+        while (!release_.load()) std::this_thread::yield();
+        --parked_;
+      });
+    }
+    while (parked_.load() < pool.worker_count()) std::this_thread::yield();
+  }
+  ~parked_workers() {
+    release_ = true;
+    while (parked_.load() > 0) std::this_thread::yield();
+  }
+  parked_workers(const parked_workers&) = delete;
+  parked_workers& operator=(const parked_workers&) = delete;
+
+ private:
+  std::atomic<bool> release_{false};
+  std::atomic<std::size_t> parked_{0};
+};
+
+TEST(ServeLane, FeedbackCompletesWhileEveryWorkerIsBusy) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  const auto blocks = split_blocks(f.data[0].test, 1);
+  std::vector<q16_16> expected(1);
+  f.hardware[0].logits(blocks[0], expected);
+  serve::readout_request feedback{0, &blocks[0],
+                                  serve::engine_kind::fixed_q16};
+  feedback.lane = serve::lane_class::feedback;
+
+  const parked_workers parked;
+  const serve::ticket t = server.submit(feedback);
+  // No worker is free, so it can only have run on this thread, inside
+  // submit.
+  ASSERT_TRUE(server.poll(t));
+  server.stats().validate();
+  const serve::readout_result result = server.wait(t);
+  EXPECT_EQ(result.status, serve::request_status::ok);
+  ASSERT_EQ(result.registers.size(), 1u);
+  EXPECT_EQ(result.registers[0].raw(), expected[0].raw());
+  EXPECT_EQ(result.states[0], expected[0].sign_bit() ? 0 : 1);
+  const serve::server_stats stats = server.stats();
+  stats.validate();
+  EXPECT_EQ(stats.feedback_requests, 1u);
+  EXPECT_EQ(stats.inflight, 0u);
+}
+
 TEST(ServeLane, FeedbackDefaultDeadlineAppliesOnlyToFeedback) {
   auto& f = fixture();
   // The feedback lane gets its own (impossibly tight) default deadline;
@@ -1386,6 +1437,14 @@ TEST(ServeLane, FeedbackDefaultDeadlineAppliesOnlyToFeedback) {
   feedback.lane = serve::lane_class::feedback;
   const serve::ticket ft = server.submit(feedback);
   EXPECT_EQ(server.wait(ft).status, serve::request_status::timed_out);
+  // A 1-shot feedback request runs inline on this thread; its deadline is
+  // checked there too.
+  const auto one_shot = split_blocks(f.data[0].test, 1);
+  feedback.traces = &one_shot[0];
+  const serve::ticket inline_ticket = server.submit(feedback);
+  EXPECT_TRUE(server.poll(inline_ticket));
+  EXPECT_EQ(server.wait(inline_ticket).status,
+            serve::request_status::timed_out);
 
   const serve::ticket bt =
       server.submit({0, &f.data[0].test, serve::engine_kind::fixed_q16});
@@ -1562,51 +1621,6 @@ TEST(ServeTeardown, DrainDestroyCyclesStayConsistent) {
     EXPECT_EQ(stats.requests_completed, 3u);
     // Destruction with unconsumed-but-completed tickets must be clean.
   }
-}
-
-// --- urgent submission (the feedback lane's scheduling hook) ----------------
-
-TEST(ThreadPool, SubmitUrgentRunsInlineOnWorkerlessPool) {
-  thread_pool pool(1);  // spawns zero background workers
-  ASSERT_EQ(pool.worker_count(), 0u);
-  bool ran = false;
-  pool.submit_urgent([&ran] { ran = true; });
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPool, SubmitUrgentJumpsTheQueue) {
-  thread_pool pool(2);
-  std::mutex order_mutex;
-  std::vector<int> order;
-  std::atomic<bool> release{false};
-  std::atomic<int> blocked{0};
-  // Saturate every worker so subsequent submits genuinely queue.
-  for (std::size_t w = 0; w < pool.worker_count(); ++w) {
-    pool.submit([&] {
-      ++blocked;
-      while (!release.load()) std::this_thread::yield();
-    });
-  }
-  while (blocked.load() < static_cast<int>(pool.worker_count())) {
-    std::this_thread::yield();
-  }
-  const auto record = [&](int id) {
-    const std::lock_guard lock(order_mutex);
-    order.push_back(id);
-  };
-  pool.submit([&, record] { record(1); });
-  pool.submit([&, record] { record(2); });
-  pool.submit_urgent([&, record] { record(0); });  // enqueued last, runs first
-  release = true;
-  for (;;) {
-    {
-      const std::lock_guard lock(order_mutex);
-      if (order.size() == 3) break;
-    }
-    std::this_thread::yield();
-  }
-  const std::lock_guard lock(order_mutex);
-  EXPECT_EQ(order.front(), 0) << "urgent task did not jump the queue";
 }
 
 }  // namespace
