@@ -7,6 +7,11 @@
 // 1000-sample traces. The reference rows quantify exactly what the int64
 // post-scaler buys over the int128 round-shift.
 //
+// BM_FrontendRow_* time the whole Q16.16 front end for one N = 500 shot at
+// G = 15 (FNN-A) and G = 100 (FNN-B), in shots/sec: the fixed<I,F>
+// reference (quantize_trace + extract) and fixed_frontend::extract_trace
+// with its quantize+MF sweep pinned to each tier.
+//
 // Machine-readable snapshot:
 //   bench_fixed_kernels --benchmark_out=BENCH_fixed.json
 //                       --benchmark_out_format=json
@@ -18,8 +23,11 @@
 
 #include "bench_gbench.hpp"
 #include "klinq/common/rng.hpp"
+#include "klinq/data/trace_dataset.hpp"
+#include "klinq/dsp/feature_pipeline.hpp"
 #include "klinq/fixed/fixed.hpp"
 #include "klinq/fixed/fixed_kernels.hpp"
+#include "klinq/hw/fixed_frontend.hpp"
 
 namespace {
 
@@ -126,6 +134,79 @@ void BM_QuantizeBlockKernel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
+
+// --- the front end: one N = 500 shot, quantize + AVG + MF + NORM -----------
+
+constexpr std::size_t kFrontendSamples = 500;
+
+/// Noisy two-state traces with a state-dependent I/Q offset, enough for a
+/// fitted pipeline with a real envelope and NORM exponents.
+const data::trace_dataset& frontend_traces() {
+  static const data::trace_dataset traces = [] {
+    constexpr std::size_t kShots = 256;
+    data::trace_dataset ds(kShots, kFrontendSamples);
+    xoshiro256 rng(8);
+    std::vector<float> trace(2 * kFrontendSamples);
+    for (std::size_t r = 0; r < kShots; ++r) {
+      const bool state = r % 2 == 1;
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        const double offset = state ? 0.02 : -0.02;
+        trace[i] = static_cast<float>(offset + rng.uniform(-0.05, 0.05));
+      }
+      ds.append(trace, state);
+    }
+    return ds;
+  }();
+  return traces;
+}
+
+hw::fixed_frontend<q16_16> bench_frontend(std::size_t groups) {
+  return hw::fixed_frontend<q16_16>(dsp::feature_pipeline::fit(
+      frontend_traces(), {.groups_per_quadrature = groups}));
+}
+
+void BM_FrontendRowReference(benchmark::State& state) {
+  const auto frontend =
+      bench_frontend(static_cast<std::size_t>(state.range(0)));
+  const data::trace_dataset& traces = frontend_traces();
+  std::vector<q16_16> quantized(traces.feature_width());
+  std::vector<q16_16> features(frontend.output_width());
+  std::size_t row = 0;
+  for (auto _ : state) {
+    hw::fixed_frontend<q16_16>::quantize_trace(traces.trace(row), quantized);
+    frontend.extract(quantized, kFrontendSamples, features);
+    benchmark::DoNotOptimize(features.data());
+    row = (row + 1) % traces.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+template <auto Sweep>
+void BM_FrontendRowKernel(benchmark::State& state) {
+  const auto frontend =
+      bench_frontend(static_cast<std::size_t>(state.range(0)));
+  const data::trace_dataset& traces = frontend_traces();
+  hw::frontend_scratch scratch;
+  std::vector<std::int32_t> features(frontend.output_width());
+  std::size_t row = 0;
+  for (auto _ : state) {
+    frontend.extract_trace(traces.trace(row), kFrontendSamples, scratch,
+                           features.data(), 1, Sweep);
+    benchmark::DoNotOptimize(features.data());
+    benchmark::ClobberMemory();
+    row = (row + 1) % traces.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_FrontendRowReference)
+    ->Name("BM_FrontendRow_ref_q16.16")->ArgName("G")->Arg(15)->Arg(100);
+BENCHMARK(BM_FrontendRowKernel<kernels::scalar64::quantize_mac_row>)
+    ->Name("BM_FrontendRow_scalar64_q16.16")->ArgName("G")->Arg(15)->Arg(100);
+BENCHMARK(BM_FrontendRowKernel<kernels::avx2::quantize_mac_row>)
+    ->Name("BM_FrontendRow_avx2_q16.16")->ArgName("G")->Arg(15)->Arg(100);
+BENCHMARK(BM_FrontendRowKernel<kernels::avx512::quantize_mac_row>)
+    ->Name("BM_FrontendRow_avx512_q16.16")->ArgName("G")->Arg(15)->Arg(100);
 
 #define KLINQ_KERNEL_BENCHES(Fixed, tag)                                      \
   BENCHMARK(BM_MacRowReference<Fixed>)->Name("BM_MacRow_int128ref_" tag)      \

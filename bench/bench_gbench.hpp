@@ -1,9 +1,8 @@
 // Shared main() for the Google-Benchmark benches: stamps the build type,
 // the resolved SIMD dispatch tiers (fixed + float, which differ under
-// KLINQ_DETERMINISTIC), the host's hardware concurrency and the
-// fused/unfused float-path flag into the benchmark context, so every
-// emitted BENCH json records how it was produced ("klinq_*" keys — see
-// README "Performance").
+// KLINQ_DETERMINISTIC) and the host's hardware concurrency into the
+// benchmark context, so every emitted BENCH json records how it was
+// produced ("klinq_*" keys — see README "Performance").
 #pragma once
 
 #include <benchmark/benchmark.h>

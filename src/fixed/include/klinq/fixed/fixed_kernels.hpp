@@ -7,15 +7,17 @@
 // |raw| < 2^(I+F-1) a weight*input product is bounded by 2^(2(I+F)-2), so
 // for 2*(I+F) <= 64 (Q8.8, Q12.12, Q16.16 — the paper's datapath) the
 // product plus the rounding bias 2^(F-1) stays strictly below 2^63 and the
-// whole post-scaler runs branchless in int64:
+// whole post-scaler runs branchless in int64 (for F >= 1):
 //
-//   sign     = product >> 63                      (arithmetic, 0 or -1)
-//   mag      = (product ^ sign) - sign            (|product|, exact)
-//   rounded  = (mag + 2^(F-1)) >> F               (round half away from zero)
-//   value    = clamp((rounded ^ sign) - sign)     (the activation rails)
+//   down     = product >> 63                      (arithmetic, 0 or -1)
+//   rounded  = (product + 2^(F-1) + down) >> F    (arithmetic shift)
+//   value    = clamp(rounded)                     (the activation rails)
 //
-// computed on the magnitude so negative exact multiples stay exact — the
-// same tie rule fixed::round_shift_right implements in int128. Kernels
+// Adding half, less one for a negative product, rounds the magnitude half
+// away from zero, so negative exact multiples stay exact — the same tie
+// rule fixed::round_shift_right implements in int128. The AVX2 tier, which
+// has no 64-bit arithmetic shift, computes the same value on the
+// magnitude: |product| + 2^(F-1), a logical shift, then the sign. Kernels
 // accumulate the clamped products in plain int64 (the wide adder tree;
 // integer addition is exact, so any summation order is bit-identical) and
 // saturate once at extraction, exactly like fixed_accumulator.
@@ -74,18 +76,17 @@ constexpr mac_spec spec_or_default() noexcept {
 inline constexpr std::size_t max_tile_lanes = 64;
 
 /// The branchless DSP post-scaler: round a full-precision product back to F
-/// fractional bits (ties away from zero, on the magnitude) and clamp to the
-/// format rails. Bit-identical to fixed::operator* whenever
-/// |product| <= 2^62 — guaranteed for every fast-path format.
+/// fractional bits (ties away from zero) and clamp to the format rails.
+/// Bit-identical to fixed::operator* whenever |product| <= 2^62 —
+/// guaranteed for every fast-path format. F = 0 leaves the product as is;
+/// the NORM stage's right shift reuses it with F = the shift.
 constexpr std::int64_t round_shift_clamp(std::int64_t product, int frac_bits,
                                          std::int64_t raw_min,
                                          std::int64_t raw_max) noexcept {
-  const std::int64_t sign = product >> 63;  // 0 or -1
-  const std::int64_t magnitude = (product ^ sign) - sign;
   const std::int64_t half =
       frac_bits > 0 ? std::int64_t{1} << (frac_bits - 1) : 0;
-  const std::int64_t rounded = (magnitude + half) >> frac_bits;
-  const std::int64_t value = (rounded ^ sign) - sign;
+  const std::int64_t down = frac_bits > 0 ? product >> 63 : 0;  // 0 or -1
+  const std::int64_t value = (product + half + down) >> frac_bits;
   const std::int64_t low = value < raw_min ? raw_min : value;
   return low > raw_max ? raw_max : low;
 }
@@ -115,10 +116,20 @@ constexpr std::int64_t clamp_raw(std::int64_t value, std::int64_t raw_min,
 //   quantize_block float samples -> raw registers, bit-identical to
 //                  Fixed::from_double per element (round to nearest, ties
 //                  away from zero; rails saturate; NaN quantizes to 0).
+//                  The AVX-512 body works 16 floats per step in float
+//                  precision: scaling by 2^F is exact, and the rail compare
+//                  against float(raw_max) agrees with the double compare
+//                  because no float lies in [raw_max, float(raw_max)) for
+//                  any raw_max = 2^k - 1 with k <= 31.
 //
-//   sum_row        exact int64 sum of a contiguous raw row (the AVG adder
-//                  tree before its reciprocal multiply); no saturation —
-//                  the caller clamps once, like fixed_accumulator::result.
+//   quantize_mac_row
+//                  the front end's single sweep over one shot: quantizes n
+//                  float samples into `out` exactly like quantize_block and,
+//                  in the same pass, returns the matched-filter MAC of the
+//                  fresh registers against `weights`, exactly like
+//                  mac_row(weights, out, n, 0) (saturated once). The
+//                  AVX-512 body fuses the two loops; the other tiers call
+//                  quantize_block then mac_row.
 // ---------------------------------------------------------------------------
 
 /// Branchless int64 scalar tier — every host runs this.
@@ -128,8 +139,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept;
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept;
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -138,6 +147,10 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;
+
+std::int64_t quantize_mac_row(const float* values,
+                              const std::int32_t* weights, std::size_t n,
+                              std::int32_t* out, const mac_spec& spec) noexcept;
 
 }  // namespace scalar64
 
@@ -152,8 +165,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept;
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept;
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -162,6 +173,10 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;
+
+std::int64_t quantize_mac_row(const float* values,
+                              const std::int32_t* weights, std::size_t n,
+                              std::int32_t* out, const mac_spec& spec) noexcept;
 
 }  // namespace avx2
 
@@ -175,8 +190,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept;
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept;
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -185,6 +198,10 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;
+
+std::int64_t quantize_mac_row(const float* values,
+                              const std::int32_t* weights, std::size_t n,
+                              std::int32_t* out, const mac_spec& spec) noexcept;
 
 }  // namespace avx512
 
@@ -201,8 +218,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept;
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept;
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -211,5 +226,9 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept;
+
+std::int64_t quantize_mac_row(const float* values,
+                              const std::int32_t* weights, std::size_t n,
+                              std::int32_t* out, const mac_spec& spec) noexcept;
 
 }  // namespace klinq::fx::kernels

@@ -54,12 +54,6 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
   }
 }
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  std::int64_t sum = 0;
-  for (std::size_t i = 0; i < n; ++i) sum += values[i];
-  return sum;
-}
-
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept {
   const double scale =
@@ -82,6 +76,14 @@ void quantize_block(const float* values, std::size_t n, std::int32_t* out,
     raw = value != value ? 0 : raw;  // hardware has no NaN; define as 0
     out[i] = static_cast<std::int32_t>(raw);
   }
+}
+
+std::int64_t quantize_mac_row(const float* values,
+                              const std::int32_t* weights, std::size_t n,
+                              std::int32_t* out,
+                              const mac_spec& spec) noexcept {
+  scalar64::quantize_block(values, n, out, spec);
+  return scalar64::mac_row(weights, out, n, 0, spec);
 }
 
 }  // namespace scalar64
@@ -180,23 +182,6 @@ __attribute__((target("avx2"))) std::int64_t mac_row_avx2(
                              spec.frac_bits, spec.raw_min, spec.raw_max);
   }
   return clamp_raw(sum, spec.raw_min, spec.raw_max);
-}
-
-__attribute__((target("avx2"))) std::int64_t sum_row_avx2(
-    const std::int32_t* values, std::size_t n) noexcept {
-  __m256i acc_lo = _mm256_setzero_si256();
-  __m256i acc_hi = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc_lo = _mm256_add_epi64(acc_lo, load_lanes(values + i));
-    acc_hi = _mm256_add_epi64(acc_hi, load_lanes(values + i + 4));
-  }
-  const __m256i acc = _mm256_add_epi64(acc_lo, acc_hi);
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::int64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) sum += values[i];
-  return sum;
 }
 
 __attribute__((target("avx2"))) void mac_tile_avx2(
@@ -329,18 +314,33 @@ __attribute__((target("avx2"))) void quantize_block_avx2(
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 
-/// 8-lane round_shift_clamp. AVX-512's arithmetic 64-bit shift (vpsraq) and
-/// native 64-bit min/max replace the compare/blend dance the AVX2 tier
-/// needs, so the post-scaler is both wider and shorter.
+/// Broadcast constants of the 8-lane post-scaler.
+struct post_scaler512 {
+  __m512i half, rail_min, rail_max;
+  __m128i shift;
+};
+
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline post_scaler512
+make_post_scaler512(const mac_spec& spec) {
+  return {_mm512_set1_epi64(std::int64_t{1} << (spec.frac_bits - 1)),
+          _mm512_set1_epi64(spec.raw_min), _mm512_set1_epi64(spec.raw_max),
+          _mm_cvtsi32_si128(spec.frac_bits)};
+}
+
+/// 8-lane round_shift_clamp for frac_bits >= 1, the scalar arithmetic
+/// as is: add half, less one for a negative product, shift arithmetically
+/// (vpsraq), clamp with native 64-bit min/max. 6 operations, where the AVX2
+/// tier needs a magnitude split and compare/blend clamps. Integer formats
+/// (frac_bits == 0) would lose one from every negative product, so the
+/// AVX-512 MAC kernels hand them to scalar64 (the library's formats all
+/// have frac_bits >= 8).
 __attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
-round_shift_clamp_lanes512(__m512i product, __m512i half, __m128i shift,
-                           __m512i rail_min, __m512i rail_max) {
-  const __m512i sign = _mm512_srai_epi64(product, 63);  // 0 or -1
-  __m512i magnitude = _mm512_sub_epi64(_mm512_xor_si512(product, sign), sign);
-  magnitude = _mm512_srl_epi64(_mm512_add_epi64(magnitude, half), shift);
-  const __m512i value =
-      _mm512_sub_epi64(_mm512_xor_si512(magnitude, sign), sign);
-  return _mm512_max_epi64(_mm512_min_epi64(value, rail_max), rail_min);
+round_shift_clamp_lanes512(__m512i product, const post_scaler512& k) {
+  const __m512i biased = _mm512_add_epi64(
+      _mm512_add_epi64(product, k.half), _mm512_srai_epi64(product, 63));
+  return _mm512_max_epi64(
+      _mm512_min_epi64(_mm512_sra_epi64(biased, k.shift), k.rail_max),
+      k.rail_min);
 }
 
 /// Saturate 8 wide accumulator lanes at the adder-tree root.
@@ -360,11 +360,10 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) std::int64_t
 mac_row_avx512(const std::int32_t* weights, const std::int32_t* inputs,
                std::size_t n, std::int64_t bias_raw,
                const mac_spec& spec) noexcept {
-  const __m512i half = _mm512_set1_epi64(
-      spec.frac_bits > 0 ? std::int64_t{1} << (spec.frac_bits - 1) : 0);
-  const __m128i shift = _mm_cvtsi32_si128(spec.frac_bits);
-  const __m512i rail_min = _mm512_set1_epi64(spec.raw_min);
-  const __m512i rail_max = _mm512_set1_epi64(spec.raw_max);
+  if (spec.frac_bits == 0) {
+    return scalar64::mac_row(weights, inputs, n, bias_raw, spec);
+  }
+  const post_scaler512 k = make_post_scaler512(spec);
   // Two accumulators break the add-latency chain on long rows; integer
   // addition is exact, so the split stays bit-identical to any other
   // summation order.
@@ -376,19 +375,15 @@ mac_row_avx512(const std::int32_t* weights, const std::int32_t* inputs,
                                                 load_lanes512(inputs + i));
     const __m512i product_hi = _mm512_mul_epi32(load_lanes512(weights + i + 8),
                                                 load_lanes512(inputs + i + 8));
-    acc_lo = _mm512_add_epi64(
-        acc_lo, round_shift_clamp_lanes512(product_lo, half, shift, rail_min,
-                                           rail_max));
-    acc_hi = _mm512_add_epi64(
-        acc_hi, round_shift_clamp_lanes512(product_hi, half, shift, rail_min,
-                                           rail_max));
+    acc_lo =
+        _mm512_add_epi64(acc_lo, round_shift_clamp_lanes512(product_lo, k));
+    acc_hi =
+        _mm512_add_epi64(acc_hi, round_shift_clamp_lanes512(product_hi, k));
   }
   for (; i + 8 <= n; i += 8) {
     const __m512i product = _mm512_mul_epi32(load_lanes512(weights + i),
                                              load_lanes512(inputs + i));
-    acc_lo = _mm512_add_epi64(
-        acc_lo, round_shift_clamp_lanes512(product, half, shift, rail_min,
-                                           rail_max));
+    acc_lo = _mm512_add_epi64(acc_lo, round_shift_clamp_lanes512(product, k));
   }
   std::int64_t sum =
       bias_raw + _mm512_reduce_add_epi64(_mm512_add_epi64(acc_lo, acc_hi));
@@ -399,30 +394,17 @@ mac_row_avx512(const std::int32_t* weights, const std::int32_t* inputs,
   return clamp_raw(sum, spec.raw_min, spec.raw_max);
 }
 
-__attribute__((target("avx512f,avx512bw,avx512dq"))) std::int64_t
-sum_row_avx512(const std::int32_t* values, std::size_t n) noexcept {
-  __m512i acc_lo = _mm512_setzero_si512();
-  __m512i acc_hi = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc_lo = _mm512_add_epi64(acc_lo, load_lanes512(values + i));
-    acc_hi = _mm512_add_epi64(acc_hi, load_lanes512(values + i + 8));
-  }
-  std::int64_t sum = _mm512_reduce_add_epi64(_mm512_add_epi64(acc_lo, acc_hi));
-  for (; i < n; ++i) sum += values[i];
-  return sum;
-}
-
 __attribute__((target("avx512f,avx512bw,avx512dq"))) void mac_tile_avx512(
     const std::int32_t* weights, const std::int32_t* bias, std::size_t out_dim,
     std::size_t in_dim, const std::int32_t* in_plane, std::size_t tile,
     std::size_t stride, bool relu, std::int32_t* out_plane,
     const mac_spec& spec) noexcept {
-  const __m512i half = _mm512_set1_epi64(
-      spec.frac_bits > 0 ? std::int64_t{1} << (spec.frac_bits - 1) : 0);
-  const __m128i shift = _mm_cvtsi32_si128(spec.frac_bits);
-  const __m512i rail_min = _mm512_set1_epi64(spec.raw_min);
-  const __m512i rail_max = _mm512_set1_epi64(spec.raw_max);
+  if (spec.frac_bits == 0) {
+    scalar64::mac_tile(weights, bias, out_dim, in_dim, in_plane, tile, stride,
+                       relu, out_plane, spec);
+    return;
+  }
+  const post_scaler512 k = make_post_scaler512(spec);
   const __m512i zero = _mm512_setzero_si512();
   for (std::size_t neuron = 0; neuron < out_dim; ++neuron) {
     const std::int32_t* weight_row = weights + neuron * in_dim;
@@ -438,16 +420,14 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void mac_tile_avx512(
         const __m512i w = _mm512_set1_epi64(weight_row[i]);
         const std::int32_t* lane = column + i * stride;
         acc_lo = _mm512_add_epi64(
-            acc_lo,
-            round_shift_clamp_lanes512(_mm512_mul_epi32(w, load_lanes512(lane)),
-                                       half, shift, rail_min, rail_max));
+            acc_lo, round_shift_clamp_lanes512(
+                        _mm512_mul_epi32(w, load_lanes512(lane)), k));
         acc_hi = _mm512_add_epi64(
             acc_hi, round_shift_clamp_lanes512(
-                        _mm512_mul_epi32(w, load_lanes512(lane + 8)), half,
-                        shift, rail_min, rail_max));
+                        _mm512_mul_epi32(w, load_lanes512(lane + 8)), k));
       }
-      acc_lo = clamp_lanes512(acc_lo, rail_min, rail_max);
-      acc_hi = clamp_lanes512(acc_hi, rail_min, rail_max);
+      acc_lo = clamp_lanes512(acc_lo, k.rail_min, k.rail_max);
+      acc_hi = clamp_lanes512(acc_hi, k.rail_min, k.rail_max);
       if (relu) {
         acc_lo = _mm512_max_epi64(acc_lo, zero);
         acc_hi = _mm512_max_epi64(acc_hi, zero);
@@ -465,9 +445,9 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void mac_tile_avx512(
         acc = _mm512_add_epi64(
             acc, round_shift_clamp_lanes512(
                      _mm512_mul_epi32(w, load_lanes512(column + i * stride)),
-                     half, shift, rail_min, rail_max));
+                     k));
       }
-      acc = clamp_lanes512(acc, rail_min, rail_max);
+      acc = clamp_lanes512(acc, k.rail_min, k.rail_max);
       if (relu) acc = _mm512_max_epi64(acc, zero);
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_row + s),
                           _mm512_cvtepi64_epi32(acc));
@@ -487,45 +467,114 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void mac_tile_avx512(
   }
 }
 
+/// Broadcast constants of the 16-lane quantizer.
+struct quantize_consts512 {
+  __m512 scale, rail_max, rail_min, plus_half, minus_half, one;
+  __m512i raw_max, raw_min;
+};
+
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline quantize_consts512
+make_quantize_consts512(const mac_spec& spec) {
+  return {_mm512_set1_ps(
+              static_cast<float>(std::int64_t{1} << spec.frac_bits)),
+          _mm512_set1_ps(static_cast<float>(spec.raw_max)),
+          _mm512_set1_ps(static_cast<float>(spec.raw_min)),
+          _mm512_set1_ps(0.5f),
+          _mm512_set1_ps(-0.5f),
+          _mm512_set1_ps(1.0f),
+          _mm512_set1_epi32(static_cast<std::int32_t>(spec.raw_max)),
+          _mm512_set1_epi32(static_cast<std::int32_t>(spec.raw_min))};
+}
+
+/// Quantizes 16 floats exactly like scalar64::quantize_block, in float
+/// precision (see the quantize_block contract in fixed_kernels.hpp):
+/// truncate, exact remainder, half comparison, then the rail and NaN selects
+/// on the int32 result. The conversion suppresses exceptions, and every
+/// lane it could not convert exactly is overwritten by a select.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
+quantize_lanes512(__m512 value, const quantize_consts512& q) {
+  const __m512 scaled = _mm512_mul_ps(value, q.scale);  // exact: times 2^F
+  const __m512 truncated =
+      _mm512_roundscale_ps(scaled, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m512 remainder = _mm512_sub_ps(scaled, truncated);  // exact
+  __m512 rounded = _mm512_mask_add_ps(
+      truncated, _mm512_cmp_ps_mask(remainder, q.plus_half, _CMP_GE_OQ),
+      truncated, q.one);
+  rounded = _mm512_mask_sub_ps(
+      rounded, _mm512_cmp_ps_mask(remainder, q.minus_half, _CMP_LE_OQ),
+      rounded, q.one);
+  __m512i raw = _mm512_cvtt_roundps_epi32(rounded, _MM_FROUND_NO_EXC);
+  raw = _mm512_mask_mov_epi32(
+      raw, _mm512_cmp_ps_mask(scaled, q.rail_max, _CMP_GE_OQ), q.raw_max);
+  raw = _mm512_mask_mov_epi32(
+      raw, _mm512_cmp_ps_mask(scaled, q.rail_min, _CMP_LE_OQ), q.raw_min);
+  // NaN quantizes to 0 (hardware has no NaN); keep only ordered lanes.
+  return _mm512_maskz_mov_epi32(_mm512_cmp_ps_mask(value, value, _CMP_ORD_Q),
+                                raw);
+}
+
+/// Lane mask of the last n % 16 elements of a 16-wide loop.
+inline __mmask16 tail_mask16(std::size_t remaining) noexcept {
+  return static_cast<__mmask16>((1u << remaining) - 1);
+}
+
 __attribute__((target("avx512f,avx512bw,avx512dq"))) void quantize_block_avx512(
     const float* values, std::size_t n, std::int32_t* out,
     const mac_spec& spec) noexcept {
-  // The scalar algorithm (truncate, exact remainder, half comparison, rails)
-  // over 8 doubles with AVX-512 mask registers instead of blends; every
-  // operation is the same IEEE operation in the same precision, so results
-  // stay bit-identical per element.
-  const __m512d scale =
-      _mm512_set1_pd(static_cast<double>(std::int64_t{1} << spec.frac_bits));
-  const __m512d rail_max = _mm512_set1_pd(static_cast<double>(spec.raw_max));
-  const __m512d rail_min = _mm512_set1_pd(static_cast<double>(spec.raw_min));
-  const __m512d plus_half = _mm512_set1_pd(0.5);
-  const __m512d minus_half = _mm512_set1_pd(-0.5);
-  const __m512d one = _mm512_set1_pd(1.0);
+  const quantize_consts512 q = make_quantize_consts512(spec);
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d value = _mm512_cvtps_pd(_mm256_loadu_ps(values + i));
-    const __m512d scaled = _mm512_mul_pd(value, scale);
-    const __m512d truncated =
-        _mm512_roundscale_pd(scaled, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-    const __m512d remainder = _mm512_sub_pd(scaled, truncated);  // exact
-    const __mmask8 up = _mm512_cmp_pd_mask(remainder, plus_half, _CMP_GE_OQ);
-    const __mmask8 down =
-        _mm512_cmp_pd_mask(remainder, minus_half, _CMP_LE_OQ);
-    __m512d rounded = _mm512_mask_add_pd(truncated, up, truncated, one);
-    rounded = _mm512_mask_sub_pd(rounded, down, rounded, one);
-    rounded = _mm512_mask_mov_pd(
-        rounded, _mm512_cmp_pd_mask(scaled, rail_max, _CMP_GE_OQ), rail_max);
-    rounded = _mm512_mask_mov_pd(
-        rounded, _mm512_cmp_pd_mask(scaled, rail_min, _CMP_LE_OQ), rail_min);
-    // NaN quantizes to 0 (hardware has no NaN); keep only ordered lanes.
-    rounded = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(value, value, _CMP_ORD_Q),
-                                  rounded);
-    // Every lane is now an integer within the int32 rails, so the
-    // round-to-nearest conversion is exact.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm512_cvtpd_epi32(rounded));
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_si512(out + i,
+                        quantize_lanes512(_mm512_loadu_ps(values + i), q));
   }
-  if (i < n) scalar64::quantize_block(values + i, n - i, out + i, spec);
+  if (i < n) {
+    const __mmask16 tail = tail_mask16(n - i);
+    _mm512_mask_storeu_epi32(
+        out + i, tail,
+        quantize_lanes512(_mm512_maskz_loadu_ps(tail, values + i), q));
+  }
+}
+
+/// Post-scaled matched-filter products of 16 int32 registers: vpmuldq
+/// multiplies the even int32 lanes as int64, a 32-bit shift exposes the odd
+/// ones, and addition order never matters in exact integer arithmetic.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
+mac_lanes512(__m512i raw, __m512i weight, const post_scaler512& k) {
+  const __m512i even = _mm512_mul_epi32(raw, weight);
+  const __m512i odd = _mm512_mul_epi32(_mm512_srli_epi64(raw, 32),
+                                       _mm512_srli_epi64(weight, 32));
+  return _mm512_add_epi64(round_shift_clamp_lanes512(even, k),
+                          round_shift_clamp_lanes512(odd, k));
+}
+
+__attribute__((target("avx512f,avx512bw,avx512dq"))) std::int64_t
+quantize_mac_row_avx512(const float* values, const std::int32_t* weights,
+                        std::size_t n, std::int32_t* out,
+                        const mac_spec& spec) noexcept {
+  if (spec.frac_bits == 0) {
+    return scalar64::quantize_mac_row(values, weights, n, out, spec);
+  }
+  const quantize_consts512 q = make_quantize_consts512(spec);
+  const post_scaler512 k = make_post_scaler512(spec);
+  __m512i acc = _mm512_setzero_si512();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i raw = quantize_lanes512(_mm512_loadu_ps(values + i), q);
+    _mm512_storeu_si512(out + i, raw);
+    acc = _mm512_add_epi64(
+        acc, mac_lanes512(raw, _mm512_loadu_si512(weights + i), k));
+  }
+  if (i < n) {
+    // Masked tail: inactive lanes load 0.0f and weight 0, so they quantize
+    // to 0 and add an exact 0 to the MAC.
+    const __mmask16 tail = tail_mask16(n - i);
+    const __m512i raw =
+        quantize_lanes512(_mm512_maskz_loadu_ps(tail, values + i), q);
+    _mm512_mask_storeu_epi32(out + i, tail, raw);
+    acc = _mm512_add_epi64(
+        acc, mac_lanes512(raw, _mm512_maskz_loadu_epi32(tail, weights + i), k));
+  }
+  return clamp_raw(_mm512_reduce_add_epi64(acc), spec.raw_min, spec.raw_max);
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -542,10 +591,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
   return mac_row_avx2(weights, inputs, n, bias_raw, spec);
 }
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  return sum_row_avx2(values, n);
-}
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -560,6 +605,14 @@ void quantize_block(const float* values, std::size_t n, std::int32_t* out,
   quantize_block_avx2(values, n, out, spec);
 }
 
+std::int64_t quantize_mac_row(const float* values,
+                              const std::int32_t* weights, std::size_t n,
+                              std::int32_t* out,
+                              const mac_spec& spec) noexcept {
+  quantize_block_avx2(values, n, out, spec);
+  return mac_row_avx2(weights, out, n, 0, spec);
+}
+
 }  // namespace avx2
 
 namespace avx512 {
@@ -568,10 +621,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept {
   return mac_row_avx512(weights, inputs, n, bias_raw, spec);
-}
-
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  return sum_row_avx512(values, n);
 }
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
@@ -586,6 +635,13 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept {
   quantize_block_avx512(values, n, out, spec);
+}
+
+std::int64_t quantize_mac_row(const float* values,
+                              const std::int32_t* weights, std::size_t n,
+                              std::int32_t* out,
+                              const mac_spec& spec) noexcept {
+  return quantize_mac_row_avx512(values, weights, n, out, spec);
 }
 
 }  // namespace avx512
@@ -603,10 +659,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
   return scalar64::mac_row(weights, inputs, n, bias_raw, spec);
 }
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  return scalar64::sum_row(values, n);
-}
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -619,6 +671,13 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept {
   scalar64::quantize_block(values, n, out, spec);
+}
+
+std::int64_t quantize_mac_row(const float* values,
+                              const std::int32_t* weights, std::size_t n,
+                              std::int32_t* out,
+                              const mac_spec& spec) noexcept {
+  return scalar64::quantize_mac_row(values, weights, n, out, spec);
 }
 
 }  // namespace avx2
@@ -631,10 +690,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
   return scalar64::mac_row(weights, inputs, n, bias_raw, spec);
 }
 
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  return scalar64::sum_row(values, n);
-}
-
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
               std::size_t out_dim, std::size_t in_dim,
               const std::int32_t* in_plane, std::size_t tile,
@@ -647,6 +702,13 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept {
   scalar64::quantize_block(values, n, out, spec);
+}
+
+std::int64_t quantize_mac_row(const float* values,
+                              const std::int32_t* weights, std::size_t n,
+                              std::int32_t* out,
+                              const mac_spec& spec) noexcept {
+  return scalar64::quantize_mac_row(values, weights, n, out, spec);
 }
 
 }  // namespace avx512
@@ -670,28 +732,30 @@ namespace {
 struct kernel_table {
   std::int64_t (*mac_row)(const std::int32_t*, const std::int32_t*,
                           std::size_t, std::int64_t, const mac_spec&) noexcept;
-  std::int64_t (*sum_row)(const std::int32_t*, std::size_t) noexcept;
   void (*mac_tile)(const std::int32_t*, const std::int32_t*, std::size_t,
                    std::size_t, const std::int32_t*, std::size_t, std::size_t,
                    bool, std::int32_t*, const mac_spec&) noexcept;
   void (*quantize_block)(const float*, std::size_t, std::int32_t*,
                          const mac_spec&) noexcept;
+  std::int64_t (*quantize_mac_row)(const float*, const std::int32_t*,
+                                   std::size_t, std::int32_t*,
+                                   const mac_spec&) noexcept;
 };
 
 const kernel_table& active_table() noexcept {
   static const kernel_table table = [] {
     switch (active_simd_tier()) {
       case simd_tier::avx512:
-        return kernel_table{avx512::mac_row, avx512::sum_row, avx512::mac_tile,
-                            avx512::quantize_block};
+        return kernel_table{avx512::mac_row, avx512::mac_tile,
+                            avx512::quantize_block, avx512::quantize_mac_row};
       case simd_tier::avx2:
-        return kernel_table{avx2::mac_row, avx2::sum_row, avx2::mac_tile,
-                            avx2::quantize_block};
+        return kernel_table{avx2::mac_row, avx2::mac_tile,
+                            avx2::quantize_block, avx2::quantize_mac_row};
       case simd_tier::scalar64:
         break;
     }
-    return kernel_table{scalar64::mac_row, scalar64::sum_row,
-                        scalar64::mac_tile, scalar64::quantize_block};
+    return kernel_table{scalar64::mac_row, scalar64::mac_tile,
+                        scalar64::quantize_block, scalar64::quantize_mac_row};
   }();
   return table;
 }
@@ -702,10 +766,6 @@ std::int64_t mac_row(const std::int32_t* weights, const std::int32_t* inputs,
                      std::size_t n, std::int64_t bias_raw,
                      const mac_spec& spec) noexcept {
   return active_table().mac_row(weights, inputs, n, bias_raw, spec);
-}
-
-std::int64_t sum_row(const std::int32_t* values, std::size_t n) noexcept {
-  return active_table().sum_row(values, n);
 }
 
 void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
@@ -720,6 +780,13 @@ void mac_tile(const std::int32_t* weights, const std::int32_t* bias,
 void quantize_block(const float* values, std::size_t n, std::int32_t* out,
                     const mac_spec& spec) noexcept {
   active_table().quantize_block(values, n, out, spec);
+}
+
+std::int64_t quantize_mac_row(const float* values,
+                              const std::int32_t* weights, std::size_t n,
+                              std::int32_t* out,
+                              const mac_spec& spec) noexcept {
+  return active_table().quantize_mac_row(values, weights, n, out, spec);
 }
 
 }  // namespace klinq::fx::kernels

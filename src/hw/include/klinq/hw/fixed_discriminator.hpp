@@ -6,10 +6,15 @@
 // reproduces the float model's decision (the paper's "maintains
 // discrimination accuracy" claim for Q16.16).
 //
-// Dataset-scale evaluation goes through logits(): traces are quantized and
-// feature-extracted into cache-blocked tiles and pushed through the batched
-// fixed-point forward, parallelized over the global thread pool with one
-// scratch arena per worker chunk — bit-identical to the single-shot path.
+// Every fast-path entry point (logit, both branches of logits_block, and
+// logits_lanes) runs one front-end sweep per shot,
+// fixed_frontend::extract_trace, which writes the shot's features straight
+// into the network's input: a contiguous row for the row kernel, or one lane
+// of a feature-major 64-shot plane for the tile kernels. Dataset-scale
+// evaluation goes through logits(), which cuts the dataset into
+// cache-blocked tiles and parallelizes them over the global thread pool with
+// one scratch arena per worker chunk — bit-identical to the single-shot
+// path.
 #pragma once
 
 #include <cstdint>
@@ -27,15 +32,15 @@ namespace klinq::hw {
 
 /// Reusable buffers for the full trace→decision path: the quantized trace
 /// register file, a feature tile, and the network's ping-pong arena. The
-/// `_raw` members back the kernel fast path (32-bit formats): the quantized
-/// trace, the feature-major feature plane and the tile's output logits as
-/// raw int32 registers.
+/// kernel fast path (32-bit formats) uses `frontend` (the per-shot register
+/// row) and raw int32 registers for the feature-major feature plane and the
+/// tile's output logits.
 template <class Fixed>
 struct discriminator_scratch {
   std::vector<Fixed> trace;
   la::matrix<Fixed> features;
   quantized_scratch<Fixed> net;
-  aligned_vector<std::int32_t> trace_raw;
+  frontend_scratch frontend;
   aligned_vector<std::int32_t> plane_raw;
   aligned_vector<std::int32_t> logits_raw;
 };
@@ -62,11 +67,9 @@ class fixed_discriminator {
     if constexpr (quantized_network<Fixed>::kernel_fast_path) {
       // Raw-register pipeline, exactly like one lane of logits_block — the
       // mid-circuit repeated-measurement hot path.
-      scratch.trace_raw.resize(trace.size());
-      fixed_frontend<Fixed>::quantize_trace_raw(trace, scratch.trace_raw);
       scratch.plane_raw.resize(frontend_.output_width());
-      frontend_.extract_raw(scratch.trace_raw, samples_per_quadrature,
-                            scratch.plane_raw.data(), 1);
+      frontend_.extract_trace(trace, samples_per_quadrature, scratch.frontend,
+                              scratch.plane_raw.data(), 1);
       return Fixed::from_raw(
           net_.forward_logit_raw(scratch.plane_raw.data(), scratch.net));
     } else {
@@ -120,10 +123,9 @@ class fixed_discriminator {
     const std::size_t width = frontend_.output_width();
     constexpr std::size_t kTile = quantized_network<Fixed>::kBatchTile;
     if constexpr (quantized_network<Fixed>::kernel_fast_path) {
-      // Raw-register pipeline: quantize and extract straight into the
-      // feature-major plane, forward the whole tile through the dispatched
+      // Raw-register pipeline: one front-end sweep per shot straight into
+      // the feature-major plane, then the whole tile through the dispatched
       // kernels — no fixed<I,F> temporaries anywhere on the hot path.
-      scratch.trace_raw.resize(dataset.feature_width());
       scratch.plane_raw.resize(width * kTile);
       scratch.logits_raw.resize(kTile);
       for (std::size_t tile_begin = row_begin; tile_begin < row_end;
@@ -133,10 +135,9 @@ class fixed_discriminator {
           // Too few shots for the tile kernel's lanes: extract contiguously
           // and run the row kernel, which vectorizes along the features.
           for (std::size_t s = 0; s < tile; ++s) {
-            fixed_frontend<Fixed>::quantize_trace_raw(
-                dataset.trace(tile_begin + s), scratch.trace_raw);
-            frontend_.extract_raw(scratch.trace_raw, n,
-                                  scratch.plane_raw.data(), 1);
+            frontend_.extract_trace(dataset.trace(tile_begin + s), n,
+                                    scratch.frontend, scratch.plane_raw.data(),
+                                    1);
             out[tile_begin - row_begin + s] = Fixed::from_raw(
                 net_.forward_logit_raw(scratch.plane_raw.data(),
                                        scratch.net));
@@ -144,10 +145,9 @@ class fixed_discriminator {
           continue;
         }
         for (std::size_t s = 0; s < tile; ++s) {
-          fixed_frontend<Fixed>::quantize_trace_raw(
-              dataset.trace(tile_begin + s), scratch.trace_raw);
-          frontend_.extract_raw(scratch.trace_raw, n,
-                                scratch.plane_raw.data() + s, kTile);
+          frontend_.extract_trace(dataset.trace(tile_begin + s), n,
+                                  scratch.frontend,
+                                  scratch.plane_raw.data() + s, kTile);
         }
         net_.forward_logits_plane(scratch.plane_raw.data(), tile,
                                   scratch.logits_raw.data(), scratch.net);
@@ -199,11 +199,9 @@ class fixed_discriminator {
       scratch.logits_raw.resize(kTile);
       for (std::size_t s = 0; s < lanes; ++s) {
         const data::trace_dataset& ds = *datasets[s];
-        scratch.trace_raw.resize(ds.feature_width());
-        fixed_frontend<Fixed>::quantize_trace_raw(ds.trace(rows[s]),
-                                                  scratch.trace_raw);
-        frontend_.extract_raw(scratch.trace_raw, ds.samples_per_quadrature(),
-                              scratch.plane_raw.data() + s, kTile);
+        frontend_.extract_trace(ds.trace(rows[s]), ds.samples_per_quadrature(),
+                                scratch.frontend,
+                                scratch.plane_raw.data() + s, kTile);
       }
       net_.forward_logits_plane(scratch.plane_raw.data(), lanes,
                                 scratch.logits_raw.data(), scratch.net);

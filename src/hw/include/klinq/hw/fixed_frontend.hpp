@@ -11,9 +11,24 @@
 //
 // Constructed from a fitted float feature_pipeline; all calibration
 // constants are quantized once at build time, exactly like writing the
-// FPGA's parameter BRAM.
+// FPGA's parameter BRAM. That includes the AVG group bounds and reciprocals
+// for the trace duration the MF envelope fixes, and each feature's NORM
+// split into a rounding right shift and a saturating left shift.
+//
+// Two paths compute the same registers. extract() is the fixed<I,F>
+// reference (int128 products, one accumulator per group). For 32-bit
+// formats, extract_trace() is the hot path and, like the RTL, reads each
+// ADC sample once: one dispatched sweep (fx::kernels::quantize_mac_row)
+// quantizes the trace into an L1-resident register row and accumulates
+// the MF MAC in the same loop (without MF, quantize_block alone); the AVG
+// adder trees then re-read that row, and the AVG post-scale and NORM run
+// over contiguous feature rows, through the kernels' scalar post-scaler
+// (round_shift_clamp), before each feature is written once into the
+// caller's (feature-major) plane. extract_raw() is the same back half over
+// a row quantize_trace_raw() produced, for timing the stages apart.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,6 +41,27 @@
 
 namespace klinq::hw {
 
+/// The AVG stage's configuration for one trace duration N and G groups:
+/// group g covers samples [bounds[g], bounds[g + 1]) of each quadrature, and
+/// its mean is the clamped sum times reciprocal[g] (the raw register of
+/// 1 / length) through the post-scaler.
+struct avg_plan {
+  std::size_t samples_per_quadrature = 0;  ///< 0: not built
+  std::size_t groups = 0;
+  std::vector<std::uint32_t> bounds;
+  std::vector<std::int64_t> reciprocal;
+};
+
+/// Per-thread buffers of fixed_frontend::extract_trace: the 2N-register row
+/// the sweep writes and the AVG trees read back, and an AVG plan for a
+/// front end without one (only without MF, whose envelope pins N at
+/// construction). The plan is keyed by duration and G, so one scratch
+/// serves the front ends of every qubit.
+struct frontend_scratch {
+  aligned_vector<std::int32_t> row;
+  avg_plan plan;
+};
+
 template <class Fixed>
 class fixed_frontend {
  public:
@@ -33,6 +69,11 @@ class fixed_frontend {
   /// fixed_kernels.hpp); Q24.24 stays on the fixed<I,F> reference path.
   static constexpr bool kernel_fast_path =
       fx::kernels::has_int64_fast_path<Fixed>;
+
+  /// The signature of fx::kernels::quantize_mac_row at any tier.
+  using sweep_kernel = std::int64_t (*)(const float*, const std::int32_t*,
+                                        std::size_t, std::int32_t*,
+                                        const fx::kernels::mac_spec&) noexcept;
 
   fixed_frontend() = default;
 
@@ -60,6 +101,13 @@ class fixed_frontend {
     }
     shift_.assign(norm.shift_exponents().begin(),
                   norm.shift_exponents().end());
+    if constexpr (kernel_fast_path) {
+      if (use_mf_) build_plan(mf_envelope_.size() / 2, plan_);
+      for (std::size_t c = 0; c < shift_.size(); ++c) {
+        norm_.push_back({x_min_[c].raw(), std::clamp(shift_[c], 0, 62),
+                         std::clamp(-shift_[c], 0, 32)});
+      }
+    }
   }
 
   std::size_t output_width() const noexcept {
@@ -145,91 +193,187 @@ class fixed_frontend {
     }
   }
 
-  /// Fast-path extract over a raw register plane — bit-identical to
-  /// extract() per feature. Writes feature c to out[c * out_stride]; a
-  /// stride of quantized_network::kBatchTile lays consecutive shots out
-  /// feature-major, directly consumable by forward_logits_plane. The big
-  /// loops (AVG adder trees, the 2N-wide MF MAC) run on int32/int64 raws
-  /// with the kernel post-scaler; the handful of per-feature NORM ops reuse
-  /// the fixed<I,F> reference arithmetic.
+  /// The fast path's one entry point per shot (see the file comment): the
+  /// quantize+MF sweep into scratch.row (quantize_block alone without MF),
+  /// then finish_features. Feature c is written once, to
+  /// out[c * out_stride]; a stride of quantized_network::kBatchTile lays
+  /// consecutive shots out feature-major, directly consumable by
+  /// forward_logits_plane. Bit-identical to quantize_trace + extract per
+  /// feature. `sweep` runs the dispatched tier unless a bench or test pins
+  /// one.
+  void extract_trace(std::span<const float> trace,
+                     std::size_t samples_per_quadrature,
+                     frontend_scratch& scratch, std::int32_t* out,
+                     std::size_t out_stride,
+                     sweep_kernel sweep = fx::kernels::quantize_mac_row) const
+    requires(kernel_fast_path)
+  {
+    const std::size_t n = samples_per_quadrature;
+    require_duration(trace.size(), n);
+    scratch.row.resize(trace.size());
+    std::int64_t mf = 0;
+    if (use_mf_) {
+      mf = sweep(trace.data(), mf_envelope_raw_.data(), trace.size(),
+                 scratch.row.data(), kSpec);
+    } else {
+      fx::kernels::quantize_block(trace.data(), trace.size(),
+                                  scratch.row.data(), kSpec);
+    }
+    finish_features(scratch.row.data(), mf, plan_for(n, scratch.plan), out,
+                    out_stride);
+  }
+
+  /// extract_trace's back half over an already quantized register row (from
+  /// quantize_trace_raw): the MF MAC as its own pass, then the same AVG and
+  /// NORM code. Kept for timing the stages apart; bit-identical to
+  /// extract_trace and to extract().
   void extract_raw(std::span<const std::int32_t> trace,
                    std::size_t samples_per_quadrature, std::int32_t* out,
                    std::size_t out_stride) const
     requires(kernel_fast_path)
   {
     const std::size_t n = samples_per_quadrature;
-    KLINQ_REQUIRE(trace.size() == 2 * n, "fixed_frontend: trace width != 2N");
-    KLINQ_REQUIRE(n >= groups_, "fixed_frontend: fewer samples than groups");
-    KLINQ_REQUIRE(!use_mf_ || mf_envelope_.size() == 2 * n,
-                  "fixed_frontend: envelope width does not match this trace "
-                  "duration (rebuild the front-end for the new duration)");
-
-    // AVG: adder tree per group (exact int64 sum, one saturation), multiply
-    // by the reciprocal group length through the kernel post-scaler. Group
-    // lengths take at most two values (floor/ceil of n/groups), so the
-    // reciprocal — a configuration constant in hardware — is recomputed
-    // only when the length changes, not per group.
-    std::size_t cached_length = 0;
-    std::int64_t cached_reciprocal = 0;
-    for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
-      for (std::size_t g = 0; g < groups_; ++g) {
-        const std::size_t begin = g * n / groups_;
-        const std::size_t end = (g + 1) * n / groups_;
-        if (end - begin != cached_length) {
-          cached_length = end - begin;
-          cached_reciprocal =
-              Fixed::from_double(1.0 / static_cast<double>(cached_length))
-                  .raw();
-        }
-        const std::int32_t* samples = trace.data() + quadrature * n;
-        const std::int64_t sum =
-            fx::kernels::sum_row(samples + begin, end - begin);
-        const std::int64_t tree =
-            fx::kernels::clamp_raw(sum, Fixed::raw_min, Fixed::raw_max);
-        out[(quadrature * groups_ + g) * out_stride] =
-            static_cast<std::int32_t>(fx::kernels::round_shift_clamp(
-                tree * cached_reciprocal, Fixed::frac_bits, Fixed::raw_min,
-                Fixed::raw_max));
-      }
-    }
-
-    // MF: wide MAC over the raw quantized trace.
-    const std::size_t width = output_width();
-    if (use_mf_) {
-      out[(width - 1) * out_stride] =
-          static_cast<std::int32_t>(fx::kernels::mac_row(
-              mf_envelope_raw_.data(), trace.data(), trace.size(), 0, kSpec));
-    }
-
-    // NORM: (x − x_min) >> k for every concatenated feature. For k >= 0 the
-    // kernel post-scaler IS shifted_right (round to nearest on the
-    // magnitude, ties away, then the rails); negative exponents (a
-    // saturating shift left) fall back to the reference arithmetic.
-    for (std::size_t c = 0; c < width; ++c) {
-      const std::int64_t diff = fx::kernels::clamp_raw(
-          out[c * out_stride] - x_min_[c].raw(), Fixed::raw_min,
-          Fixed::raw_max);
-      if (shift_[c] >= 0) {
-        out[c * out_stride] =
-            static_cast<std::int32_t>(fx::kernels::round_shift_clamp(
-                diff, shift_[c], Fixed::raw_min, Fixed::raw_max));
-      } else {
-        out[c * out_stride] = static_cast<std::int32_t>(
-            Fixed::from_raw(diff).shifted_left(-shift_[c]).raw());
-      }
-    }
+    require_duration(trace.size(), n);
+    const std::int64_t mf =
+        use_mf_ ? fx::kernels::mac_row(mf_envelope_raw_.data(), trace.data(),
+                                       trace.size(), 0, kSpec)
+                : 0;
+    // Without MF, this thread's plan is rebuilt only when the duration or G
+    // changes.
+    thread_local avg_plan spare;
+    finish_features(trace.data(), mf, plan_for(n, spare), out, out_stride);
   }
 
  private:
   static constexpr fx::kernels::mac_spec kSpec =
       fx::kernels::spec_or_default<Fixed>();
 
+  /// One feature's NORM, (x - offset) >> shift, split by the exponent's
+  /// sign into a rounding right shift or a left shift that the final clamp
+  /// saturates. A right shift past 62 leaves 0 of any register and a left
+  /// shift past 32 saturates any nonzero one, as the int128 reference does;
+  /// the caps keep the int64 shifts defined.
+  struct norm_shift {
+    std::int64_t offset = 0;
+    int right = 0;
+    int left = 0;
+  };
+
+  void require_duration(std::size_t width, std::size_t n) const {
+    KLINQ_REQUIRE(width == 2 * n, "fixed_frontend: trace width != 2N");
+    KLINQ_REQUIRE(n >= groups_, "fixed_frontend: fewer samples than groups");
+    KLINQ_REQUIRE(!use_mf_ || mf_envelope_.size() == 2 * n,
+                  "fixed_frontend: envelope width does not match this trace "
+                  "duration (rebuild the front-end for the new duration)");
+  }
+
+  /// Fills `plan` for an N-sample duration: the AVG partition
+  /// [gN/G, (g+1)N/G) of a quadrature and each group's reciprocal length,
+  /// quantized like the RTL's constant.
+  void build_plan(std::size_t n, avg_plan& plan) const {
+    plan.samples_per_quadrature = n;
+    plan.groups = groups_;
+    plan.bounds.resize(groups_ + 1);
+    plan.reciprocal.resize(groups_);
+    for (std::size_t g = 0; g <= groups_; ++g) {
+      plan.bounds[g] = static_cast<std::uint32_t>(g * n / groups_);
+    }
+    for (std::size_t g = 0; g < groups_; ++g) {
+      plan.reciprocal[g] =
+          Fixed::from_double(
+              1.0 / static_cast<double>(plan.bounds[g + 1] - plan.bounds[g]))
+              .raw();
+    }
+  }
+
+  /// The plan built at construction when it fits this duration, else
+  /// `spare`, rebuilt only when it was built for another duration or G.
+  const avg_plan& plan_for(std::size_t n, avg_plan& spare) const {
+    if (plan_.samples_per_quadrature == n) return plan_;
+    if (spare.samples_per_quadrature != n || spare.groups != groups_) {
+      build_plan(n, spare);
+    }
+    return spare;
+  }
+
+  /// AVG adder trees over the register row, then the AVG post-scale and
+  /// NORM over contiguous feature rows, then one write per feature into
+  /// `out`. Group g of I and of Q share bounds and reciprocal, so one loop
+  /// builds both trees. Each step is the kernel arithmetic of
+  /// fixed_kernels.hpp, so each feature is bit-identical to the fixed<I,F>
+  /// reference: an exact int64 sum saturated once (fixed_accumulator), the
+  /// reciprocal multiply through the post-scaler (fixed::operator*), and
+  /// the NORM shift (shifted_right / shifted_left), split per feature into
+  /// a rounding right shift and a saturating left shift.
+  void finish_features(const std::int32_t* row, std::int64_t mf_raw,
+                       const avg_plan& plan, std::int32_t* out,
+                       std::size_t out_stride) const {
+    constexpr std::size_t kChunk = 32;
+    const std::size_t n = plan.samples_per_quadrature;
+    std::int64_t feature[2][kChunk];
+    for (std::size_t first = 0; first < groups_; first += kChunk) {
+      const std::size_t count = std::min(kChunk, groups_ - first);
+      const std::uint32_t* bounds = plan.bounds.data() + first;
+      const std::int64_t* reciprocal = plan.reciprocal.data() + first;
+      for (std::size_t k = 0; k < count; ++k) {
+        std::int64_t sum_i = 0;
+        std::int64_t sum_q = 0;
+        for (std::uint32_t s = bounds[k]; s < bounds[k + 1]; ++s) {
+          sum_i += row[s];
+          sum_q += row[n + s];
+        }
+        feature[0][k] = post_scale(clamp(sum_i) * reciprocal[k]);
+        feature[1][k] = post_scale(clamp(sum_q) * reciprocal[k]);
+      }
+      for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
+        const std::size_t c = quadrature * groups_ + first;
+        normalize(feature[quadrature], count, norm_.data() + c);
+        for (std::size_t k = 0; k < count; ++k) {
+          out[(c + k) * out_stride] =
+              static_cast<std::int32_t>(feature[quadrature][k]);
+        }
+      }
+    }
+    if (use_mf_) {
+      const std::size_t c = 2 * groups_;
+      normalize(&mf_raw, 1, norm_.data() + c);
+      out[c * out_stride] = static_cast<std::int32_t>(mf_raw);
+    }
+  }
+
+  /// NORM in place: (x - offset) saturated, then the feature's shift. The
+  /// right shift rounds ties away from zero like the post-scaler.
+  static void normalize(std::int64_t* feature, std::size_t count,
+                        const norm_shift* norm) noexcept {
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::int64_t rounded = fx::kernels::round_shift_clamp(
+          clamp(feature[k] - norm[k].offset), norm[k].right, Fixed::raw_min,
+          Fixed::raw_max);
+      feature[k] = clamp(rounded << norm[k].left);
+    }
+  }
+
+  /// The DSP post-scaler (fixed::operator*) by Fixed::frac_bits.
+  static constexpr std::int64_t post_scale(std::int64_t product) noexcept {
+    return fx::kernels::round_shift_clamp(product, Fixed::frac_bits,
+                                          Fixed::raw_min, Fixed::raw_max);
+  }
+
+  static constexpr std::int64_t clamp(std::int64_t value) noexcept {
+    return fx::kernels::clamp_raw(value, Fixed::raw_min, Fixed::raw_max);
+  }
+
   std::size_t groups_ = 0;
   bool use_mf_ = false;
   std::vector<Fixed> mf_envelope_;
-  aligned_vector<std::int32_t> mf_envelope_raw_;
   std::vector<Fixed> x_min_;
   std::vector<int> shift_;
+  // Fast-path configuration constants, built once like the parameter BRAM:
+  // the raw envelope, the AVG plan for the duration the envelope pins (no
+  // plan without MF), and each feature's NORM.
+  aligned_vector<std::int32_t> mf_envelope_raw_;
+  avg_plan plan_;
+  std::vector<norm_shift> norm_;
 };
 
 }  // namespace klinq::hw

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "klinq/common/rng.hpp"
@@ -196,26 +197,6 @@ TYPED_TEST(FixedKernelTest, MacRowSaturatesAccumulatorAtExtractionOnly) {
   }
 }
 
-TYPED_TEST(FixedKernelTest, SumRowTiersMatchWideAccumulator) {
-  using Fixed = TypeParam;
-  xoshiro256 rng(17);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
-                              std::size_t{33}, std::size_t{500}}) {
-    const auto values = random_raws<Fixed>(rng, n, true);
-    fixed_accumulator<Fixed> acc;
-    for (const std::int32_t v : values) acc.add_raw(v);
-    const std::int64_t reference = acc.raw_sum();
-    EXPECT_EQ(kernels::scalar64::sum_row(values.data(), n), reference);
-    if (kernels::avx2_available()) {
-      EXPECT_EQ(kernels::avx2::sum_row(values.data(), n), reference);
-    }
-    if (kernels::avx512_available()) {
-      EXPECT_EQ(kernels::avx512::sum_row(values.data(), n), reference);
-    }
-    EXPECT_EQ(kernels::sum_row(values.data(), n), reference);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // mac_tile: every lane of every neuron vs the reference, both activations
 // ---------------------------------------------------------------------------
@@ -333,6 +314,145 @@ TYPED_TEST(FixedKernelTest, QuantizeBlockMatchesFromDouble) {
   kernels::quantize_block(values.data(), values.size(), dispatched.data(),
                           spec);
   EXPECT_EQ(dispatched, expected);
+}
+
+// ---------------------------------------------------------------------------
+// quantize_mac_row: the front end's fused sweep vs quantize_block + mac_row
+// ---------------------------------------------------------------------------
+
+// The AVX-512 quantizer compares the scaled sample against float(raw_max),
+// not raw_max. That is exact only if no float lies in
+// [raw_max, float(raw_max)): for Q8.8 and Q12.12 raw_max is a float; for
+// Q16.16 float(raw_max) = 2^31 and the float just below it is 2^31 - 128.
+TYPED_TEST(FixedKernelTest, NoFloatLiesBetweenRailAndItsFloatRounding) {
+  using Fixed = TypeParam;
+  const auto rail = static_cast<float>(Fixed::raw_max);
+  if (static_cast<double>(rail) != static_cast<double>(Fixed::raw_max)) {
+    EXPECT_GT(static_cast<double>(rail), static_cast<double>(Fixed::raw_max));
+    EXPECT_LT(static_cast<double>(std::nextafter(rail, 0.0f)),
+              static_cast<double>(Fixed::raw_max));
+  }
+  EXPECT_EQ(static_cast<double>(static_cast<float>(Fixed::raw_min)),
+            static_cast<double>(Fixed::raw_min));
+}
+
+template <class Fixed>
+std::vector<float> adversarial_samples(std::size_t n, std::uint64_t seed) {
+  const double lsb = Fixed::resolution();
+  const double rail = static_cast<double>(Fixed::raw_max) * lsb;
+  const double power = std::ldexp(1.0, Fixed::int_bits - 1);  // 2^(I-1)
+  std::vector<float> corners = {
+      1e9f, -1e9f, std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(), static_cast<float>(power),
+      static_cast<float>(-power), 0.0f, -0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(), 1e-40f, -1e-40f,
+      std::numeric_limits<float>::min(), -std::numeric_limits<float>::min()};
+  // Half-ULP ties of both signs.
+  for (int k = -8; k <= 8; ++k) {
+    corners.push_back(
+        static_cast<float>((static_cast<double>(k) + 0.5) * lsb));
+  }
+  // Every float within 40 ULPs of both rails (the float-precision rail
+  // compare of the AVX-512 quantizer).
+  for (const double edge : {rail, -rail - lsb}) {
+    float up = static_cast<float>(edge);
+    float down = up;
+    for (int step = 0; step < 40; ++step) {
+      corners.push_back(up);
+      corners.push_back(down);
+      up = std::nextafter(up, std::numeric_limits<float>::infinity());
+      down = std::nextafter(down, -std::numeric_limits<float>::infinity());
+    }
+  }
+  xoshiro256 rng(seed);
+  std::vector<float> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    values[i] = rng.uniform(0.0, 1.0) < 0.3
+                    ? corners[static_cast<std::size_t>(rng.uniform(
+                                  0.0, static_cast<double>(corners.size()))) %
+                              corners.size()]
+                    : static_cast<float>(rng.uniform(-1.5 * rail, 1.5 * rail));
+  }
+  // Plant the corners at spread-out lanes; all of them once n exceeds
+  // their count.
+  for (std::size_t c = 0; c < corners.size() && c < n; ++c) {
+    values[(c * 17) % n] = corners[c];
+  }
+  return values;
+}
+
+TYPED_TEST(FixedKernelTest, QuantizeMacRowTiersMatchQuantizeThenMacRow) {
+  using Fixed = TypeParam;
+  // Each tier's sweep, and its quantize_block (which the AVX-512 tier runs
+  // in float precision like its sweep).
+  struct tier {
+    const char* name;
+    std::int64_t (*sweep)(const float*, const std::int32_t*, std::size_t,
+                          std::int32_t*, const kernels::mac_spec&) noexcept;
+    void (*quantize)(const float*, std::size_t, std::int32_t*,
+                     const kernels::mac_spec&) noexcept;
+  };
+  const auto spec = kernels::spec_of<Fixed>();
+  std::vector<tier> tiers = {
+      {"scalar64", kernels::scalar64::quantize_mac_row,
+       kernels::scalar64::quantize_block},
+      {"dispatched", kernels::quantize_mac_row, kernels::quantize_block}};
+  if (kernels::avx2_available()) {
+    tiers.push_back({"avx2", kernels::avx2::quantize_mac_row,
+                     kernels::avx2::quantize_block});
+  }
+  if (kernels::avx512_available()) {
+    tiers.push_back({"avx512", kernels::avx512::quantize_mac_row,
+                     kernels::avx512::quantize_block});
+  }
+  xoshiro256 rng(31);
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{15}, std::size_t{16}, std::size_t{17},
+        std::size_t{33}, std::size_t{200}, std::size_t{1000},
+        std::size_t{1003}}) {
+    const auto values = adversarial_samples<Fixed>(n, 100 + n);
+    // Rail-heavy random weights, and every third one +-2^(F-1) (0.5) or
+    // +-1 LSB: against an odd register those make half-ULP tie products of
+    // both signs.
+    auto weights = random_raws<Fixed>(rng, n, true);
+    const auto half = static_cast<std::int32_t>(1 << (Fixed::frac_bits - 1));
+    for (std::size_t i = 0; i < n; i += 3) {
+      const std::int32_t pick[] = {half, -half, 1, -1};
+      weights[i] = pick[(i / 3) % 4];
+    }
+    // References: fixed::from_double per sample, the int128 MAC over the
+    // registers, and the scalar two-pass kernels.
+    std::vector<std::int32_t> expected(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      expected[i] =
+          static_cast<std::int32_t>(Fixed::from_double(values[i]).raw());
+    }
+    const std::int64_t expected_mac = ref_mac_row<Fixed>(weights, expected, 0);
+    std::vector<std::int32_t> two_pass(n, -1);
+    kernels::scalar64::quantize_block(values.data(), n, two_pass.data(), spec);
+    ASSERT_EQ(two_pass, expected) << "n=" << n;
+    ASSERT_EQ(kernels::scalar64::mac_row(weights.data(), two_pass.data(), n, 0,
+                                         spec),
+              expected_mac)
+        << "n=" << n;
+    for (const auto& [name, sweep, quantize] : tiers) {
+      std::vector<std::int32_t> row(n + 1, -7);  // one guard register
+      EXPECT_EQ(sweep(values.data(), weights.data(), n, row.data(), spec),
+                expected_mac)
+          << name << " n=" << n;
+      EXPECT_EQ(row[n], -7) << name << " sweep wrote past the row, n=" << n;
+      row.pop_back();
+      EXPECT_EQ(row, expected) << name << " n=" << n;
+      std::vector<std::int32_t> quantized(n + 1, -7);
+      quantize(values.data(), n, quantized.data(), spec);
+      EXPECT_EQ(quantized[n], -7)
+          << name << " quantize_block wrote past the row, n=" << n;
+      quantized.pop_back();
+      EXPECT_EQ(quantized, expected) << name << " quantize_block n=" << n;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,17 @@
 // cycle-accurate latency (Table III), resource estimation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <span>
 #include <sstream>
+#include <utility>
+#include <string>
+#include <vector>
 
+#include "klinq/common/rng.hpp"
+#include "klinq/dsp/feature_pipeline.hpp"
+#include "klinq/fixed/fixed_kernels.hpp"
 #include "klinq/hw/cycle_model.hpp"
 #include "klinq/hw/fixed_discriminator.hpp"
 #include "klinq/hw/fixed_frontend.hpp"
@@ -150,6 +159,161 @@ TEST(FixedFrontend, RejectsWrongDuration) {
                invalid_argument_error);
 }
 
+/// extract_trace at every sweep tier (the pinned sweep runs only with MF)
+/// and extract_raw, feature for feature against the fixed<I,F> reference
+/// extract().
+void expect_fast_paths_match_reference(
+    const hw::fixed_frontend<q16_16>& frontend, std::span<const float> trace,
+    std::size_t n, const std::string& what) {
+  const auto quantized = hw::fixed_frontend<q16_16>::quantize_trace(trace);
+  std::vector<q16_16> expected(frontend.output_width());
+  frontend.extract(quantized, n, expected);
+  std::vector<std::pair<const char*,
+                        hw::fixed_frontend<q16_16>::sweep_kernel>>
+      sweeps = {{"scalar64", fx::kernels::scalar64::quantize_mac_row},
+                {"dispatched", fx::kernels::quantize_mac_row}};
+  if (fx::kernels::avx2_available()) {
+    sweeps.emplace_back("avx2", fx::kernels::avx2::quantize_mac_row);
+  }
+  if (fx::kernels::avx512_available()) {
+    sweeps.emplace_back("avx512", fx::kernels::avx512::quantize_mac_row);
+  }
+  hw::frontend_scratch scratch;
+  std::vector<std::int32_t> actual(frontend.output_width());
+  for (const auto& [name, sweep] : sweeps) {
+    frontend.extract_trace(trace, n, scratch, actual.data(), 1, sweep);
+    for (std::size_t c = 0; c < expected.size(); ++c) {
+      ASSERT_EQ(actual[c], expected[c].raw())
+          << what << " extract_trace/" << name << " feature " << c;
+    }
+  }
+  std::vector<std::int32_t> row(trace.size());
+  hw::fixed_frontend<q16_16>::quantize_trace_raw(trace, row);
+  frontend.extract_raw(row, n, actual.data(), 1);
+  for (std::size_t c = 0; c < expected.size(); ++c) {
+    ASSERT_EQ(actual[c], expected[c].raw())
+        << what << " extract_raw feature " << c;
+  }
+}
+
+// The NORM corners on purpose: with G = 125 every group holds 4 samples and
+// its reciprocal 0.25 is exact, so a group of 4 equal samples averages to
+// exactly their register. That steers each AVG feature onto chosen
+// (x - x_min) values: rounding ties of both signs under right shifts, and
+// the saturation edge under left shifts.
+TEST(FixedFrontend, ExtractTraceMatchesReferenceOnNormTiesAndRails) {
+  constexpr std::size_t n = 500;
+  constexpr std::size_t groups = 125;
+  // Group g's samples spread by 2^((g % 9) - 4), so the fitted NORM
+  // exponents span both signs.
+  data::trace_dataset train(64, n);
+  xoshiro256 rng(21);
+  std::vector<float> trace(2 * n);
+  for (std::size_t r = 0; r < 64; ++r) {
+    for (std::size_t i = 0; i < 2 * n; ++i) {
+      const std::size_t g = (i % n) / (n / groups);
+      const double spread = std::ldexp(1.0, static_cast<int>(g % 9) - 4);
+      trace[i] = static_cast<float>((r % 2 == 0 ? 0.01 : -0.01) +
+                                    spread * rng.uniform(-1.0, 1.0));
+    }
+    train.append(trace, r % 2 == 0);
+  }
+  const auto pipeline = dsp::feature_pipeline::fit(
+      train, {.groups_per_quadrature = groups});
+  const hw::fixed_frontend<q16_16> frontend(pipeline);
+  const auto shifts = pipeline.normalizer().shift_exponents();
+  ASSERT_LT(*std::min_element(shifts.begin(), shifts.end()), 0);
+  ASSERT_GT(*std::max_element(shifts.begin(), shifts.end()), 0);
+
+  for (int variant = -4; variant < 4; ++variant) {
+    for (std::size_t c = 0; c < 2 * groups; ++c) {
+      const std::int64_t x_min =
+          q16_16::from_double(pipeline.normalizer().x_min()[c]).raw();
+      const int k = shifts[c];
+      float value;
+      if (k > 0) {
+        // An odd multiple of half a step: a tie, below x_min for negative
+        // variants.
+        const std::int64_t target =
+            x_min + (2 * variant + 1) * (std::int64_t{1} << (k - 1));
+        value = static_cast<float>(
+            std::ldexp(static_cast<double>(target), -q16_16::frac_bits));
+      } else {
+        // The floats next to x_min +- (raw_max >> -k), the largest
+        // |x - x_min| the left shift keeps off the rails: odd variants step
+        // past it, even ones stay inside.
+        const std::int64_t edge = q16_16::raw_max >> -k;
+        const std::int64_t target = x_min + (variant < 0 ? -edge : edge);
+        const float inside = static_cast<float>(
+            std::ldexp(static_cast<double>(target), -q16_16::frac_bits));
+        const float x_min_value = pipeline.normalizer().x_min()[c];
+        value = variant % 2 != 0
+                    ? std::nextafter(inside, variant < 0 ? -1e9f : 1e9f)
+                    : std::nextafter(inside, x_min_value);
+      }
+      const std::size_t quadrature = c / groups;
+      const std::size_t first = quadrature * n + (c % groups) * (n / groups);
+      std::fill_n(trace.begin() + static_cast<std::ptrdiff_t>(first),
+                  n / groups, value);
+    }
+    expect_fast_paths_match_reference(frontend, trace, n,
+                                      "variant " + std::to_string(variant));
+  }
+  // Rails everywhere: every group, the MF MAC and the NORM saturate.
+  for (const float rail : {1e9f, -1e9f}) {
+    std::fill(trace.begin(), trace.end(), rail);
+    expect_fast_paths_match_reference(frontend, trace, n, "rail");
+  }
+}
+
+// Without MF no envelope pins the duration, so the AVG plan lives in the
+// caller's scratch (extract_trace) or the thread (extract_raw). One scratch
+// shared by front ends of different G, at two durations, must still
+// reproduce each front end's reference features.
+TEST(FixedFrontend, ExtractTraceWithoutMfSharesScratchAcrossShapes) {
+  const auto& data = tiny_data();
+  std::vector<hw::fixed_frontend<q16_16>> frontends;
+  for (const std::size_t groups : {7, 15}) {
+    frontends.emplace_back(dsp::feature_pipeline::fit(
+        data.train,
+        {.groups_per_quadrature = groups, .use_matched_filter = false}));
+  }
+  const std::size_t full = data.test.samples_per_quadrature();
+  hw::frontend_scratch scratch;
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (const std::size_t n : {full, full / 2}) {
+      // The first n samples of each quadrature.
+      const auto trace = data.test.trace(r);
+      std::vector<float> cut(trace.begin(),
+                             trace.begin() + static_cast<std::ptrdiff_t>(n));
+      cut.insert(cut.end(),
+                 trace.begin() + static_cast<std::ptrdiff_t>(full),
+                 trace.begin() + static_cast<std::ptrdiff_t>(full + n));
+      for (const auto& frontend : frontends) {
+        const std::string what =
+            "G=" + std::to_string(frontend.groups_per_quadrature()) +
+            " n=" + std::to_string(n);
+        std::vector<q16_16> expected(frontend.output_width());
+        frontend.extract(hw::fixed_frontend<q16_16>::quantize_trace(cut), n,
+                         expected);
+        std::vector<std::int32_t> actual(frontend.output_width());
+        frontend.extract_trace(cut, n, scratch, actual.data(), 1);
+        for (std::size_t c = 0; c < expected.size(); ++c) {
+          ASSERT_EQ(actual[c], expected[c].raw())
+              << what << " extract_trace feature " << c;
+        }
+        std::vector<std::int32_t> row(cut.size());
+        hw::fixed_frontend<q16_16>::quantize_trace_raw(cut, row);
+        frontend.extract_raw(row, n, actual.data(), 1);
+        for (std::size_t c = 0; c < expected.size(); ++c) {
+          ASSERT_EQ(actual[c], expected[c].raw())
+              << what << " extract_raw feature " << c;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end fixed discriminator
 // ---------------------------------------------------------------------------
@@ -173,6 +337,141 @@ TEST(FixedDiscriminator, NarrowFormatDegrades) {
   // Q8.8 saturates on the MF accumulation → agreement drops measurably.
   EXPECT_LE(narrow.agreement_with_float(student, test),
             wide.agreement_with_float(student, test));
+}
+
+// ---------------------------------------------------------------------------
+// Fast path vs the fixed<I,F> reference: every discriminator entry point
+// ---------------------------------------------------------------------------
+
+/// The reference datapath: fixed<I,F> quantize_trace + extract, then the
+/// network's forward_logit.
+template <class Fixed>
+Fixed reference_logit(const hw::fixed_discriminator<Fixed>& engine,
+                      std::span<const float> trace, std::size_t n) {
+  const auto quantized = hw::fixed_frontend<Fixed>::quantize_trace(trace);
+  std::vector<Fixed> features(engine.frontend().output_width());
+  engine.frontend().extract(quantized, n, features);
+  return engine.net().forward_logit(features);
+}
+
+/// A copy of `test` with every sample times `scale`, plus (with
+/// `rail_shots`) shots that drive every stage onto its rails: samples at
+/// ±1e9, ±inf and NaN, and whole traces beyond the Q16.16 range, so the AVG
+/// trees, the MF MAC and the NORM shifts all saturate somewhere.
+data::trace_dataset scaled_copy(const data::trace_dataset& test, float scale,
+                                bool rail_shots) {
+  data::trace_dataset out(test.size() + 8, test.samples_per_quadrature());
+  std::vector<float> trace(test.feature_width());
+  for (std::size_t r = 0; r < test.size(); ++r) {
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      trace[i] = test.trace(r)[i] * scale;
+    }
+    out.append(trace, test.label_state(r));
+  }
+  if (!rail_shots) return out;
+  const float specials[] = {1e9f, -1e9f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (std::size_t k = 0; k < 8; ++k) {
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const float base = test.trace(k)[i] * scale;
+      if (k < 2) {
+        trace[i] = k == 0 ? 40000.0f : -40000.0f;  // every group saturates
+      } else if (i % (k + 3) == 0) {
+        trace[i] = specials[(i + k) % 5];
+      } else {
+        trace[i] = base;
+      }
+    }
+    out.append(trace, k % 2 == 0);
+  }
+  return out;
+}
+
+struct frontend_case {
+  std::size_t groups;
+  bool matched_filter;
+  float scale;  // trace gain: large gains give positive NORM shifts
+};
+
+TEST(FixedDiscriminator, FastPathEqualsReferenceAtEveryCallShape) {
+  const auto& data = tiny_data();
+  const std::size_t n = data.test.samples_per_quadrature();
+  ASSERT_EQ(n, 500u);
+  // G = 7 does not divide N = 500: groups of 71 and 72 samples.
+  const frontend_case cases[] = {
+      {15, true, 1.0f}, {100, true, 1.0f}, {7, true, 1.0f}, {7, false, 1.0f},
+      {15, false, 2048.0f}};
+  bool negative_shift = false;
+  bool positive_shift = false;
+  for (const frontend_case& fc : cases) {
+    SCOPED_TRACE("G=" + std::to_string(fc.groups) +
+                 " mf=" + std::to_string(fc.matched_filter) +
+                 " scale=" + std::to_string(fc.scale));
+    const data::trace_dataset train = scaled_copy(data.train, fc.scale, false);
+    const data::trace_dataset test = scaled_copy(data.test, fc.scale, true);
+    kd::student_config config;
+    config.groups_per_quadrature = fc.groups;
+    config.use_matched_filter = fc.matched_filter;
+    config.epochs = 2;
+    const auto student = kd::distill_student(train, {}, config);
+    for (const int k : student.pipeline().normalizer().shift_exponents()) {
+      negative_shift |= k < 0;
+      positive_shift |= k > 0;
+    }
+    const hw::fixed_discriminator<q16_16> engine(student);
+
+    std::vector<std::int64_t> expected(test.size());
+    for (std::size_t r = 0; r < test.size(); ++r) {
+      expected[r] = reference_logit(engine, test.trace(r), n).raw();
+    }
+
+    hw::discriminator_scratch<q16_16> scratch;
+    for (std::size_t r = 0; r < test.size(); ++r) {
+      ASSERT_EQ(engine.logit(test.trace(r), n, scratch).raw(), expected[r])
+          << "logit row " << r;
+    }
+    for (const std::size_t size : {1, 3, 4, 64, 65}) {
+      std::vector<q16_16> out(test.size());
+      for (std::size_t b = 0; b < test.size(); b += size) {
+        const std::size_t e = std::min(test.size(), b + size);
+        engine.logits_block(test, b, e, std::span(out).subspan(b, e - b),
+                            scratch);
+      }
+      for (std::size_t r = 0; r < test.size(); ++r) {
+        ASSERT_EQ(out[r].raw(), expected[r])
+            << "logits_block size " << size << " row " << r;
+      }
+    }
+    // Lane packs draw rows out of order, the rail shots included.
+    const std::size_t stride = 37;  // coprime with the row count below
+    ASSERT_NE(test.size() % stride, 0u);
+    for (const std::size_t lanes : {1, 3, 4, 64, 65}) {
+      std::size_t next = 0;
+      for (std::size_t done = 0; done < test.size();) {
+        const std::size_t pack = std::min(
+            {lanes, hw::quantized_network<q16_16>::kBatchTile,
+             test.size() - done});
+        std::vector<const data::trace_dataset*> datasets(pack, &test);
+        std::vector<std::size_t> rows(pack);
+        for (auto& row : rows) {
+          row = next;
+          next = (next + stride) % test.size();
+        }
+        std::vector<q16_16> out(pack);
+        engine.logits_lanes(datasets.data(), rows.data(), pack, out,
+                            scratch);
+        for (std::size_t s = 0; s < pack; ++s) {
+          ASSERT_EQ(out[s].raw(), expected[rows[s]])
+              << "logits_lanes pack " << lanes << " row " << rows[s];
+        }
+        done += pack;
+      }
+    }
+  }
+  EXPECT_TRUE(negative_shift);
+  EXPECT_TRUE(positive_shift);
 }
 
 // ---------------------------------------------------------------------------

@@ -388,6 +388,16 @@ int run_listen_chaos(serve::readout_server& server,
 
   {
     // Overload at 2x the per-connection quota, blasted without reading.
+    // The loop may read the burst over several wakeups, so completions are
+    // held back (net.complete delay) until every frame of the burst has been
+    // admitted or shed: no completion can free a quota slot mid-burst, and
+    // the shed count no longer depends on how fast this build runs. The
+    // delay stays well under read_idle_seconds, so the waiting connection is
+    // never reaped as idle. This holds only where the pool has workers: on a
+    // one-CPU host each admitted request runs inline on the loop thread and
+    // its completion is delivered (delay included) before the next poll(),
+    // so a burst read over several wakeups frees quota slots mid-burst and
+    // the shed count depends on timing again.
     net::client overload("127.0.0.1", bound);
     const std::size_t quota = config.max_inflight_per_connection;
     std::vector<std::uint8_t> burst;
@@ -397,7 +407,18 @@ int run_listen_chaos(serve::readout_server& server,
                               serve::lane_class::bulk, block);
       burst.insert(burst.end(), bytes.begin(), bytes.end());
     }
+    const net::front_end_stats before = front_end.stats();
+    fault::arm_from_string("net.complete:delay_ms=100:1.0:1");
     overload.send_bytes(burst);
+    wait_for(
+        [&] {
+          const net::front_end_stats now = front_end.stats();
+          return now.requests_admitted - before.requests_admitted +
+                     now.busy_rejections - before.busy_rejections >=
+                 2 * quota;
+        },
+        5.0);
+    fault::disarm_all();
     std::size_t served = 0;
     std::size_t shed = 0;
     for (std::size_t i = 0; i < 2 * quota; ++i) {
