@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -81,6 +82,24 @@ class xoshiro256 {
     cached_ = radius * std::sin(two_pi * u2);
     has_cached_ = true;
     return radius * std::cos(two_pi * u2);
+  }
+
+  /// Advances the generator exactly as `count` calls to normal() would,
+  /// without the log/sqrt/sin/cos: a cached deviate is consumed first, each
+  /// skipped pair keeps normal()'s `u1 <= 0` redraw, and an odd remainder
+  /// runs one real normal() so the cache matches too.
+  void discard_normals(std::size_t count) noexcept {
+    if (count == 0) return;
+    if (has_cached_) {
+      has_cached_ = false;
+      --count;
+    }
+    for (std::size_t pair = count / 2; pair > 0; --pair) {
+      while (uniform() <= 0.0) {
+      }
+      (*this)();  // u2
+    }
+    if (count % 2 != 0) normal();
   }
 
   /// Normal with given mean and standard deviation.

@@ -9,6 +9,14 @@
 //   * the same physical shots are replayed when extracting different qubits'
 //     channels (exactly like reusing one recorded dataset), and
 //   * generation is reproducible and parallelizable.
+//
+// A per-qubit build simulates only the requested channel
+// (readout_simulator::simulate_channels): the other channels' noise is
+// skipped with xoshiro256::discard_normals instead of computed. The shot is
+// still the same one, bit for bit: its seed does not depend on the qubit,
+// and a channel's noise depends only on how many draws came before it,
+// which skipping leaves unchanged. Each worker writes into its own row
+// buffer instead of building a full shot_result per shot.
 #pragma once
 
 #include <array>

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "klinq/common/rng.hpp"
@@ -38,6 +39,20 @@ class readout_simulator {
   /// (bit q = prepared state of qubit q). Deterministic given `rng` state.
   shot_result simulate_shot(std::uint32_t permutation, xoshiro256& rng) const;
 
+  /// The same shot as simulate_shot from the same `rng` state, but only the
+  /// channels q with a non-null `channel_out[q]` (2N floats each) are
+  /// computed; simulate_shot is this call with every channel selected.
+  /// Every qubit still makes its preparation, T1 and jitter draws. The clean
+  /// trajectory is built only for a selected qubit or one that leaks into
+  /// one through crosstalk. An unselected channel's noise is skipped with
+  /// xoshiro256::discard_normals, so each selected channel sees the same
+  /// draws it would in the full shot; channels past the last selected one
+  /// draw nothing, which leaves `rng` short of where a full shot would.
+  /// `decay_time_ns` is empty or per qubit; returns the actual initial states.
+  std::uint32_t simulate_channels(std::uint32_t permutation, xoshiro256& rng,
+                                  std::span<float* const> channel_out,
+                                  std::span<double> decay_time_ns = {}) const;
+
   /// Clean (noise-free, jitter-free, crosstalk-free) expected trajectory of
   /// one qubit for a given initial state and optional decay time — exposes
   /// the physics for tests and envelope analysis.
@@ -51,8 +66,14 @@ class readout_simulator {
   std::vector<float> multiplex_feedline(const shot_result& shot) const;
 
  private:
+  void clean_trajectory(std::size_t qubit, bool excited, double decay_time_ns,
+                        float* i_out, float* q_out) const;
+
   device_params params_;
   std::size_t samples_ = 0;
+  /// e^{jωk} per qubit and sample for multiplex_feedline:
+  /// carrier_[(q·N + k)·2] = cos ωk, [+1] = sin ωk.
+  std::vector<double> carrier_;
 };
 
 }  // namespace klinq::qsim

@@ -1,5 +1,7 @@
 #include "klinq/qsim/dataset_builder.hpp"
 
+#include <algorithm>
+
 #include "klinq/common/error.hpp"
 #include "klinq/common/thread_pool.hpp"
 
@@ -34,17 +36,22 @@ data::trace_dataset build_split(const readout_simulator& sim,
   ds.resize_traces(total);
 
   parallel_for_chunked(0, total, [&](std::size_t begin, std::size_t end) {
+    // Per-worker row: a per-qubit build simulates only its one channel,
+    // straight into it. The feedline needs every channel, so a full shot.
+    std::vector<float> row(2 * sim.samples_per_quadrature());
+    std::vector<float*> channel_out(n_qubits, nullptr);
+    channel_out[qubit] = row.data();
     for (std::size_t index = begin; index < end; ++index) {
       const auto perm = static_cast<std::uint32_t>(index / shots_per_perm);
       const std::uint64_t shot_index = index % shots_per_perm;
       xoshiro256 rng(shot_seed(spec.seed, perm, shot_index, is_test));
-      const shot_result shot = sim.simulate_shot(perm, rng);
       const bool label = ((perm >> qubit) & 1u) != 0;
       if (mode == channel_mode::per_qubit) {
-        ds.set_trace(index, shot.channels[qubit], label,
-                     static_cast<std::uint8_t>(perm));
+        sim.simulate_channels(perm, rng, channel_out);
+        ds.set_trace(index, row, label, static_cast<std::uint8_t>(perm));
       } else {
-        const std::vector<float> feedline = sim.multiplex_feedline(shot);
+        const std::vector<float> feedline =
+            sim.multiplex_feedline(sim.simulate_shot(perm, rng));
         ds.set_trace(index, feedline, label, static_cast<std::uint8_t>(perm));
       }
     }
@@ -88,16 +95,24 @@ data::trace_dataset build_multichannel_split(
   ds.resize_traces(total);
 
   parallel_for_chunked(0, total, [&](std::size_t begin, std::size_t end) {
+    // Per-worker row; each requested channel is simulated straight into its
+    // block, and a channel listed twice is copied from its first block.
     std::vector<float> row(channels.size() * 2 * n);
+    std::vector<float*> channel_out(n_qubits, nullptr);
+    for (std::size_t c = 0; c < channels.size(); ++c) {
+      if (channel_out[channels[c]] == nullptr) {
+        channel_out[channels[c]] = row.data() + c * 2 * n;
+      }
+    }
     for (std::size_t index = begin; index < end; ++index) {
       const auto perm = static_cast<std::uint32_t>(index / shots_per_perm);
       const std::uint64_t shot_index = index % shots_per_perm;
       xoshiro256 rng(shot_seed(spec.seed, perm, shot_index, is_test));
-      const shot_result shot = sim.simulate_shot(perm, rng);
+      sim.simulate_channels(perm, rng, channel_out);
       for (std::size_t c = 0; c < channels.size(); ++c) {
-        const auto& channel = shot.channels[channels[c]];
-        std::copy(channel.begin(), channel.end(),
-                  row.begin() + static_cast<std::ptrdiff_t>(c * 2 * n));
+        const float* first = channel_out[channels[c]];
+        float* block = row.data() + c * 2 * n;
+        if (first != block) std::copy(first, first + 2 * n, block);
       }
       const bool label = ((perm >> label_qubit) & 1u) != 0;
       ds.set_trace(index, row, label, static_cast<std::uint8_t>(perm));

@@ -1,6 +1,8 @@
 // Tests for the HMM and SVM baselines and the DDC-related dataset builders.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "klinq/baselines/hmm.hpp"
 #include "klinq/baselines/mf_threshold.hpp"
 #include "klinq/baselines/svm.hpp"
@@ -172,14 +174,27 @@ TEST(MultichannelDataset, ConcatenatesChannelsInOrder) {
   const auto multi = qsim::build_multichannel_dataset(spec, 1, channels);
   EXPECT_EQ(multi.train.feature_width(), 3u * 1000u);
 
-  // Row r of the multichannel set must contain qubit 1's channel first —
-  // identical to the single-channel dataset for the same spec.
-  const auto single = qsim::build_qubit_dataset(spec, 1);
-  for (std::size_t r = 0; r < multi.train.size(); ++r) {
-    for (std::size_t c = 0; c < 1000; ++c) {
-      ASSERT_FLOAT_EQ(multi.train.trace(r)[c], single.train.trace(r)[c]);
+  // Block c of row r must be bit for bit channel channels[c] of the same
+  // shot, i.e. the single-channel dataset's row r for that qubit.
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    const auto single = qsim::build_qubit_dataset(spec, channels[c]);
+    for (std::size_t r = 0; r < multi.train.size(); ++r) {
+      ASSERT_EQ(std::memcmp(multi.train.trace(r).data() + c * 1000,
+                            single.train.trace(r).data(), 1000 * sizeof(float)),
+                0)
+          << "block " << c << " row " << r;
+      EXPECT_EQ(multi.train.label_state(r),
+                ((multi.train.permutations()[r] >> 1) & 1u) != 0);
     }
-    EXPECT_EQ(multi.train.label_state(r), single.train.label_state(r));
+  }
+
+  // A channel listed twice fills both blocks with the same samples.
+  const auto twice = qsim::build_multichannel_dataset(spec, 2, {2, 2});
+  for (std::size_t r = 0; r < twice.test.size(); ++r) {
+    ASSERT_EQ(std::memcmp(twice.test.trace(r).data(),
+                          twice.test.trace(r).data() + 1000,
+                          1000 * sizeof(float)),
+              0);
   }
 }
 

@@ -102,6 +102,29 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_LT(same, 2);
 }
 
+TEST(Rng, DiscardNormalsMatchesNormalCalls) {
+  for (const std::uint64_t seed : {1ull, 7ull, 42ull, 0xDEADBEEFull}) {
+    for (const bool cached : {false, true}) {
+      for (const std::size_t count : {0u, 1u, 2u, 3u, 999u, 1000u, 1001u}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " cached "
+                                        << cached << " count " << count);
+        xoshiro256 skipped(seed);
+        xoshiro256 drawn(seed);
+        if (cached) {  // leave the second deviate of a pair in the cache
+          skipped.normal();
+          drawn.normal();
+        }
+        skipped.discard_normals(count);
+        for (std::size_t i = 0; i < count; ++i) drawn.normal();
+        for (int i = 0; i < 64; ++i) {
+          ASSERT_EQ(skipped.normal(), drawn.normal());
+          ASSERT_EQ(skipped.uniform(), drawn.uniform());
+        }
+      }
+    }
+  }
+}
+
 TEST(ThreadPool, ParallelForCoversAllIndicesExactlyOnce) {
   thread_pool pool(4);
   std::vector<std::atomic<int>> counts(1000);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "klinq/common/math.hpp"
 #include "klinq/common/rng.hpp"
@@ -185,12 +186,33 @@ TEST(Shot, CrosstalkLeaksNeighbourSignal) {
 }
 
 TEST(Feedline, MultiplexSumsModulatedChannels) {
-  const readout_simulator sim(qsim::lienhard5q_preset());
+  const auto device = qsim::lienhard5q_preset();
+  const readout_simulator sim(device);
   xoshiro256 rng(7);
   const auto shot = sim.simulate_shot(5, rng);
   const auto feedline = sim.multiplex_feedline(shot);
-  EXPECT_EQ(feedline.size(), 1000u);
-  // Energy in the feedline is of the order of the summed channels.
+  ASSERT_EQ(feedline.size(), 1000u);
+  // The direct formula, Σ_q (I + jQ)·e^{jω_q k} with cos/sin per sample,
+  // must match the simulator's precomputed carrier table exactly.
+  const std::size_t n = 500;
+  const double dt_us = data::kSamplePeriodNs * 1e-3;
+  std::vector<float> expected(2 * n, 0.0f);
+  for (std::size_t q = 0; q < device.qubit_count(); ++q) {
+    const double omega =
+        2.0 * 3.14159265358979323846 * device.qubits[q].if_freq_mhz * dt_us;
+    const auto& channel = shot.channels[q];
+    for (std::size_t k = 0; k < n; ++k) {
+      const double angle = omega * static_cast<double>(k);
+      const double c = std::cos(angle);
+      const double s = std::sin(angle);
+      expected[k] += static_cast<float>(c * channel[k] - s * channel[n + k]);
+      expected[n + k] +=
+          static_cast<float>(s * channel[k] + c * channel[n + k]);
+    }
+  }
+  EXPECT_EQ(std::memcmp(feedline.data(), expected.data(),
+                        expected.size() * sizeof(float)),
+            0);
   double energy = 0.0;
   for (const float v : feedline) energy += v * v;
   EXPECT_GT(energy, 0.0);
@@ -268,22 +290,98 @@ TEST(DatasetBuilder, TrainAndTestShotsDiffer) {
 }
 
 TEST(DatasetBuilder, SameShotsAcrossQubitExtraction) {
-  // Extracting different qubits replays identical physical shots: qubit 0's
-  // channel must be identical whether we ask for qubit 0 or qubit 1 dataset.
+  // Extracting different qubits replays identical physical shots: every
+  // per-qubit row, on both splits, is bit for bit the same channel of the
+  // full shot rebuilt from its seed, although the builder simulates only
+  // that one channel.
   qsim::dataset_spec spec;
   spec.device = qsim::lienhard5q_preset();
-  spec.shots_per_permutation_train = 1;
+  spec.shots_per_permutation_train = 2;
   spec.shots_per_permutation_test = 1;
   spec.seed = 17;
   const readout_simulator sim(spec.device);
-  // Rebuild shot (perm 3, shot 0, train) manually and compare to dataset row.
-  xoshiro256 rng(qsim::shot_seed(spec.seed, 3, 0, false));
-  const auto shot = sim.simulate_shot(3, rng);
-  const auto qd = qsim::build_qubit_dataset(spec, 1);
-  const std::size_t row = 3;  // one shot per permutation ⇒ row == perm
-  for (std::size_t c = 0; c < 1000; ++c) {
-    ASSERT_FLOAT_EQ(qd.train.trace(row)[c], shot.channels[1][c]);
+  for (std::size_t q = 0; q < spec.device.qubit_count(); ++q) {
+    const auto qd = qsim::build_qubit_dataset(spec, q);
+    for (const bool is_test : {false, true}) {
+      const auto& ds = is_test ? qd.test : qd.train;
+      const std::size_t shots = is_test ? spec.shots_per_permutation_test
+                                        : spec.shots_per_permutation_train;
+      for (std::size_t row = 0; row < ds.size(); ++row) {
+        const auto perm = static_cast<std::uint32_t>(row / shots);
+        xoshiro256 rng(qsim::shot_seed(spec.seed, perm, row % shots, is_test));
+        const auto shot = sim.simulate_shot(perm, rng);
+        ASSERT_EQ(std::memcmp(ds.trace(row).data(), shot.channels[q].data(),
+                              shot.channels[q].size() * sizeof(float)),
+                  0)
+            << "qubit " << q << " test " << is_test << " row " << row;
+      }
+    }
   }
+}
+
+TEST(Shot, SelectedChannelsMatchFullShot) {
+  // Any subset of channels equals the full shot's channels bit for bit,
+  // with the same actual states and decay times, for crosstalk victims
+  // (channel 1) and channels past a skipped one alike.
+  const readout_simulator sim(qsim::lienhard5q_preset());
+  const std::size_t width = 2 * sim.samples_per_quadrature();
+  for (const std::uint32_t mask : {0b00001u, 0b00010u, 0b10000u, 0b01010u,
+                                   0b10101u, 0b11111u}) {
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+      xoshiro256 full_rng(seed);
+      xoshiro256 part_rng(seed);
+      const auto perm = static_cast<std::uint32_t>(seed * 5 % 32);
+      const auto shot = sim.simulate_shot(perm, full_rng);
+      std::vector<std::vector<float>> buffers(5, std::vector<float>(width));
+      std::vector<float*> out(5, nullptr);
+      for (std::size_t q = 0; q < 5; ++q) {
+        if ((mask >> q) & 1u) out[q] = buffers[q].data();
+      }
+      std::vector<double> decay(5);
+      const std::uint32_t actual =
+          sim.simulate_channels(perm, part_rng, out, decay);
+      EXPECT_EQ(actual, shot.actual_initial_states);
+      EXPECT_EQ(decay, shot.decay_time_ns);
+      for (std::size_t q = 0; q < 5; ++q) {
+        if (out[q] == nullptr) continue;
+        ASSERT_EQ(std::memcmp(buffers[q].data(), shot.channels[q].data(),
+                              width * sizeof(float)),
+                  0)
+            << "mask " << mask << " seed " << seed << " channel " << q;
+      }
+    }
+  }
+}
+
+/// FNV-1a over the raw bytes of every trace row.
+std::uint64_t fnv1a_traces(const data::trace_dataset& ds, std::uint64_t h) {
+  for (std::size_t r = 0; r < ds.size(); ++r) {
+    const auto row = ds.trace(r);
+    const auto* bytes = reinterpret_cast<const unsigned char*>(row.data());
+    for (std::size_t b = 0; b < row.size_bytes(); ++b) {
+      h ^= bytes[b];
+      h *= 0x100000001B3ull;
+    }
+  }
+  return h;
+}
+
+TEST(DatasetBuilder, GoldenLienhardTracesHash) {
+  // Every lienhard5q qubit's train and test traces at a small spec, hashed
+  // byte for byte. fidelity_f5q rests on these bytes: a change to qsim's
+  // draw order or arithmetic must show here, not as a silent fidelity drift.
+  qsim::dataset_spec spec;
+  spec.device = qsim::lienhard5q_preset();
+  spec.shots_per_permutation_train = 3;
+  spec.shots_per_permutation_test = 2;
+  spec.seed = 42;
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (std::size_t q = 0; q < spec.device.qubit_count(); ++q) {
+    const auto qd = qsim::build_qubit_dataset(spec, q);
+    h = fnv1a_traces(qd.train, h);
+    h = fnv1a_traces(qd.test, h);
+  }
+  EXPECT_EQ(h, 0x8D9135E2B556710Bull) << std::hex << "got 0x" << h;
 }
 
 TEST(DatasetBuilder, MultiplexedDatasetShape) {
