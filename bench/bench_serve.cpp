@@ -26,10 +26,7 @@
 #include "klinq/common/thread_pool.hpp"
 #include "klinq/hw/fixed_discriminator.hpp"
 #include "klinq/kd/distiller.hpp"
-#include "klinq/net/client.hpp"
-#include "klinq/net/tcp_front_end.hpp"
 #include "klinq/obs/metrics.hpp"
-#include "klinq/obs/trace.hpp"
 #include "klinq/qsim/dataset_builder.hpp"
 #include "klinq/registry/model_registry.hpp"
 #include "klinq/registry/snapshot.hpp"
@@ -59,18 +56,9 @@ struct run_record {
   double p99_ms = -1.0;
   // Median per-stage spans from the server's klinq_serve_stage_seconds
   // histograms (server modes only): where a request's time went —
-  // coalesce hold, scheduler queue wait, shard execution.
-  double hold_p50_ms = -1.0;
+  // scheduler queue wait, shard execution.
   double queue_p50_ms = -1.0;
   double exec_p50_ms = -1.0;
-  // Lane-packing counters (modes with coalesce_shots > 0 only): requests
-  // served through a shared kernel tile, tiles dispatched, and the mean
-  // occupied lanes per tile from klinq_serve_lane_occupancy.
-  std::uint64_t packed_requests = 0;
-  std::uint64_t packed_batches = 0;
-  double mean_pack_lanes = -1.0;
-  // Fraction of requests shed with a busy frame (tcp overload row only).
-  double shed_rate = -1.0;
 };
 
 void fill_stage_breakdown(run_record& record,
@@ -81,24 +69,8 @@ void fill_stage_breakdown(run_record& record,
                                    {{"stage", stage}}, 0.5) *
            1e3;
   };
-  record.hold_p50_ms = p50_ms("hold");
   record.queue_p50_ms = p50_ms("queue");
   record.exec_p50_ms = p50_ms("exec");
-}
-
-void fill_pack_stats(run_record& record,
-                     const serve::readout_server& server,
-                     const serve::server_stats& stats) {
-  record.packed_requests = stats.packed_requests;
-  record.packed_batches = stats.packed_batches;
-  const obs::metrics_snapshot snap = server.metrics().snapshot();
-  if (const obs::series_snapshot* occupancy =
-          snap.find("klinq_serve_lane_occupancy", {});
-      occupancy != nullptr && occupancy->histogram.count > 0) {
-    record.mean_pack_lanes =
-        occupancy->histogram.sum /
-        static_cast<double>(occupancy->histogram.count);
-  }
 }
 
 }  // namespace
@@ -111,8 +83,8 @@ int main(int argc, char** argv) {
   cli.add_option("traces-test", "test shots per state permutation", "512");
   cli.add_option("rounds", "evaluation passes over every qubit block", "8");
   cli.add_option("shard-shots", "rows per shard (0 = default)", "0");
-  cli.add_option("small-shots",
-                 "shots per request in the coalescing comparison", "16");
+  cli.add_option("small-shots", "shots per request in the small-request row",
+                 "16");
   cli.add_option("seed", "dataset generation seed", "42");
   cli.add_option("out", "JSON output path (empty = stdout only)",
                  "BENCH_serve.json");
@@ -173,15 +145,11 @@ int main(int argc, char** argv) {
           {"float-student", "serial-per-qubit", total_shots, timer.seconds()});
     }
 
-    // --- many small same-qubit requests: direct / coalesced ---------------
+    // --- many small same-qubit requests ---------------------------------
     // Mid-circuit-style traffic: each qubit's block arrives as a stream of
-    // --small-shots-sized requests (default 16). With coalescing on, the
-    // server merges them into full-shard batches — one pool round-trip and
-    // one arena acquisition per batch instead of per request — and fuses the
-    // merged requests' shots into shared fc_plane / mac_tile kernel tiles,
-    // which is where single-shot traffic (--small-shots 1) recovers the SIMD
-    // lanes that per-request dispatch wastes. Requests larger than one tile
-    // are never coalesced, so above 64 shots both rows run the plain path.
+    // --small-shots-sized requests (default 16), each one dispatched as its
+    // own shard — the per-request cost of the queue round-trip and arena
+    // acquisition.
     const auto small_shots =
         std::max<std::size_t>(1, static_cast<std::size_t>(
                                      cli.get_int("small-shots")));
@@ -196,51 +164,35 @@ int main(int argc, char** argv) {
         ++small_requests_per_round;
       }
     }
-    struct small_mode {
-      const char* name;
-      std::size_t coalesce_shots;
-    };
-    const small_mode small_modes[] = {
-        {"small-requests", 0},
-        {"small-requests-coalesced",
-         std::min(small_shots, serve::server_config::kMaxCoalesceShots)},
-    };
-    for (const small_mode& mode : small_modes) {
-      for (const serve::engine_kind engine :
-           {serve::engine_kind::fixed_q16,
-            serve::engine_kind::float_student}) {
-        std::vector<serve::qubit_engine> engines;
-        for (const qubit_stack& stack : stacks) {
-          engines.push_back({&stack.student, &stack.hardware});
-        }
-        serve::readout_server server(
-            std::move(engines),
-            {.shard_shots = shard_shots,
-             .max_inflight = small_requests_per_round + 1,
-             .coalesce_shots = mode.coalesce_shots});
-        serve::readout_result result;
-        stopwatch timer;
-        for (std::size_t round = 0; round < rounds; ++round) {
-          std::vector<serve::ticket> tickets;
-          for (std::size_t q = 0; q < n_qubits; ++q) {
-            for (const data::trace_dataset& small : small_blocks[q]) {
-              tickets.push_back(server.submit({q, &small, engine}));
-            }
-          }
-          for (const serve::ticket t : tickets) server.wait(t, result);
-        }
-        const double seconds = timer.seconds();
-        const serve::server_stats stats = server.stats();
-        run_record record{std::string(serve::engine_name(engine)), mode.name,
-                          total_shots, seconds,
-                          stats.latency_p50_seconds * 1e3,
-                          stats.latency_p99_seconds * 1e3};
-        fill_stage_breakdown(record, server);
-        if (mode.coalesce_shots > 0) {
-          fill_pack_stats(record, server, stats);
-        }
-        records.push_back(std::move(record));
+    for (const serve::engine_kind engine :
+         {serve::engine_kind::fixed_q16, serve::engine_kind::float_student}) {
+      std::vector<serve::qubit_engine> engines;
+      for (const qubit_stack& stack : stacks) {
+        engines.push_back({&stack.student, &stack.hardware});
       }
+      serve::readout_server server(
+          std::move(engines),
+          {.shard_shots = shard_shots,
+           .max_inflight = small_requests_per_round + 1});
+      serve::readout_result result;
+      stopwatch timer;
+      for (std::size_t round = 0; round < rounds; ++round) {
+        std::vector<serve::ticket> tickets;
+        for (std::size_t q = 0; q < n_qubits; ++q) {
+          for (const data::trace_dataset& small : small_blocks[q]) {
+            tickets.push_back(server.submit({q, &small, engine}));
+          }
+        }
+        for (const serve::ticket t : tickets) server.wait(t, result);
+      }
+      const double seconds = timer.seconds();
+      const serve::server_stats stats = server.stats();
+      run_record record{std::string(serve::engine_name(engine)),
+                        "small-requests", total_shots, seconds,
+                        stats.latency_p50_seconds * 1e3,
+                        stats.latency_p99_seconds * 1e3};
+      fill_stage_breakdown(record, server);
+      records.push_back(std::move(record));
     }
 
     // --- sharded server ---------------------------------------------------
@@ -342,220 +294,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // --- loopback TCP front end -------------------------------------------
-    // Row 1: feedback-lane round-trip p50/p99 measured at a client while a
-    // bulk client saturates the same front end with full-block requests —
-    // the number that matters for mid-circuit feedback is the tail under
-    // load, wire included. Row 2: shed rate when one client bursts 2x the
-    // front end's admission capacity in a single write — overload must
-    // resolve as retriable busy frames, not queueing.
-    const auto make_engines = [&] {
-      std::vector<serve::qubit_engine> engines;
-      for (const qubit_stack& stack : stacks) {
-        engines.push_back({&stack.student, &stack.hardware});
-      }
-      return engines;
-    };
-    const auto tcp_request_info = [&](std::size_t qubit,
-                                      const data::trace_dataset& traces) {
-      net::request_info info;
-      info.qubit = static_cast<std::uint32_t>(qubit);
-      info.engine = serve::engine_kind::fixed_q16;
-      info.samples_per_quadrature =
-          static_cast<std::uint32_t>(traces.samples_per_quadrature());
-      info.shots = static_cast<std::uint32_t>(traces.size());
-      return info;
-    };
-    {
-      serve::readout_server server(
-          make_engines(), {.shard_shots = shard_shots, .max_inflight = 64});
-      net::front_end_config fe_config;
-      fe_config.max_inflight = 32;
-      fe_config.feedback_reserve = 4;
-      fe_config.max_inflight_per_connection = 16;
-      fe_config.poll_interval_seconds = 0.01;
-      net::tcp_front_end front_end(server, fe_config);
-
-      const std::vector<std::size_t> row0{0};
-      const data::trace_dataset feedback_block =
-          stacks[0].data.test.subset(row0);
-      // Bulk arrives as ~256-shot requests: saturating traffic whose
-      // blocking quantum (one inline shard on a workerless pool) stays
-      // small enough that the feedback tail measures the lane policy, not
-      // a single giant block's execution time.
-      std::vector<std::pair<std::size_t, data::trace_dataset>> bulk_blocks;
-      const std::size_t bulk_shots_per_request = std::min<std::size_t>(
-          256, block);
-      for (std::size_t q = 0; q < n_qubits; ++q) {
-        for (std::size_t begin = 0; begin < block;
-             begin += bulk_shots_per_request) {
-          const std::size_t end =
-              std::min(begin + bulk_shots_per_request, block);
-          std::vector<std::size_t> rows;
-          for (std::size_t r = begin; r < end; ++r) rows.push_back(r);
-          bulk_blocks.emplace_back(q, stacks[q].data.test.subset(rows));
-        }
-      }
-
-      std::atomic<bool> stop_bulk{false};
-      std::atomic<std::uint64_t> bulk_shots{0};
-      stopwatch timer;
-      std::thread bulk([&] {
-        net::client cli("127.0.0.1", front_end.port());
-        std::vector<std::pair<std::uint64_t, std::size_t>> window;
-        const auto consume_front = [&] {
-          const auto [id, shots] = window.front();
-          window.erase(window.begin());
-          const auto reply = cli.read_reply(id);
-          if (reply && reply->header.type == net::frame_type::response) {
-            bulk_shots.fetch_add(shots, std::memory_order_relaxed);
-          }
-        };
-        std::size_t next = 0;
-        while (!stop_bulk.load(std::memory_order_acquire)) {
-          while (window.size() >= 8) consume_front();
-          const auto& [qubit, traces] = bulk_blocks[next];
-          next = (next + 1) % bulk_blocks.size();
-          window.emplace_back(
-              cli.send_request(tcp_request_info(qubit, traces), traces),
-              traces.size());
-        }
-        while (!window.empty()) consume_front();
-        cli.send_goodbye();
-      });
-
-      net::client feedback("127.0.0.1", front_end.port());
-      const std::size_t probes = 100;
-      std::vector<double> rtt;
-      rtt.reserve(probes);
-      for (std::size_t i = 0; i < probes; ++i) {
-        stopwatch probe;
-        const std::uint64_t id = feedback.send_request(
-            tcp_request_info(0, feedback_block), feedback_block,
-            serve::lane_class::feedback);
-        const auto reply = feedback.read_reply(id);
-        KLINQ_REQUIRE(reply.has_value(),
-                      "bench: feedback client lost its connection");
-        if (reply->header.type == net::frame_type::response) {
-          rtt.push_back(probe.seconds());
-        }
-      }
-      stop_bulk.store(true, std::memory_order_release);
-      bulk.join();
-      const double seconds = timer.seconds();
-      feedback.send_goodbye();
-      front_end.shutdown();
-      KLINQ_REQUIRE(!rtt.empty(), "bench: every feedback probe was shed");
-      std::sort(rtt.begin(), rtt.end());
-      const double fb_p50 = rtt[rtt.size() / 2];
-      const double fb_p99 = rtt[(rtt.size() * 99) / 100];
-      // p50/p99 are the *feedback* round-trip while shots/s is the bulk
-      // saturation the probes rode through.
-      records.push_back({"fixed-q16.16", "tcp-feedback-under-bulk",
-                         bulk_shots.load() + rtt.size(), seconds,
-                         fb_p50 * 1e3, fb_p99 * 1e3});
-    }
-    {
-      serve::readout_server server(
-          make_engines(), {.shard_shots = shard_shots, .max_inflight = 64});
-      net::front_end_config fe_config;
-      const std::size_t capacity = 8;  // net admission budget under test
-      fe_config.max_inflight = capacity;
-      fe_config.feedback_reserve = 0;
-      fe_config.max_inflight_per_connection = 4 * capacity;
-      fe_config.poll_interval_seconds = 0.01;
-      net::tcp_front_end front_end(server, fe_config);
-
-      net::client cli("127.0.0.1", front_end.port());
-      const data::trace_dataset& burst_block = small_blocks[0][0];
-      const std::size_t bursts = 20;
-      std::uint64_t served = 0;
-      std::uint64_t shed = 0;
-      stopwatch timer;
-      for (std::size_t b = 0; b < bursts; ++b) {
-        // 2x capacity in one write: the front end parses the burst in one
-        // batch, admits up to `capacity`, and sheds the rest with busy.
-        std::vector<std::uint8_t> burst;
-        for (std::size_t i = 0; i < 2 * capacity; ++i) {
-          const std::vector<std::uint8_t> frame = net::encode_request(
-              b * 100 + i, tcp_request_info(0, burst_block),
-              serve::lane_class::bulk, burst_block);
-          burst.insert(burst.end(), frame.begin(), frame.end());
-        }
-        cli.send_bytes(burst);
-        for (std::size_t i = 0; i < 2 * capacity; ++i) {
-          const auto reply = cli.read_reply(b * 100 + i);
-          KLINQ_REQUIRE(reply.has_value(),
-                        "bench: overload client lost its connection");
-          if (reply->header.type == net::frame_type::response) ++served;
-          if (reply->header.type == net::frame_type::busy) ++shed;
-        }
-      }
-      const double seconds = timer.seconds();
-      cli.send_goodbye();
-      front_end.shutdown();
-      run_record record{"fixed-q16.16", "tcp-overload-2x",
-                        served * burst_block.size(), seconds};
-      record.shed_rate =
-          static_cast<double>(shed) / static_cast<double>(served + shed);
-      records.push_back(std::move(record));
-    }
-
-    // --- wire tracing overhead over loopback TCP --------------------------
-    // The same serial request loop under three sampling configs. The
-    // disabled row exercises the default hot path (one relaxed load per
-    // trace site) and must sit within noise of the untraced front end;
-    // 1% is the always-on production setting; 100% bounds the cost of
-    // full capture into the span ring.
-    const std::pair<const char*, double> trace_modes[] = {
-        {"tcp-trace-off", 0.0},
-        {"tcp-trace-1pct", 0.01},
-        {"tcp-trace-100pct", 1.0}};
-    for (const auto& [trace_mode, trace_rate] : trace_modes) {
-      obs::trace_ring ring(4096);
-      serve::server_config server_cfg;
-      server_cfg.shard_shots = shard_shots;
-      server_cfg.max_inflight = 64;
-      net::front_end_config fe_config;
-      fe_config.poll_interval_seconds = 0.01;
-      if (trace_rate > 0.0) {
-        ring.set_armed(true);
-        server_cfg.traces = &ring;
-        fe_config.traces = &ring;
-      }
-      serve::readout_server server(make_engines(), server_cfg);
-      net::tcp_front_end front_end(server, fe_config);
-      net::client cli("127.0.0.1", front_end.port());
-      if (trace_rate > 0.0) cli.enable_tracing(&ring, trace_rate);
-
-      const std::size_t requests = 300;
-      std::vector<double> rtt;
-      rtt.reserve(requests);
-      std::uint64_t shots = 0;
-      stopwatch timer;
-      for (std::size_t i = 0; i < requests; ++i) {
-        const data::trace_dataset& request_block =
-            small_blocks[0][i % small_blocks[0].size()];
-        stopwatch probe;
-        const std::uint64_t id =
-            cli.send_request(tcp_request_info(0, request_block),
-                             request_block);
-        const auto reply = cli.read_reply(id);
-        KLINQ_REQUIRE(reply.has_value() &&
-                          reply->header.type == net::frame_type::response,
-                      "bench: tracing client lost its connection");
-        rtt.push_back(probe.seconds());
-        shots += request_block.size();
-      }
-      const double seconds = timer.seconds();
-      cli.send_goodbye();
-      front_end.shutdown();
-      std::sort(rtt.begin(), rtt.end());
-      records.push_back({"fixed-q16.16", trace_mode, shots, seconds,
-                         rtt[rtt.size() / 2] * 1e3,
-                         rtt[(rtt.size() * 99) / 100] * 1e3});
-    }
-
     // --- report -----------------------------------------------------------
     const std::size_t workers = global_thread_pool().worker_count() + 1;
     const char* simd_tier = simd_tier_name(active_simd_tier());
@@ -575,18 +313,9 @@ int main(int argc, char** argv) {
       if (r.p50_ms >= 0.0) {
         std::printf("   p50 %.2f ms  p99 %.2f ms", r.p50_ms, r.p99_ms);
       }
-      if (r.hold_p50_ms >= 0.0) {
-        std::printf("   hold/queue/exec p50 %.2f/%.2f/%.2f ms",
-                    r.hold_p50_ms, r.queue_p50_ms, r.exec_p50_ms);
-      }
-      if (r.packed_batches > 0) {
-        std::printf("   packed %llu req / %llu tiles (%.1f lanes/tile)",
-                    static_cast<unsigned long long>(r.packed_requests),
-                    static_cast<unsigned long long>(r.packed_batches),
-                    r.mean_pack_lanes);
-      }
-      if (r.shed_rate >= 0.0) {
-        std::printf("   shed %.0f%%", r.shed_rate * 100.0);
+      if (r.queue_p50_ms >= 0.0) {
+        std::printf("   queue/exec p50 %.2f/%.2f ms", r.queue_p50_ms,
+                    r.exec_p50_ms);
       }
       std::printf("\n");
     }
@@ -629,23 +358,11 @@ int main(int argc, char** argv) {
                        ", \"latency_p50_ms\": %.4f, \"latency_p99_ms\": %.4f",
                        r.p50_ms, r.p99_ms);
         }
-        if (r.hold_p50_ms >= 0.0) {
+        if (r.queue_p50_ms >= 0.0) {
           std::fprintf(out,
-                       ", \"stage_p50_ms\": {\"hold\": %.4f, "
-                       "\"queue\": %.4f, \"exec\": %.4f}",
-                       r.hold_p50_ms, r.queue_p50_ms, r.exec_p50_ms);
-        }
-        if (r.packed_batches > 0) {
-          std::fprintf(out,
-                       ", \"packed_requests\": %llu, "
-                       "\"packed_batches\": %llu, "
-                       "\"mean_pack_lanes\": %.2f",
-                       static_cast<unsigned long long>(r.packed_requests),
-                       static_cast<unsigned long long>(r.packed_batches),
-                       r.mean_pack_lanes);
-        }
-        if (r.shed_rate >= 0.0) {
-          std::fprintf(out, ", \"shed_rate\": %.4f", r.shed_rate);
+                       ", \"stage_p50_ms\": {\"queue\": %.4f, "
+                       "\"exec\": %.4f}",
+                       r.queue_p50_ms, r.exec_p50_ms);
         }
         std::fprintf(out, "}%s\n", i + 1 < records.size() ? "," : "");
       }

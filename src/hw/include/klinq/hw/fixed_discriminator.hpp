@@ -6,11 +6,11 @@
 // reproduces the float model's decision (the paper's "maintains
 // discrimination accuracy" claim for Q16.16).
 //
-// Every fast-path entry point (logit, both branches of logits_block, and
-// logits_lanes) runs one front-end sweep per shot,
-// fixed_frontend::extract_trace, which writes the shot's features straight
-// into the network's input: a contiguous row for the row kernel, or one lane
-// of a feature-major 64-shot plane for the tile kernels. Dataset-scale
+// Every fast-path entry point (logit and both branches of logits_block) runs
+// one front-end sweep per shot, fixed_frontend::extract_trace, which writes
+// the shot's features straight into the network's input: a contiguous row
+// for the row kernel, or one lane of a feature-major 64-shot plane for the
+// tile kernels. Dataset-scale
 // evaluation goes through logits(), which cuts the dataset into
 // cache-blocked tiles and parallelizes them over the global thread pool with
 // one scratch arena per worker chunk — bit-identical to the single-shot
@@ -173,46 +173,6 @@ class fixed_discriminator {
         net_.forward_logits(scratch.features,
                             out.subspan(tile_begin - row_begin, tile),
                             scratch.net);
-      }
-    }
-  }
-
-  /// Lane-packed single-shot evaluation: one row drawn from each of `lanes`
-  /// (possibly distinct) datasets, pushed through one shared feature plane
-  /// and one network tile. datasets[s]/rows[s] name lane s's trace; out[s]
-  /// receives its logit. Bit-identical to logit()/logits_block() per trace —
-  /// the integer datapath is exact, so lane position and tile width never
-  /// change a register. This is the serve coalescer's cross-request
-  /// lane-pack executor. Requires 0 < lanes <= kBatchTile.
-  void logits_lanes(const data::trace_dataset* const* datasets,
-                    const std::size_t* rows, std::size_t lanes,
-                    std::span<Fixed> out,
-                    discriminator_scratch<Fixed>& scratch) const {
-    constexpr std::size_t kTile = quantized_network<Fixed>::kBatchTile;
-    KLINQ_REQUIRE(lanes > 0 && lanes <= kTile,
-                  "fixed_discriminator: lane count exceeds the network tile");
-    KLINQ_REQUIRE(out.size() == lanes,
-                  "fixed_discriminator: one logit per lane required");
-    if constexpr (quantized_network<Fixed>::kernel_fast_path) {
-      const std::size_t width = frontend_.output_width();
-      scratch.plane_raw.resize(width * kTile);
-      scratch.logits_raw.resize(kTile);
-      for (std::size_t s = 0; s < lanes; ++s) {
-        const data::trace_dataset& ds = *datasets[s];
-        frontend_.extract_trace(ds.trace(rows[s]), ds.samples_per_quadrature(),
-                                scratch.frontend,
-                                scratch.plane_raw.data() + s, kTile);
-      }
-      net_.forward_logits_plane(scratch.plane_raw.data(), lanes,
-                                scratch.logits_raw.data(), scratch.net);
-      for (std::size_t s = 0; s < lanes; ++s) {
-        out[s] = Fixed::from_raw(scratch.logits_raw[s]);
-      }
-    } else {
-      // Wide formats stay on the fixed<I,F> reference path per lane.
-      for (std::size_t s = 0; s < lanes; ++s) {
-        out[s] = logit(datasets[s]->trace(rows[s]),
-                       datasets[s]->samples_per_quadrature(), scratch);
       }
     }
   }

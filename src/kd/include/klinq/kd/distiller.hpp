@@ -99,19 +99,6 @@ class student_model {
                      std::size_t row_end, std::span<float> logits_out,
                      student_scratch& scratch) const;
 
-  /// Lane-packed single-shot evaluation: one row drawn from each of `lanes`
-  /// (possibly distinct) datasets, extracted into one shared feature-major
-  /// panel and pushed through one plane-kernel tile. datasets[s]/rows[s]
-  /// name lane s's trace; logits_out[s] receives its logit. Because the
-  /// plane kernels are lane-invariant, each lane's logit is bitwise equal to
-  /// predict_block() on that row alone — the serve coalescer's cross-request
-  /// lane-pack executor leans on exactly that. Requires
-  /// 0 < lanes <= nn::kernels::max_tile_lanes.
-  void predict_lanes(const data::trace_dataset* const* datasets,
-                     const std::size_t* rows, std::size_t lanes,
-                     std::span<float> logits_out,
-                     student_scratch& scratch) const;
-
   /// Assignment accuracy on a dataset (batched path).
   double accuracy(const data::trace_dataset& dataset) const;
 

@@ -96,38 +96,6 @@ void student_model::predict_block(const data::trace_dataset& dataset,
   }
 }
 
-void student_model::predict_lanes(const data::trace_dataset* const* datasets,
-                                  const std::size_t* rows, std::size_t lanes,
-                                  std::span<float> logits_out,
-                                  student_scratch& scratch) const {
-  constexpr std::size_t kTile = nn::kernels::max_tile_lanes;
-  KLINQ_REQUIRE(lanes > 0 && lanes <= kTile,
-                "student_model::predict_lanes: lane count exceeds the tile");
-  KLINQ_REQUIRE(logits_out.size() == lanes,
-                "student_model::predict_lanes: one logit per lane required");
-  const std::size_t width = pipeline_.output_width();
-  scratch.net.panel.resize(width * kTile);
-  float* plane = scratch.net.panel.data();
-  // Per-lane extraction + scatter (extract_tile assumes consecutive rows of
-  // one dataset; lanes here come from many). The per-trace numerics are the
-  // extractor's exact per-row pipeline, so each lane's features match the
-  // unpacked path bit for bit.
-  thread_local std::vector<float> row;
-  row.assign(width, 0.0f);
-  for (std::size_t s = 0; s < lanes; ++s) {
-    const data::trace_dataset& ds = *datasets[s];
-    pipeline_.extract(ds.trace(rows[s]), ds.samples_per_quadrature(), row);
-    for (std::size_t i = 0; i < width; ++i) plane[i * kTile + s] = row[i];
-  }
-  // The plane kernels run whole lane groups; keep the pad lanes finite.
-  const std::size_t padded = nn::kernels::padded_lanes(lanes);
-  for (std::size_t s = lanes; s < padded; ++s) {
-    for (std::size_t i = 0; i < width; ++i) plane[i * kTile + s] = 0.0f;
-  }
-  net_.predict_logits_plane(plane, lanes, kTile, logits_out.data(),
-                            scratch.net);
-}
-
 double student_model::accuracy(const data::trace_dataset& dataset) const {
   if (dataset.empty()) return 0.0;
   const std::vector<float> logits = predict_batch(dataset);

@@ -3,8 +3,8 @@
 // exporter.
 //
 // Spans from every layer of one request — the client's RTT span, the TCP
-// front end's read/decode/admit/write spans, the serve layer's
-// hold/queue/exec spans — carry the same client-stamped 64-bit trace_id and
+// front end's read/decode/admit/write spans, the serve layer's queue/exec
+// spans — carry the same client-stamped 64-bit trace_id and
 // timestamps from the same process-global steady epoch (trace_clock_us), so
 // grouping the ring by trace_id reconstructs the request's full wire-to-wire
 // timeline. chrome_trace_json() renders that as trace-event JSON that

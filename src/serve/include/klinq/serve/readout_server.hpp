@@ -14,33 +14,12 @@
 // This bounds both queue memory and result-buffer memory under sustained
 // overload.
 //
-// Feedback lane: a feedback request of at most kMaxCoalesceShots shots (one
-// shard) runs on the submitting thread, inside submit()/try_submit(), through
-// the same cancel/deadline/fault/completion path as a dispatched shard, so it
-// never waits behind a running bulk shard. Larger ones are dispatched FIFO.
-//
-// Small-request batching: with `coalesce_shots` > 0, requests of at most
-// that many shots (never more than one 64-lane kernel tile) are held in a
-// per-(qubit, engine) pending batch and merged into ONE dispatched task —
-// one queue round-trip and one arena acquisition for the whole batch — once
-// the batch accumulates a full shard's worth of shots. Inside the task the
-// members are lane-packed: grouped by pinned engine version and trace
-// duration, then fused into shared 64-lane kernel tiles, so one fc_plane /
-// mac_tile invocation evaluates many requests' shots instead of each member
-// paying a full padded tile alone. Partial batches are flushed by wait()
-// (only the awaited ticket's batch — other streams keep accumulating), by
-// drain() and destruction (everything), and whenever the inflight window
-// would otherwise fill with undispatched parked work (submit at capacity,
-// try_submit returning nullopt, or parking itself meeting a full window) —
-// so every ticket completes and non-blocking producers cannot livelock.
-// poll() alone does NOT flush (a held ticket polls false until something
-// flushes). Batching changes no observable result: the fixed datapath is
-// exact integer arithmetic and the float plane kernels are lane-invariant,
-// so every member's registers/logits are bit-identical to unbatched
-// execution, and each member still resolves individually (its own status,
-// deadline, cancellation, on_shard event, and stage spans). The trade is
-// per-request latency (hold time is included in the latency telemetry) —
-// built for mid-circuit clients streaming many small same-qubit blocks.
+// Dispatch: every non-empty request takes one of two paths, with
+// bit-identical results either way. A feedback request of at most
+// kMaxInlineShots shots (one kernel tile) runs on the submitting thread,
+// inside submit()/try_submit(), through the same cancel/deadline/fault/
+// completion path as a dispatched shard, so it never waits behind a running
+// bulk shard. Every other request is split into shards and dispatched FIFO.
 //
 // Steady-state allocation: completed slots and shard arenas are recycled
 // through free-lists. The wait(ticket, result&) overload swaps buffers with
@@ -65,13 +44,12 @@
 // loops, so unstarted shards are skipped rather than computed), cancelled
 // (cancel(ticket) landed in flight), or failed (a shard threw; wait()
 // rethrows). Skipped and failed shards still run completion accounting, so
-// wait() never blocks forever, arenas return to the pool, and coalesced
-// batches drain. Persistent failures self-heal: failure_threshold
-// consecutive shard failures on one qubit ask the engine provider to demote
-// the serving version (the registry rolls back to last-known-good). The
-// fault points compiled into this path (klinq/fault/fault.hpp:
-// "serve.submit.lease", "serve.shard.run") let tests and the --chaos demo
-// inject all of it deterministically.
+// wait() never blocks forever and arenas return to the pool. Persistent
+// failures self-heal: failure_threshold consecutive shard failures on one
+// qubit ask the engine provider to demote the serving version (the registry
+// rolls back to last-known-good). The fault points compiled into this path
+// (klinq/fault/fault.hpp: "serve.submit.lease", "serve.shard.run") let tests
+// and the --chaos demo inject all of it deterministically.
 #pragma once
 
 #include <array>
@@ -102,12 +80,6 @@ struct server_config {
   std::size_t shard_shots = 0;
   /// Maximum unresolved tickets before submit() blocks. Must be positive.
   std::size_t max_inflight = 64;
-  /// Requests with at most this many shots are held, merged with other
-  /// pending small requests for the same (qubit, engine) into one dispatched
-  /// batch, and lane-packed into shared kernel tiles (see the batching note
-  /// above). 0 disables batching; values above kMaxCoalesceShots (one
-  /// kernel tile) are rejected — a larger request already fills its own.
-  std::size_t coalesce_shots = 0;
   /// Streaming partial results: invoked from worker threads as each shard of
   /// a request finishes (see shard_callback's contract in request.hpp); on
   /// the submitting thread, before submit() returns, for an inline feedback
@@ -142,7 +114,7 @@ struct server_config {
   /// are identical and readable through readout_server::metrics().
   obs::metric_registry* metrics = nullptr;
   /// Span store (borrowed; must outlive the server). When armed, requests
-  /// carrying a nonzero readout_request::trace_id get their hold/queue/exec
+  /// carrying a nonzero readout_request::trace_id get their queue/exec
   /// stage spans recorded here on completion, on the same trace_clock_us
   /// timeline the network layers stamp. Armed or not, its kept set retains
   /// every failed, timed-out or cancelled request and the slowest ok ones
@@ -155,10 +127,10 @@ struct server_config {
   /// not a workload.
   static constexpr std::size_t kMaxShardShots = std::size_t{1} << 24;
 
-  /// Largest coalesce_shots value — one engine kernel tile
-  /// (hw::quantized_network::kBatchTile == nn::kernels::max_tile_lanes), the
-  /// unit a lane pack evaluates at once.
-  static constexpr std::size_t kMaxCoalesceShots = 64;
+  /// Largest feedback request that runs inline on the submitting thread —
+  /// one engine kernel tile (hw::quantized_network::kBatchTile ==
+  /// nn::kernels::max_tile_lanes), a few microseconds of engine work.
+  static constexpr std::size_t kMaxInlineShots = 64;
 
   /// Throws invalid_argument_error on any inconsistent field (also run by
   /// the readout_server constructor, so a bad config never half-starts a
@@ -242,7 +214,7 @@ class readout_server {
   /// The span store behind this server (the private one, or
   /// server_config::traces when shared). Its kept() set holds every
   /// anomalous completion plus the slowest ok requests, each with its
-  /// hold/queue/exec spans.
+  /// queue/exec spans.
   const obs::trace_ring& traces() const noexcept { return *traces_; }
 
  private:
@@ -271,13 +243,7 @@ class readout_server {
     /// The request's pinned model view: set at submit, read (lock-free) by
     /// every shard executor, released when the last shard completes.
     engine_lease lease;
-    // --- stage-tracing timestamps, all seconds relative to `timer` -------
-    /// When the request left the submit path for the scheduler (≈0 for a
-    /// direct dispatch; the coalesce hold time for a parked member).
-    /// Stamped under mutex_ at the moment the slot leaves the submit path or
-    /// its batch leaves pending_ — never after the unlock — so a hold span
-    /// can neither race a concurrent submit nor run past the dispatch point.
-    double dispatch_at = 0.0;
+    // --- stage-tracing timestamps, seconds relative to `timer` ----------
     /// Earliest shard-execution start (min across shards; guarded by
     /// mutex_). Negative until the first shard reports in.
     double first_exec_at = -1.0;
@@ -290,21 +256,10 @@ class readout_server {
     std::uint64_t trace_id = 0;
     std::uint64_t trace_parent = 0;
     /// trace_clock_us() at submit — the absolute anchor that places the
-    /// relative stage stamps (dispatch_at / first_exec_at / latency) on the
+    /// relative stage stamps (first_exec_at / latency) on the
     /// shared trace timeline. Stamped only for traced requests; a kept
     /// untraced request is anchored at completion instead.
     std::uint64_t submit_us = 0;
-  };
-
-  /// One small request parked in a coalescing batch: the borrowed request
-  /// plus its already-allocated slot.
-  struct pending_member {
-    readout_request request;
-    slot* s = nullptr;
-  };
-  struct pending_batch {
-    std::vector<pending_member> members;
-    std::size_t shots = 0;
   };
 
   /// Validates the request and acquires the provider's current engines for
@@ -313,11 +268,11 @@ class readout_server {
   engine_lease lease_for(const readout_request& request) const;
   ticket submit_locked(const readout_request& request, engine_lease lease,
                        std::unique_lock<std::mutex>& lock);
-  /// One member's pass through a shard executor: what its preamble decided
-  /// and how its execution ended — the input to complete_members.
-  struct member_run {
+  /// One shard's pass through execute_range: what its preamble decided and
+  /// how its execution ended — the input to complete_shard.
+  struct shard_run {
     slot* s = nullptr;
-    double exec_begin = 0.0;  // on the member's own submit timer
+    double exec_begin = 0.0;  // on the request's own submit timer
     bool cancelled = false;   // skipped: cancel() landed before the start
     bool expired = false;     // skipped: deadline passed before the start
     bool event_fired = false;
@@ -328,57 +283,23 @@ class readout_server {
   void run_shard(slot& s, const readout_request& request, std::size_t begin,
                  std::size_t end, shard_arena& arena) const;
   /// Shard preamble: stamps the exec start, then checks cancellation, the
-  /// deadline and the "serve.shard.run" fault point. True when the member
-  /// should execute; a skipped or faulted member still goes through
-  /// complete_members.
-  bool start_member(member_run& run) const;
-  /// The on_shard event for rows [begin, end) of a member's result.
+  /// deadline and the "serve.shard.run" fault point. True when the shard
+  /// should execute; a skipped or faulted shard still goes through
+  /// complete_shard.
+  bool start_shard(shard_run& run) const;
+  /// The on_shard event for rows [begin, end) of a request's result.
   static shard_event shard_event_for(const slot& s, std::size_t begin,
                                      std::size_t end);
-  /// Runs one contiguous row range of a request (a shard, or a batch member
-  /// that shares no tile) and completes it.
+  /// Runs one contiguous row range of a request (a dispatched shard, or a
+  /// whole inline feedback request) and completes it.
   void execute_range(slot* raw, const readout_request& request,
                      std::size_t begin, std::size_t end, shard_arena& arena);
-  /// Enqueues a merged batch as one scheduler task. The batch must already
-  /// be stamped (stamp_dispatch_locked) — its members left pending_ under
-  /// the lock that called this.
-  void dispatch_batch(pending_batch batch);
-  /// Runs a merged batch inside its scheduler task: groups members by
-  /// pinned engine identity and trace duration, chunks each group greedily
-  /// into kMaxCoalesceShots lanes, and runs each chunk through execute_pack
-  /// (a chunk of one through execute_range).
-  void run_batch(const std::vector<pending_member>& members,
-                 shard_arena& arena);
-  /// Evaluates one lane pack (>= 2 members) through a single shared kernel
-  /// tile, honoring each member's cancellation/deadline/fault individually,
-  /// then completes every member.
-  void execute_pack(const pending_member* const* pack, std::size_t count,
-                    shard_arena& arena);
-  /// The one per-member completion routine behind both executors, for
-  /// members of one (qubit, engine): shard timing, error and failure
-  /// counting, any demote (with mutex_ released but before any shard is
-  /// accounted, so the tripping request resolves after its rollback), shard
-  /// accounting, status precedence and finish_request_locked, then, with
-  /// the lock released, the completion doorbells.
-  void complete_members(member_run* runs, std::size_t count);
-  /// Stamps the coalesce-hold end on every member. Requires mutex_ — the
-  /// batch must be leaving pending_ under the same lock, so no member can
-  /// join after the stamp.
-  void stamp_dispatch_locked(pending_batch& batch);
-  /// Dispatches every parked coalescing batch (drain/teardown and
-  /// capacity-limited submits call this so held tickets always complete;
-  /// submit_locked also flushes whenever parking would leave the inflight
-  /// window full of undispatched work).
-  void flush_pending();
-  /// flush_pending() under a held `lock` (released while dispatching).
-  void flush_pending_locked(std::unique_lock<std::mutex>& lock);
-  /// Dispatches only the parked batch holding `t` (no-op when the ticket is
-  /// not parked) — wait()'s flush, which leaves other streams' batches
-  /// accumulating so prompt waiters don't defeat the amortization.
-  void flush_pending_for(ticket t);
-  /// Removes every parked batch from pending_ into `out` (caller dispatches
-  /// after unlocking).
-  void take_pending_locked(std::vector<pending_batch>& out);
+  /// Completion of one shard: shard timing, error and failure counting, any
+  /// demote (with mutex_ released but before the shard is accounted, so the
+  /// tripping request resolves after its rollback), shard accounting, and —
+  /// for the request's last shard — status precedence,
+  /// finish_request_locked and, with the lock released, the doorbell.
+  void complete_shard(const shard_run& run);
   void recycle_locked(std::unique_ptr<slot> s, readout_result* swap_with);
 
   /// Backs the vector constructor; null when serving an external provider.
@@ -394,10 +315,6 @@ class readout_server {
   std::unordered_map<std::uint64_t, std::unique_ptr<slot>> active_;
   std::vector<std::unique_ptr<slot>> free_slots_;
   std::size_t outstanding_shards_ = 0;
-  /// Parked coalescing batches keyed by qubit * 2 + engine (guarded by
-  /// mutex_; their slots already live in active_ and count against
-  /// max_inflight and outstanding_shards_).
-  std::unordered_map<std::uint64_t, pending_batch> pending_;
 
   // --- telemetry: labeled metric cells -----------------------------------
   // Every count lives in a metric family of `metrics_` (the private
@@ -410,7 +327,6 @@ class readout_server {
   /// resolved lazily at their first completion (under mutex_ — the
   /// anomaly path is not throughput-critical until it happens once).
   struct stage_cells {
-    obs::log_histogram* hold = nullptr;
     obs::log_histogram* queue = nullptr;
     obs::log_histogram* exec = nullptr;
   };
@@ -450,10 +366,6 @@ class readout_server {
   stopwatch uptime_;
   std::vector<std::array<engine_cells, 2>> cells_;  // [qubit][engine_kind]
   std::vector<qubit_cells> qubit_cells_;
-  obs::counter* requests_coalesced_cell_ = nullptr;
-  obs::counter* coalesced_batches_cell_ = nullptr;
-  obs::counter* packed_requests_cell_ = nullptr;
-  obs::counter* packed_batches_cell_ = nullptr;
   obs::counter* shard_events_cell_ = nullptr;
   obs::gauge* inflight_cell_ = nullptr;
   obs::log_histogram* request_seconds_ = nullptr;
@@ -462,9 +374,6 @@ class readout_server {
   /// front end's scheduler must demonstrate).
   std::array<obs::counter*, 2> lane_submitted_{};
   std::array<obs::log_histogram*, 2> lane_seconds_{};
-  /// Occupied lanes per dispatched pack (1..kMaxCoalesceShots) — how full
-  /// the shared tiles actually run.
-  obs::log_histogram* lane_occupancy_ = nullptr;
 
   /// Consecutive shard failures per qubit (guarded by mutex_); reaching
   /// config_.failure_threshold triggers a provider demote and resets.

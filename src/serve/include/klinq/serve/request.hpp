@@ -53,13 +53,12 @@ const char* status_name(request_status status) noexcept;
 
 /// Latency class of a request — the scheduler honors it end to end.
 enum class lane_class : std::uint8_t {
-  /// Throughput lane: eligible for coalescing/lane packing, dispatched FIFO.
+  /// Throughput lane: split into shards and dispatched FIFO.
   bulk = 0,
-  /// Mid-circuit feedback lane: bypasses coalescing entirely (a parked batch
-  /// would add queueing delay a feedback controller cannot absorb). A
-  /// request of at most one kernel tile runs on the submitting thread, so it
-  /// never waits behind bulk work; a larger one is dispatched FIFO like bulk
-  /// work. Per-lane p50/p99 SLO histograms track the separation.
+  /// Mid-circuit feedback lane: a request of at most one kernel tile runs on
+  /// the submitting thread, so it never waits behind bulk work; a larger one
+  /// is dispatched FIFO like bulk work. Per-lane p50/p99 SLO histograms
+  /// track the separation.
   feedback = 1,
 };
 
@@ -88,14 +87,14 @@ struct readout_request {
   /// A shard already running is finished, not interrupted — expiry is
   /// checked at shard start, so enforcement granularity is one shard.
   double deadline_seconds = 0.0;
-  /// Latency class; feedback requests skip coalescing, and small ones run
-  /// on the submitting thread. A feedback request with deadline_seconds == 0
-  /// inherits server_config::feedback_default_deadline_seconds before
-  /// falling back to default_deadline_seconds.
+  /// Latency class; small feedback requests run on the submitting thread.
+  /// A feedback request with deadline_seconds == 0 inherits
+  /// server_config::feedback_default_deadline_seconds before falling back
+  /// to default_deadline_seconds.
   lane_class lane = lane_class::bulk;
   /// Wire-level trace correlation (0 = untraced, the default — the server
   /// then records no spans for this request). Stamped by the TCP front end
-  /// from the frame's trace context; the serve stage spans (hold/queue/exec)
+  /// from the frame's trace context; the serve stage spans (queue/exec)
   /// are emitted into server_config::traces under this id, parented to
   /// trace_parent (the client's RTT span).
   std::uint64_t trace_id = 0;
@@ -133,9 +132,8 @@ struct ticket {
 /// row range [row_begin, row_end); they are valid for the duration of the
 /// callback only (the final result is still claimed through the ticket —
 /// this is an early peek, not a transfer of ownership). Over a request's
-/// lifetime every row is reported exactly once, regardless of shard size or
-/// coalescing (a coalesced member arrives as one event covering its whole
-/// range); zero-shot requests produce no event.
+/// lifetime every row is reported exactly once, regardless of shard size;
+/// zero-shot requests produce no event.
 struct shard_event {
   ticket request{};
   std::size_t qubit = 0;

@@ -64,15 +64,9 @@ class shard_scheduler {
                 std::function<void(std::size_t, std::size_t, shard_arena&)>
                     run_shard);
 
-  /// Enqueues a single pool task that runs `run` with one borrowed arena —
-  /// the request-coalescing entry point: one queue round-trip and one arena
-  /// acquisition for work merged from several small requests. Same contract
-  /// as dispatch's run_shard (internally synchronized, must not throw, may
-  /// run inline on a workerless pool).
-  void dispatch_one(std::function<void(shard_arena&)> run);
-
   /// Runs `run` with one borrowed arena on the calling thread, needing no
-  /// pool worker; same contract as dispatch_one, and drain() waits for it.
+  /// pool worker; same contract as dispatch's run_shard, and drain() waits
+  /// for it.
   template <typename Fn>
   void run_inline(Fn&& run) {
     {

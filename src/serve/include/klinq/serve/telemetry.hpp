@@ -30,18 +30,6 @@ struct server_stats {
   std::uint64_t requests_completed = 0;
   std::uint64_t shots_submitted = 0;
   std::uint64_t shots_completed = 0;
-  /// Requests routed through the coalescing path (held and merged with
-  /// other small same-(qubit, engine) requests).
-  std::uint64_t requests_coalesced = 0;
-  /// Merged batches dispatched: each one cost a single pool round-trip and
-  /// arena acquisition for all of its member requests.
-  std::uint64_t coalesced_batches = 0;
-  /// Coalesced requests whose shots ran inside a shared lane-packed kernel
-  /// tile (results stay bit-identical to unpacked execution).
-  std::uint64_t packed_requests = 0;
-  /// Lane-packed tiles dispatched: each one evaluated several requests'
-  /// shots through a single fc_plane / mac_tile kernel invocation.
-  std::uint64_t packed_batches = 0;
   /// Shard-completion events delivered to server_config::on_shard.
   std::uint64_t shard_events = 0;
   /// Times a submit acquired a different model version for a qubit than that
@@ -65,8 +53,8 @@ struct server_stats {
   /// demote the failing version and the provider switched (the registry
   /// rolls back to last-known-good).
   std::uint64_t rollbacks = 0;
-  /// Requests submitted on the feedback lane (bypass coalescing; small ones
-  /// run inline); bulk-lane submissions are requests_submitted minus this.
+  /// Requests submitted on the feedback lane (small ones run inline);
+  /// bulk-lane submissions are requests_submitted minus this.
   std::uint64_t feedback_requests = 0;
   /// Requests submitted but not yet consumed by wait().
   std::size_t inflight = 0;
@@ -85,7 +73,7 @@ struct server_stats {
 
   /// Throws invalid_argument_error when the counters are mutually
   /// inconsistent (completed > submitted, a terminal-status sum exceeding
-  /// completions, packed without coalesced, negative quantiles, ...) — the
+  /// completions, negative quantiles, ...) — the
   /// invariant check the chaos harnesses run after every scenario to prove
   /// ticket accounting reconciled exactly.
   void validate() const;

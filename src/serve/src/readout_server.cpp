@@ -60,9 +60,6 @@ void server_config::validate() const {
   KLINQ_REQUIRE(shard_shots <= kMaxShardShots,
                 "server_config: shard_shots is implausibly large (wrapped "
                 "negative?)");
-  KLINQ_REQUIRE(coalesce_shots <= kMaxCoalesceShots,
-                "server_config: coalesce_shots exceeds one kernel tile "
-                "(kMaxCoalesceShots)");
   KLINQ_REQUIRE(
       std::isfinite(default_deadline_seconds) &&
           default_deadline_seconds >= 0.0,
@@ -87,15 +84,6 @@ void server_stats::validate() const {
       "server_stats: terminal-status counts exceed total completions");
   KLINQ_REQUIRE(shots_completed <= shots_submitted,
                 "server_stats: more shots completed than submitted");
-  KLINQ_REQUIRE(requests_coalesced <= requests_submitted,
-                "server_stats: more coalesced requests than submissions");
-  KLINQ_REQUIRE(packed_requests <= requests_coalesced,
-                "server_stats: lane packing only applies to coalesced "
-                "requests");
-  KLINQ_REQUIRE(coalesced_batches <= requests_coalesced,
-                "server_stats: a merged batch needs at least one member");
-  KLINQ_REQUIRE(packed_batches <= packed_requests,
-                "server_stats: a lane pack needs at least one member");
   KLINQ_REQUIRE(feedback_requests <= requests_submitted,
                 "server_stats: more feedback submissions than submissions");
   // inflight counts unconsumed tickets (completed-but-unclaimed slots
@@ -167,8 +155,7 @@ obs::log_histogram& stage_histogram(obs::metric_registry& metrics,
       "klinq_serve_stage_seconds",
       {{"stage", stage}, {"qubit", qubit}, {"engine", engine},
        {"status", status}},
-      "Per-request stage durations: coalesce hold, queue wait, shard "
-      "execution");
+      "Per-request stage durations: queue wait, shard execution");
 }
 
 }  // namespace
@@ -189,21 +176,6 @@ void readout_server::init_metrics() {
     traces_ = owned_traces_.get();
   }
   obs::metric_registry& m = *metrics_;
-  requests_coalesced_cell_ =
-      &m.get_counter("klinq_serve_requests_coalesced_total", {},
-                     "Requests routed through the coalescing path");
-  coalesced_batches_cell_ =
-      &m.get_counter("klinq_serve_coalesced_batches_total", {},
-                     "Merged coalesced batches dispatched");
-  packed_requests_cell_ =
-      &m.get_counter("klinq_serve_packed_requests_total", {},
-                     "Requests evaluated inside a shared lane-packed tile");
-  packed_batches_cell_ =
-      &m.get_counter("klinq_serve_packed_batches_total", {},
-                     "Lane-packed kernel tiles dispatched");
-  lane_occupancy_ =
-      &m.get_histogram("klinq_serve_lane_occupancy", {},
-                       "Occupied lanes per dispatched lane pack");
   shard_events_cell_ =
       &m.get_counter("klinq_serve_shard_events_total", {},
                      "Shard completions delivered to on_shard");
@@ -247,8 +219,7 @@ void readout_server::init_metrics() {
           "klinq_serve_requests_completed_total",
           {{"qubit", qs}, {"engine", en}, {"status", "ok"}},
           "Requests resolved, by terminal status");
-      cells.stages[0] = {&stage_histogram(m, "hold", qs, en, "ok"),
-                         &stage_histogram(m, "queue", qs, en, "ok"),
+      cells.stages[0] = {&stage_histogram(m, "queue", qs, en, "ok"),
                          &stage_histogram(m, "exec", qs, en, "ok")};
       cells.shard_exec = &m.get_histogram("klinq_serve_shard_exec_seconds",
                                           qe, "Single-shard execution time");
@@ -265,12 +236,11 @@ readout_server::stage_cells& readout_server::stages_locked(
     std::size_t qubit, engine_kind engine, request_status status) {
   stage_cells& st =
       cells_locked(qubit, engine).stages[static_cast<std::size_t>(status)];
-  if (st.hold == nullptr) {
+  if (st.queue == nullptr) {
     const std::string qs = std::to_string(qubit);
     const char* en = engine_name(engine);
     const char* sn = status_name(status);
-    st = {&stage_histogram(*metrics_, "hold", qs, en, sn),
-          &stage_histogram(*metrics_, "queue", qs, en, sn),
+    st = {&stage_histogram(*metrics_, "queue", qs, en, sn),
           &stage_histogram(*metrics_, "exec", qs, en, sn)};
   }
   return st;
@@ -292,22 +262,19 @@ void readout_server::finish_request_locked(slot* raw, engine_kind engine) {
   completed->inc();
   cells.shots_completed->inc(raw->shots);
   // Stage boundaries on the trace clock's microsecond grid, relative to
-  // submit: hold is the coalesce park time (0 for direct dispatch), queue is
-  // scheduler wait until the first shard started, exec covers first shard
-  // start → last shard done. Each boundary is floor(t·1e6) and each stage
-  // the difference of two, so the three stages tile the request exactly.
+  // submit: queue is the wait from submit until the first shard started
+  // (≈0 for an inline feedback request; 0 for a zero-shot one, which has
+  // no shard), exec covers first shard start → last shard done. Each
+  // boundary is floor(t·1e6) and each stage the difference of two, so the
+  // two stages tile the request exactly.
   const double total = raw->result.latency_seconds;
   const auto to_us = [](double seconds) {
     return static_cast<std::uint64_t>(std::max(seconds, 0.0) * 1e6);
   };
-  const std::uint64_t dispatch_us = to_us(raw->dispatch_at);
-  const std::uint64_t exec_us = std::max(
-      dispatch_us,
-      to_us(raw->first_exec_at < 0.0 ? raw->dispatch_at : raw->first_exec_at));
+  const std::uint64_t exec_us = to_us(raw->first_exec_at);
   const std::uint64_t done_us = std::max(exec_us, to_us(total));
   stage_cells& stages = stages_locked(qubit, engine, status);
-  stages.hold->record(static_cast<double>(dispatch_us) * 1e-6);
-  stages.queue->record(static_cast<double>(exec_us - dispatch_us) * 1e-6);
+  stages.queue->record(static_cast<double>(exec_us) * 1e-6);
   stages.exec->record(static_cast<double>(done_us - exec_us) * 1e-6);
   request_seconds_->record(total);
   lane_seconds_[static_cast<std::size_t>(raw->lane)]->record(total);
@@ -325,7 +292,7 @@ void readout_server::finish_request_locked(slot* raw, engine_kind engine) {
     submit_us = now_us - std::min(now_us, done_us);
   }
   const std::uint64_t trace_id = traced ? raw->trace_id : ring.next_trace_id();
-  // All three spans share the client's parent so the RTT span brackets them
+  // Both spans share the client's parent so the RTT span brackets them
   // in the viewer.
   const auto span = [&](const char* name, std::uint64_t begin_us,
                         std::uint64_t end_us) {
@@ -339,9 +306,8 @@ void readout_server::finish_request_locked(slot* raw, engine_kind engine) {
     out.category = "serve";
     return out;
   };
-  const std::array<obs::trace_span, 3> spans{
-      span("serve.hold", 0, dispatch_us),
-      span("serve.queue", dispatch_us, exec_us),
+  const std::array<obs::trace_span, 2> spans{
+      span("serve.queue", 0, exec_us),
       span("serve.exec", exec_us, done_us)};
   if (traced) {
     for (const obs::trace_span& sampled : spans) ring.record(sampled);
@@ -405,9 +371,6 @@ ticket readout_server::submit(const readout_request& request) {
   // capacity.
   engine_lease lease = lease_for(request);
   std::unique_lock lock(mutex_);
-  // A direct dispatch can fill the window over parked batches: flush them,
-  // so every slot this wait blocks on holds dispatched work.
-  if (active_.size() >= config_.max_inflight) flush_pending_locked(lock);
   capacity_.wait(lock,
                  [this] { return active_.size() < config_.max_inflight; });
   return submit_locked(request, std::move(lease), lock);
@@ -417,13 +380,7 @@ std::optional<ticket> readout_server::try_submit(
     const readout_request& request) {
   engine_lease lease = lease_for(request);
   std::unique_lock lock(mutex_);
-  if (active_.size() >= config_.max_inflight) {
-    // Non-blocking producers never call wait() before retrying: dispatch any
-    // parked batches so the held tickets can complete (and poll() can turn
-    // true) instead of livelocking the retry loop.
-    flush_pending_locked(lock);
-    return std::nullopt;
-  }
+  if (active_.size() >= config_.max_inflight) return std::nullopt;
   return submit_locked(request, std::move(lease), lock);
 }
 
@@ -431,13 +388,6 @@ ticket readout_server::submit_locked(const readout_request& request,
                                      engine_lease lease,
                                      std::unique_lock<std::mutex>& lock) {
   const std::size_t shots = request.traces->size();
-  // The feedback lane bypasses coalescing unconditionally: parking a
-  // feedback request behind a batch that waits for more members is exactly
-  // the queueing delay the lane exists to avoid.
-  const bool coalesce = config_.coalesce_shots > 0 && shots > 0 &&
-                        shots <= config_.coalesce_shots &&
-                        request.lane == lane_class::bulk;
-
   std::unique_ptr<slot> s;
   if (!free_slots_.empty()) {
     s = std::move(free_slots_.back());
@@ -447,9 +397,7 @@ ticket readout_server::submit_locked(const readout_request& request,
   }
   s->id = next_ticket_++;
   s->shots = shots;
-  // A coalesced member executes as one range inside the merged task.
-  s->remaining_shards =
-      shots == 0 ? 0 : (coalesce ? 1 : scheduler_.shard_count(shots));
+  s->remaining_shards = scheduler_.shard_count(shots);
   s->done = false;
   s->error = nullptr;
   s->deadline_seconds = request.deadline_seconds;
@@ -483,7 +431,6 @@ ticket readout_server::submit_locked(const readout_request& request,
     s->result.logits.resize(shots);
     s->result.registers.clear();
   }
-  s->dispatch_at = 0.0;
   s->first_exec_at = -1.0;
   s->shard_count = s->remaining_shards;
   s->trace_id = 0;
@@ -522,41 +469,12 @@ ticket readout_server::submit_locked(const readout_request& request,
     return t;
   }
 
-  if (coalesce) {
-    const std::uint64_t key =
-        request.qubit * 2 + static_cast<std::uint64_t>(request.engine);
-    pending_batch& batch = pending_[key];
-    batch.members.push_back({request, raw});
-    batch.shots += shots;
-    requests_coalesced_cell_->inc();
-    std::vector<pending_batch> ready;
-    if (batch.shots >= scheduler_.shard_shots()) {
-      // A full shard's worth accumulated: dispatch the merged batch now.
-      stamp_dispatch_locked(batch);
-      ready.push_back(std::move(batch));
-      pending_.erase(key);
-      coalesced_batches_cell_->inc();
-    } else if (active_.size() < config_.max_inflight) {
-      return t;  // keep parking
-    }
-    if (active_.size() >= config_.max_inflight) {
-      // The window is full: nothing may stay parked (a producer that only
-      // polls or retries try_submit would otherwise never see these tickets
-      // complete), so flush every stream's batch, not just this one's.
-      take_pending_locked(ready);
-    }
-    lock.unlock();
-    for (pending_batch& b : ready) dispatch_batch(std::move(b));
-    return t;
-  }
-
   // Dispatch outside the lock: the pool has its own mutex, and shards may
   // even run inline here on a workerless (single-CPU) pool. The slot cannot
   // complete early — remaining_shards is already final.
-  raw->dispatch_at = raw->timer.seconds();
   lock.unlock();
   if (request.lane == lane_class::feedback &&
-      shots <= server_config::kMaxCoalesceShots) {
+      shots <= server_config::kMaxInlineShots) {
     // One shard of feedback runs here: a few microseconds of engine work,
     // where a queued task would wait behind any bulk shard already running.
     scheduler_.run_inline([&](shard_arena& arena) {
@@ -575,7 +493,7 @@ ticket readout_server::submit_locked(const readout_request& request,
 void readout_server::set_on_complete(completion_callback callback) {
   {
     const std::lock_guard lock(mutex_);
-    KLINQ_REQUIRE(active_.empty() && pending_.empty(),
+    KLINQ_REQUIRE(active_.empty(),
                   "readout_server: set_on_complete requires no unresolved "
                   "tickets (in-flight completions would race the handoff)");
   }
@@ -583,14 +501,14 @@ void readout_server::set_on_complete(completion_callback callback) {
   // callback lock-free); wait for task bodies to exit before swapping.
   scheduler_.drain();
   const std::lock_guard lock(mutex_);
-  KLINQ_REQUIRE(active_.empty() && pending_.empty(),
+  KLINQ_REQUIRE(active_.empty(),
                 "readout_server: a submit raced set_on_complete");
   config_.on_complete = std::move(callback);
 }
 
-bool readout_server::start_member(member_run& run) const {
-  // Expiry/cancellation are checked at shard start: a skipped member costs
-  // nothing but still runs complete_members, which is what guarantees an
+bool readout_server::start_shard(shard_run& run) const {
+  // Expiry/cancellation are checked at shard start: a skipped shard costs
+  // nothing but still runs complete_shard, which is what guarantees an
   // expired or cancelled ticket resolves instead of blocking wait() forever.
   const slot& s = *run.s;
   run.exec_begin = s.timer.seconds();
@@ -635,8 +553,8 @@ shard_event readout_server::shard_event_for(const slot& s, std::size_t begin,
 void readout_server::execute_range(slot* raw, const readout_request& request,
                                    std::size_t begin, std::size_t end,
                                    shard_arena& arena) {
-  member_run run{raw};
-  if (start_member(run)) {
+  shard_run run{raw};
+  if (start_shard(run)) {
     try {
       run_shard(*raw, request, begin, end, arena);
       if (config_.on_shard) {
@@ -650,318 +568,87 @@ void readout_server::execute_range(slot* raw, const readout_request& request,
       run.error = std::current_exception();
     }
   }
-  complete_members(&run, 1);
+  complete_shard(run);
 }
 
-void readout_server::complete_members(member_run* runs, std::size_t count) {
-  // A range completes one member and a pack's members share one batch key,
-  // so (qubit, engine kind) is common to every run.
-  const std::size_t qubit = runs[0].s->result.qubit;
-  const engine_kind engine = runs[0].s->result.engine;
+void readout_server::complete_shard(const shard_run& run) {
+  slot* raw = run.s;
+  const std::size_t qubit = raw->result.qubit;
+  const engine_kind engine = raw->result.engine;
   engine_cells& cells = cells_locked(qubit, engine);
-  // Per-member shard time on the member's own timer (ran or threw — either
-  // way it held a worker this long). Lock-free: a pre-resolved histogram.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (runs[i].skipped()) continue;
-    cells.shard_exec->record(runs[i].s->timer.seconds() - runs[i].exec_begin);
+  // Shard time on the request's own timer (ran or threw — either way it
+  // held a worker this long). Lock-free: a pre-resolved histogram.
+  if (!run.skipped()) {
+    cells.shard_exec->record(raw->timer.seconds() - run.exec_begin);
   }
-  // The demote takes the provider's locks, so it runs with mutex_ released,
-  // but before any shard is accounted: the tripping request stays open
-  // until the rollback has landed.
-  bool demote_now = false;
-  std::uint64_t failing_version = 0;
-  // Doorbell state, captured under the lock: once it releases, a completed
-  // slot may be consumed and recycled, so the callbacks use only these.
-  struct doorbell {
-    std::uint64_t id = 0;
-    request_status status = request_status::ok;
-  };
-  std::array<doorbell, server_config::kMaxCoalesceShots> rung{};
-  std::size_t rung_count = 0;
   std::unique_lock lock(mutex_);
-  for (std::size_t i = 0; i < count; ++i) {
-    const member_run& run = runs[i];
-    slot* raw = run.s;
-    if (run.error && !raw->error) raw->error = run.error;
-    if (run.event_fired) shard_events_cell_->inc();
-    if (run.expired) raw->deadline_expired = true;
-    if (raw->first_exec_at < 0.0 || run.exec_begin < raw->first_exec_at) {
-      raw->first_exec_at = run.exec_begin;
+  if (run.error && !raw->error) raw->error = run.error;
+  if (run.event_fired) shard_events_cell_->inc();
+  if (run.expired) raw->deadline_expired = true;
+  if (raw->first_exec_at < 0.0 || run.exec_begin < raw->first_exec_at) {
+    raw->first_exec_at = run.exec_begin;
+  }
+  if (run.error) {
+    if (cells.shard_failures == nullptr) {
+      cells.shard_failures = &metrics_->get_counter(
+          "klinq_serve_shard_failures_total",
+          {{"qubit", std::to_string(qubit)}, {"engine", engine_name(engine)}},
+          "Shard executions that threw");
     }
-    if (run.error) {
-      if (cells.shard_failures == nullptr) {
-        cells.shard_failures = &metrics_->get_counter(
-            "klinq_serve_shard_failures_total",
-            {{"qubit", std::to_string(qubit)},
-             {"engine", engine_name(engine)}},
-            "Shard executions that threw");
-      }
-      cells.shard_failures->inc();
-      if (++consecutive_failures_[qubit] >= config_.failure_threshold) {
-        // Reset before demoting so the next window needs a full threshold
-        // of fresh failures (whether or not the provider switches).
-        consecutive_failures_[qubit] = 0;
-        demote_now = true;
-        failing_version = raw->result.model_version;
-      }
-    } else if (!run.skipped()) {
+    cells.shard_failures->inc();
+    if (++consecutive_failures_[qubit] >= config_.failure_threshold) {
+      // Reset before demoting so the next window needs a full threshold of
+      // fresh failures (whether or not the provider switches). The demote
+      // takes the provider's locks, so it runs with mutex_ released, but
+      // before this shard is accounted: the tripping request stays open
+      // until the rollback has landed.
       consecutive_failures_[qubit] = 0;
-    }
-  }
-  if (demote_now) {
-    lock.unlock();
-    const bool demoted = provider_->demote(qubit, failing_version);
-    lock.lock();
-    if (demoted) {
-      obs::counter*& cell = qubit_cells_[qubit].rollbacks;
-      if (cell == nullptr) {
-        cell = &metrics_->get_counter(
-            "klinq_serve_rollbacks_total", {{"qubit", std::to_string(qubit)}},
-            "Automatic demote-to-last-known-good rollbacks this server "
-            "triggered");
+      const std::uint64_t failing_version = raw->result.model_version;
+      lock.unlock();
+      const bool demoted = provider_->demote(qubit, failing_version);
+      lock.lock();
+      if (demoted) {
+        obs::counter*& cell = qubit_cells_[qubit].rollbacks;
+        if (cell == nullptr) {
+          cell = &metrics_->get_counter(
+              "klinq_serve_rollbacks_total",
+              {{"qubit", std::to_string(qubit)}},
+              "Automatic demote-to-last-known-good rollbacks this server "
+              "triggered");
+        }
+        cell->inc();
       }
-      cell->inc();
     }
+  } else if (!run.skipped()) {
+    consecutive_failures_[qubit] = 0;
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    slot* raw = runs[i].s;
-    --outstanding_shards_;
-    if (--raw->remaining_shards > 0) continue;
-    raw->done = true;
-    raw->lease = engine_lease{};  // last shard done: release the snapshot
-    raw->result.latency_seconds = raw->timer.seconds();
-    // Resolution precedence: an explicit cancel outranks expiry, expiry
-    // outranks a shard error (the caller asked for the answer's absence).
-    if (raw->cancelled.load(std::memory_order_relaxed)) {
-      raw->result.status = request_status::cancelled;
-    } else if (raw->deadline_expired) {
-      raw->result.status = request_status::timed_out;
-    } else if (raw->error) {
-      raw->result.status = request_status::failed;
-    } else {
-      raw->result.status = request_status::ok;
-    }
-    rung[rung_count++] = {raw->id, raw->result.status};
-    finish_request_locked(raw, engine);
+  // The early return needs no notify: another shard of this request is
+  // still out, so outstanding_shards_ stays positive and no waiter's
+  // condition can have turned true.
+  --outstanding_shards_;
+  if (--raw->remaining_shards > 0) return;
+  raw->done = true;
+  raw->lease = engine_lease{};  // last shard done: release the snapshot
+  raw->result.latency_seconds = raw->timer.seconds();
+  // Resolution precedence: an explicit cancel outranks expiry, expiry
+  // outranks a shard error (the caller asked for the answer's absence).
+  if (raw->cancelled.load(std::memory_order_relaxed)) {
+    raw->result.status = request_status::cancelled;
+  } else if (raw->deadline_expired) {
+    raw->result.status = request_status::timed_out;
+  } else if (raw->error) {
+    raw->result.status = request_status::failed;
+  } else {
+    raw->result.status = request_status::ok;
   }
-  if (rung_count > 0 || outstanding_shards_ == 0) completed_.notify_all();
+  // Doorbell state, captured under the lock: once it releases, the slot may
+  // be consumed and recycled, so the callback uses only these.
+  const ticket t{raw->id};
+  const request_status status = raw->result.status;
+  finish_request_locked(raw, engine);
+  completed_.notify_all();
   lock.unlock();
-  if (config_.on_complete) {
-    for (std::size_t i = 0; i < rung_count; ++i) {
-      config_.on_complete(ticket{rung[i].id}, rung[i].status);
-    }
-  }
-}
-
-void readout_server::stamp_dispatch_locked(pending_batch& batch) {
-  // End of the coalesce hold, stamped under mutex_ at the moment the batch
-  // leaves pending_. No member can join after the stamp (joining requires
-  // the same lock and the batch is gone from pending_), so a late joiner can
-  // never carry a dispatch_at predating its own submit — hold and queue
-  // spans stay non-negative by construction.
-  for (const pending_member& member : batch.members) {
-    member.s->dispatch_at = member.s->timer.seconds();
-  }
-}
-
-void readout_server::dispatch_batch(pending_batch batch) {
-  // One scheduler task, one arena: every member runs back to back in lane
-  // packs (see run_batch), completing (and waking waiters) individually.
-  scheduler_.dispatch_one(
-      [this, members = std::move(batch.members)](shard_arena& arena) {
-        run_batch(members, arena);
-      });
-}
-
-void readout_server::run_batch(const std::vector<pending_member>& members,
-                               shard_arena& arena) {
-  // Group in submission order by what one shared tile must agree on: the
-  // pinned engine identity (two hot-swap versions of one qubit's model must
-  // never share a tile) and the trace duration (the front end is built for
-  // one envelope width, so a mismatched member must fail alone, not its
-  // pack-mates). The batch key already fixes (qubit, engine kind).
-  const auto tile_key = [](const pending_member& member) {
-    const qubit_engine& engine = member.s->lease.engine;
-    const void* identity =
-        member.request.engine == engine_kind::fixed_q16
-            ? static_cast<const void*>(engine.hardware)
-            : static_cast<const void*>(engine.student);
-    return std::pair(identity, member.request.traces->samples_per_quadrature());
-  };
-  std::vector<std::vector<const pending_member*>> groups;
-  for (const pending_member& member : members) {
-    const auto it =
-        std::find_if(groups.begin(), groups.end(), [&](const auto& group) {
-          return tile_key(*group.front()) == tile_key(member);
-        });
-    if (it == groups.end()) {
-      groups.push_back({&member});
-    } else {
-      it->push_back(&member);
-    }
-  }
-  for (const std::vector<const pending_member*>& group : groups) {
-    // Greedy chunks of at most one tile of lanes. validate() bounds every
-    // member by one tile, so each chunk takes at least one member; a chunk
-    // of one gains nothing from the shared tile and runs the plain range.
-    for (std::size_t begin = 0, end = 0; begin < group.size(); begin = end) {
-      std::size_t lanes = 0;
-      while (end < group.size() &&
-             lanes + group[end]->request.traces->size() <=
-                 server_config::kMaxCoalesceShots) {
-        lanes += group[end++]->request.traces->size();
-      }
-      if (end - begin == 1) {
-        execute_range(group[begin]->s, group[begin]->request, 0, lanes, arena);
-      } else {
-        execute_pack(group.data() + begin, end - begin, arena);
-      }
-    }
-  }
-}
-
-void readout_server::execute_pack(const pending_member* const* pack,
-                                  std::size_t count, shard_arena& arena) {
-  constexpr std::size_t kMaxLanes = server_config::kMaxCoalesceShots;
-  constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
-  // run_batch grouped by pinned engine identity, so one leased engine
-  // evaluates every lane.
-  const engine_kind kind = pack[0]->request.engine;
-  const qubit_engine& engine = pack[0]->s->lease.engine;
-
-  // Per-member preamble: a skipped or faulted member is excluded from the
-  // shared tile but still reaches complete_members.
-  std::array<member_run, kMaxLanes> runs;
-  std::array<std::size_t, kMaxLanes> lane_offset{};
-  std::array<const data::trace_dataset*, kMaxLanes> datasets{};
-  std::array<std::size_t, kMaxLanes> rows{};
-  std::size_t lanes = 0;
-  std::size_t packed = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    runs[i].s = pack[i]->s;
-    lane_offset[i] = kNoLane;
-    if (!start_member(runs[i])) continue;
-    const data::trace_dataset& ds = *pack[i]->request.traces;
-    lane_offset[i] = lanes;
-    ++packed;
-    for (std::size_t r = 0; r < ds.size(); ++r) {
-      datasets[lanes] = &ds;
-      rows[lanes] = r;
-      ++lanes;
-    }
-  }
-
-  if (lanes > 0) {
-    // One shared kernel tile for every runnable member's shots. A kernel
-    // exception fails all of them (they shared the execution), never the
-    // members already skipped or faulted out above.
-    std::exception_ptr kernel_error;
-    try {
-      if (kind == engine_kind::fixed_q16) {
-        std::array<fx::q16_16, kMaxLanes> out;
-        engine.hardware->logits_lanes(datasets.data(), rows.data(), lanes,
-                                      std::span<fx::q16_16>(out.data(), lanes),
-                                      arena.fixed);
-        for (std::size_t i = 0; i < count; ++i) {
-          if (lane_offset[i] == kNoLane) continue;
-          readout_result& result = runs[i].s->result;
-          for (std::size_t r = 0; r < result.registers.size(); ++r) {
-            result.registers[r] = out[lane_offset[i] + r];
-            result.states[r] = result.registers[r].sign_bit() ? 0 : 1;
-          }
-        }
-      } else {
-        std::array<float, kMaxLanes> out;
-        engine.student->predict_lanes(datasets.data(), rows.data(), lanes,
-                                      std::span<float>(out.data(), lanes),
-                                      arena.student);
-        for (std::size_t i = 0; i < count; ++i) {
-          if (lane_offset[i] == kNoLane) continue;
-          readout_result& result = runs[i].s->result;
-          for (std::size_t r = 0; r < result.logits.size(); ++r) {
-            result.logits[r] = out[lane_offset[i] + r];
-            result.states[r] = (result.logits[r] >= 0.0f) ? 1 : 0;
-          }
-        }
-      }
-    } catch (...) {
-      kernel_error = std::current_exception();
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      if (lane_offset[i] == kNoLane) continue;
-      if (kernel_error) {
-        runs[i].error = kernel_error;
-      } else if (config_.on_shard) {
-        // One event per member covering its whole range, as for a member
-        // run alone; a callback throw fails only the member whose event it
-        // was.
-        try {
-          config_.on_shard(shard_event_for(*runs[i].s, 0, runs[i].s->shots));
-          runs[i].event_fired = true;
-        } catch (...) {
-          runs[i].error = std::current_exception();
-        }
-      }
-    }
-    // Pack accounting (lock-free cells): members that shared the tile, the
-    // tile itself, and how full it ran.
-    packed_batches_cell_->inc();
-    packed_requests_cell_->inc(packed);
-    lane_occupancy_->record(static_cast<double>(lanes));
-  }
-  complete_members(runs.data(), count);
-}
-
-void readout_server::take_pending_locked(std::vector<pending_batch>& out) {
-  // Counts exactly the batches it appends — `out` may already hold a batch
-  // the caller took (and counted) itself, e.g. submit_locked's full-shard
-  // batch when the window is simultaneously full.
-  out.reserve(out.size() + pending_.size());
-  for (auto& [key, batch] : pending_) {
-    if (batch.members.empty()) continue;
-    stamp_dispatch_locked(batch);
-    out.push_back(std::move(batch));
-    coalesced_batches_cell_->inc();
-  }
-  pending_.clear();
-}
-
-void readout_server::flush_pending() {
-  // Early-out keeps the default (coalescing-off) wait/drain path at a
-  // single mutex acquisition.
-  if (config_.coalesce_shots == 0) return;
-  std::unique_lock lock(mutex_);
-  flush_pending_locked(lock);
-}
-
-void readout_server::flush_pending_locked(std::unique_lock<std::mutex>& lock) {
-  if (pending_.empty()) return;
-  std::vector<pending_batch> ready;
-  take_pending_locked(ready);
-  lock.unlock();
-  for (pending_batch& batch : ready) dispatch_batch(std::move(batch));
-  lock.lock();
-}
-
-void readout_server::flush_pending_for(ticket t) {
-  if (config_.coalesce_shots == 0) return;
-  std::optional<pending_batch> ready;
-  {
-    const std::lock_guard lock(mutex_);
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      for (const pending_member& member : it->second.members) {
-        if (member.s->id == t.id) {
-          stamp_dispatch_locked(it->second);
-          ready = std::move(it->second);
-          pending_.erase(it);
-          coalesced_batches_cell_->inc();
-          break;
-        }
-      }
-      if (ready) break;
-    }
-  }
-  if (ready) dispatch_batch(std::move(*ready));
+  if (config_.on_complete) config_.on_complete(t, status);
 }
 
 void readout_server::run_shard(slot& s, const readout_request& request,
@@ -1005,10 +692,6 @@ bool readout_server::cancel(ticket t) {
     // observe the flag and the request resolves as cancelled.
     raw->cancelled.store(true, std::memory_order_relaxed);
   }
-  // The ticket may be parked in a coalescing batch nothing else would flush
-  // (a cancelling producer typically stops submitting): dispatch that batch
-  // so the skip executes and the ticket resolves promptly.
-  flush_pending_for(t);
   return true;
 }
 
@@ -1027,10 +710,6 @@ readout_result readout_server::wait(ticket t) {
 }
 
 void readout_server::wait(ticket t, readout_result& out) {
-  // The ticket may be parked in a coalescing batch; dispatch that batch (and
-  // only that one — other streams keep accumulating) so the wait below
-  // cannot block on work that was never enqueued.
-  flush_pending_for(t);
   std::unique_lock lock(mutex_);
   slot* raw;
   {
@@ -1088,7 +767,6 @@ void readout_server::recycle_locked(std::unique_ptr<slot> s,
 }
 
 void readout_server::drain() {
-  flush_pending();
   {
     std::unique_lock lock(mutex_);
     completed_.wait(lock, [this] { return outstanding_shards_ == 0; });
@@ -1098,7 +776,7 @@ void readout_server::drain() {
   // doorbell reads config_, which the destructor tears down before
   // scheduler_ (reverse member order). So "drained" waits for the task
   // bodies themselves — the scheduler decrements its pending count only
-  // after a body fully returns. The cancel-during-flush TSAN hammer in
+  // after a body fully returns. The cancel-during-drain TSAN hammer in
   // test_serve.cpp regresses this.
   scheduler_.drain();
 }
@@ -1137,10 +815,6 @@ server_stats readout_server::stats() const {
       snapshot.rollbacks += qubit_cells_[q].rollbacks->value();
     }
   }
-  snapshot.requests_coalesced = requests_coalesced_cell_->value();
-  snapshot.coalesced_batches = coalesced_batches_cell_->value();
-  snapshot.packed_requests = packed_requests_cell_->value();
-  snapshot.packed_batches = packed_batches_cell_->value();
   snapshot.shard_events = shard_events_cell_->value();
   snapshot.inflight = active_.size();
   snapshot.uptime_seconds = uptime_.seconds();

@@ -60,18 +60,6 @@ void shard_scheduler::dispatch(
   }
 }
 
-void shard_scheduler::dispatch_one(std::function<void(shard_arena&)> run) {
-  {
-    const std::lock_guard lock(mutex_);
-    ++pending_;
-  }
-  pool_->submit([this, run = std::move(run)] {
-    std::unique_ptr<shard_arena> arena = acquire();
-    run(*arena);
-    finish_shard(std::move(arena));
-  });
-}
-
 void shard_scheduler::drain() {
   std::unique_lock lock(mutex_);
   idle_.wait(lock, [this] { return pending_ == 0; });

@@ -334,7 +334,7 @@ TEST(HttpIntrospection, StatuszAndTracezRenderLiveState) {
   info.engine = serve::engine_kind::fixed_q16;
   const std::uint64_t id = cli.send_request(info, f.data.test);
   ASSERT_TRUE(cli.read_reply(id).has_value());
-  ASSERT_TRUE(wait_until([&] { return ring.spans().size() >= 8; }));
+  ASSERT_TRUE(wait_until([&] { return ring.spans().size() >= 7; }));
 
   const obs::http_result status =
       obs::http_get(http.host(), http.port(), "/statusz");

@@ -444,31 +444,6 @@ TEST(FixedDiscriminator, FastPathEqualsReferenceAtEveryCallShape) {
             << "logits_block size " << size << " row " << r;
       }
     }
-    // Lane packs draw rows out of order, the rail shots included.
-    const std::size_t stride = 37;  // coprime with the row count below
-    ASSERT_NE(test.size() % stride, 0u);
-    for (const std::size_t lanes : {1, 3, 4, 64, 65}) {
-      std::size_t next = 0;
-      for (std::size_t done = 0; done < test.size();) {
-        const std::size_t pack = std::min(
-            {lanes, hw::quantized_network<q16_16>::kBatchTile,
-             test.size() - done});
-        std::vector<const data::trace_dataset*> datasets(pack, &test);
-        std::vector<std::size_t> rows(pack);
-        for (auto& row : rows) {
-          row = next;
-          next = (next + stride) % test.size();
-        }
-        std::vector<q16_16> out(pack);
-        engine.logits_lanes(datasets.data(), rows.data(), pack, out,
-                            scratch);
-        for (std::size_t s = 0; s < pack; ++s) {
-          ASSERT_EQ(out[s].raw(), expected[rows[s]])
-              << "logits_lanes pack " << lanes << " row " << rows[s];
-        }
-        done += pack;
-      }
-    }
   }
   EXPECT_TRUE(negative_shift);
   EXPECT_TRUE(positive_shift);

@@ -1,5 +1,5 @@
-// klinq::obs — labeled metrics registry, exposition formats, fault mirror,
-// JSONL emitter and the trace plane.
+// klinq::obs — labeled metrics registry, exposition formats, fault mirror
+// and the trace plane.
 //
 // Contracts under test:
 //   * log_histogram: interpolated quantiles exact at the observed extremes
@@ -14,8 +14,6 @@
 //     for; JSON snapshot lines are single-line and parseable-ish;
 //   * fault mirror: fault::report() deltas land as counters and survive
 //     the counter reset on re-arm;
-//   * metrics_emitter: background JSONL lines appear and stop() flushes a
-//     final one; environment wiring via KLINQ_METRICS_FILE;
 //   * trace plane: the shared microsecond clock is monotonic, the span ring
 //     gates on armed(), bounds memory by overwriting oldest, and groups
 //     spans into traces; its kept set (tail retention) overwrites the
@@ -40,7 +38,6 @@
 
 #include "klinq/common/error.hpp"
 #include "klinq/fault/fault.hpp"
-#include "klinq/obs/emitter.hpp"
 #include "klinq/obs/exposition.hpp"
 #include "klinq/obs/fault_mirror.hpp"
 #include "klinq/obs/histogram.hpp"
@@ -385,59 +382,13 @@ TEST(ObsFaultMirror, ReportDeltasBecomeCounters) {
   reg.remove_collector(id);
 }
 
-// --- emitter ---------------------------------------------------------------
+// --- tracing ----------------------------------------------------------------
 
 std::string temp_path(const char* stem) {
   return (std::filesystem::temp_directory_path() /
           (std::string(stem) + std::to_string(::getpid()) + ".jsonl"))
       .string();
 }
-
-TEST(ObsEmitter, WritesJsonlLinesAndFinalFlush) {
-  const std::string path = temp_path("klinq_obs_emitter_");
-  std::filesystem::remove(path);
-  obs::metric_registry reg;
-  reg.get_counter("emitted_total").inc(9);
-  {
-    obs::metrics_emitter emitter(reg, {path, 0.02});
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    emitter.stop();
-    EXPECT_GE(emitter.lines_written(), 2u);  // ticks plus the final line
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(static_cast<bool>(in));
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"emitted_total\""), std::string::npos);
-  }
-  EXPECT_GE(lines, 2u);
-  std::filesystem::remove(path);
-}
-
-TEST(ObsEmitter, EnvironmentWiring) {
-  obs::metric_registry reg;
-  ::unsetenv("KLINQ_METRICS_FILE");
-  EXPECT_EQ(obs::start_emitter_from_env(reg), nullptr);
-
-  const std::string path = temp_path("klinq_obs_emitter_env_");
-  std::filesystem::remove(path);
-  ::setenv("KLINQ_METRICS_FILE", path.c_str(), 1);
-  ::setenv("KLINQ_METRICS_INTERVAL", "0.02", 1);
-  {
-    const auto emitter = obs::start_emitter_from_env(reg);
-    ASSERT_NE(emitter, nullptr);
-  }
-  ::unsetenv("KLINQ_METRICS_FILE");
-  ::unsetenv("KLINQ_METRICS_INTERVAL");
-  EXPECT_TRUE(std::filesystem::exists(path));
-  std::filesystem::remove(path);
-}
-
-// --- tracing ----------------------------------------------------------------
 
 obs::trace_span make_span(std::uint64_t trace_id, std::uint64_t span_id,
                           std::uint64_t start_us, std::uint64_t duration_us,
@@ -527,9 +478,8 @@ obs::kept_trace make_kept(std::uint64_t trace_id, std::uint64_t total_us,
   k.status = anomalous ? "failed" : "ok";
   k.anomalous = anomalous;
   k.duration_us = total_us;
-  k.spans = {make_span(trace_id, 1, 0, total_us / 10, "serve.hold"),
-             make_span(trace_id, 2, total_us / 10, total_us / 5, "serve.queue"),
-             make_span(trace_id, 3, total_us * 3 / 10, total_us * 7 / 10,
+  k.spans = {make_span(trace_id, 1, 0, total_us * 3 / 10, "serve.queue"),
+             make_span(trace_id, 2, total_us * 3 / 10, total_us * 7 / 10,
                        "serve.exec")};
   return k;
 }
@@ -587,10 +537,10 @@ TEST(ObsTrace, KeptSpansSurviveCaptureApartFromTheFifo) {
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0].trace_id, 17u);
   EXPECT_EQ(kept[0].status, "ok");
-  ASSERT_EQ(kept[0].spans.size(), 3u);
-  EXPECT_EQ(kept[0].spans[0].name, "serve.hold");
-  EXPECT_EQ(kept[0].spans[2].name, "serve.exec");
-  EXPECT_EQ(kept[0].spans[2].duration_us, 7000u);
+  ASSERT_EQ(kept[0].spans.size(), 2u);
+  EXPECT_EQ(kept[0].spans[0].name, "serve.queue");
+  EXPECT_EQ(kept[0].spans[1].name, "serve.exec");
+  EXPECT_EQ(kept[0].spans[1].duration_us, 7000u);
   EXPECT_EQ(kept[0].attributes[0].second, "2");
   // The head-sampled FIFO is untouched.
   EXPECT_TRUE(ring.spans().empty());

@@ -32,11 +32,17 @@
 #include "klinq/serve/readout_server.hpp"
 #include "klinq/serve/shard_scheduler.hpp"
 #include "klinq/serve/telemetry.hpp"
+#include "parked_workers.hpp"
 
 namespace {
 
 using namespace klinq;
 using fx::q16_16;
+using test_support::parked_workers;
+
+constexpr const char* kNoWorkers =
+    "workerless pool: dispatched work runs inline at submit, so no request "
+    "can be held in flight";
 
 constexpr std::size_t kQubits = 3;
 
@@ -261,22 +267,9 @@ TEST(Serve, ConfigRejectsAbsurdShardShots) {
       serve::readout_server(
           f.engines(), {.shard_shots = static_cast<std::size_t>(-1)}),
       invalid_argument_error);
-  EXPECT_THROW(
-      serve::readout_server(
-          f.engines(), {.coalesce_shots = static_cast<std::size_t>(-1)}),
-      invalid_argument_error);
-  // A coalesced request must fit one lane-packed kernel tile.
-  EXPECT_THROW(
-      serve::readout_server(
-          f.engines(),
-          {.coalesce_shots = serve::server_config::kMaxCoalesceShots + 1}),
-      invalid_argument_error);
-  // The documented boundaries themselves are accepted.
+  // The documented boundary itself is accepted.
   serve::readout_server ok(
       f.engines(), {.shard_shots = serve::server_config::kMaxShardShots});
-  serve::readout_server ok_coalesce(
-      f.engines(),
-      {.coalesce_shots = serve::server_config::kMaxCoalesceShots});
 }
 
 TEST(Serve, ConfigRejectsEmptyEngineSet) {
@@ -372,7 +365,7 @@ TEST(Serve, ArenasAreRecycledAcrossRequests) {
   EXPECT_LE(scheduler.pooled_arena_count(), 4u);
 }
 
-// --- request coalescing ----------------------------------------------------
+// --- small blocks ----------------------------------------------------------
 
 // Split a dataset into consecutive blocks of at most `block` rows.
 std::vector<data::trace_dataset> split_blocks(const data::trace_dataset& ds,
@@ -387,298 +380,16 @@ std::vector<data::trace_dataset> split_blocks(const data::trace_dataset& ds,
   return out;
 }
 
-TEST(ServeCoalescing, SmallRequestsMergeBitExactAndAreCounted) {
-  auto& f = fixture();
-  // 25-shot requests, threshold 32, shard 128: five small submits fill one
-  // merged batch; the stragglers flush on wait().
-  serve::readout_server server(
-      f.engines(),
-      {.shard_shots = 128, .max_inflight = 256, .coalesce_shots = 32});
-  std::vector<std::vector<data::trace_dataset>> blocks(kQubits);
-  std::vector<std::vector<serve::ticket>> fixed_tickets(kQubits);
-  std::vector<std::vector<serve::ticket>> float_tickets(kQubits);
-  std::size_t small_submits = 0;
-  for (std::size_t q = 0; q < kQubits; ++q) {
-    blocks[q] = split_blocks(f.data[q].test, 25);
-    for (const data::trace_dataset& block : blocks[q]) {
-      fixed_tickets[q].push_back(
-          server.submit({q, &block, serve::engine_kind::fixed_q16}));
-      float_tickets[q].push_back(
-          server.submit({q, &block, serve::engine_kind::float_student}));
-      small_submits += 2;
-    }
-  }
-  for (std::size_t q = 0; q < kQubits; ++q) {
-    for (std::size_t b = 0; b < blocks[q].size(); ++b) {
-      const data::trace_dataset& block = blocks[q][b];
-      // Fixed path: bit-exact against the serial per-block evaluation.
-      const serve::readout_result fixed = server.wait(fixed_tickets[q][b]);
-      std::vector<q16_16> registers(block.size());
-      f.hardware[q].logits(block, registers);
-      ASSERT_EQ(fixed.registers.size(), registers.size());
-      for (std::size_t r = 0; r < registers.size(); ++r) {
-        ASSERT_EQ(fixed.registers[r].raw(), registers[r].raw())
-            << "qubit " << q << " block " << b << " row " << r;
-      }
-      // Float path: bitwise equal too (lane-invariant plane kernels).
-      const serve::readout_result floats = server.wait(float_tickets[q][b]);
-      const std::vector<float> logits = f.students[q].predict_batch(block);
-      ASSERT_EQ(floats.logits.size(), logits.size());
-      for (std::size_t r = 0; r < logits.size(); ++r) {
-        ASSERT_EQ(floats.logits[r], logits[r])
-            << "qubit " << q << " block " << b << " row " << r;
-      }
-    }
-  }
-  const serve::server_stats stats = server.stats();
-  EXPECT_EQ(stats.requests_coalesced, small_submits);
-  EXPECT_GE(stats.coalesced_batches, 1u);
-  // Merging amortizes accounting: far fewer dispatches than requests.
-  EXPECT_LT(stats.coalesced_batches, small_submits);
-  EXPECT_EQ(stats.requests_completed, stats.requests_submitted);
-}
-
-TEST(ServeCoalescing, WaitFlushesAPartialBatch) {
-  auto& f = fixture();
-  serve::readout_server server(
-      f.engines(), {.shard_shots = 256, .coalesce_shots = 64});
-  const auto blocks = split_blocks(f.data[0].test, 16);
-  const serve::ticket t =
-      server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
-  // One 16-shot request cannot fill a 256-shot shard: it stays parked, so
-  // poll() reports incomplete until something flushes.
-  EXPECT_FALSE(server.poll(t));
-  const serve::readout_result result = server.wait(t);  // wait() flushes
-  std::vector<q16_16> registers(blocks[0].size());
-  f.hardware[0].logits(blocks[0], registers);
-  for (std::size_t r = 0; r < registers.size(); ++r) {
-    ASSERT_EQ(result.registers[r].raw(), registers[r].raw()) << "row " << r;
-  }
-  EXPECT_EQ(server.stats().requests_coalesced, 1u);
-}
-
-TEST(ServeCoalescing, DestructionFlushesHeldBatches) {
-  auto& f = fixture();
-  const auto blocks = split_blocks(f.data[0].test, 16);
-  {
-    serve::readout_server server(
-        f.engines(), {.shard_shots = 256, .coalesce_shots = 64});
-    server.submit({0, &blocks[0], serve::engine_kind::float_student});
-    server.submit({0, &blocks[1], serve::engine_kind::float_student});
-    // No wait: the destructor must flush and drain without deadlocking.
-  }
-  SUCCEED();
-}
-
-// A non-blocking producer must not livelock: when parking would leave the
-// inflight window full of undispatched work, the server flushes, so held
-// tickets complete and poll() turns true without any wait()-side flush.
-TEST(ServeCoalescing, TrySubmitAtCapacityNeverLivelocks) {
-  auto& f = fixture();
-  // Declared before the server: the last try_submit's ticket is never
-  // waited, so its parked batch still borrows these blocks when the server
-  // destructor flushes it.
-  const auto blocks = split_blocks(f.data[0].test, 16);
-  serve::readout_server server(
-      f.engines(),
-      {.shard_shots = 256, .max_inflight = 2, .coalesce_shots = 64});
-  const auto t0 =
-      server.try_submit({0, &blocks[0], serve::engine_kind::fixed_q16});
-  const auto t1 =
-      server.try_submit({0, &blocks[1], serve::engine_kind::fixed_q16});
-  ASSERT_TRUE(t0.has_value());
-  ASSERT_TRUE(t1.has_value());  // parking this one fills the window → flush
-  const auto t2 =
-      server.try_submit({0, &blocks[2], serve::engine_kind::fixed_q16});
-  EXPECT_FALSE(t2.has_value());  // window full of dispatched work
-  // Both held tickets complete without any wait()-driven flush.
-  for (int spin = 0;
-       spin < 10000 && !(server.poll(*t0) && server.poll(*t1)); ++spin) {
-    std::this_thread::yield();
-  }
-  EXPECT_TRUE(server.poll(*t0));
-  EXPECT_TRUE(server.poll(*t1));
-  server.wait(*t0);
-  server.wait(*t1);
-  EXPECT_TRUE(
-      server.try_submit({0, &blocks[2], serve::engine_kind::fixed_q16})
-          .has_value());
-}
-
-// A full-shard dispatch that fills the inflight window must also flush the
-// OTHER streams' parked batches — otherwise a poll-only producer on those
-// streams never sees its tickets complete.
-TEST(ServeCoalescing, FullShardDispatchAtCapacityFlushesOtherStreams) {
-  auto& f = fixture();
-  serve::readout_server server(
-      f.engines(),
-      {.shard_shots = 64, .max_inflight = 3, .coalesce_shots = 64});
-  const auto blocks = split_blocks(f.data[0].test, 32);
-  const auto small = split_blocks(f.data[1].test, 16);
-  // Stream A (qubit 1, float): one small request, parked.
-  const serve::ticket a =
-      server.submit({1, &small[0], serve::engine_kind::float_student});
-  // Stream B (qubit 0, fixed): two 32-shot requests complete a 64-shot
-  // shard; the second fills the window (active = 3 = max_inflight).
-  const serve::ticket b1 =
-      server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
-  const serve::ticket b2 =
-      server.submit({0, &blocks[1], serve::engine_kind::fixed_q16});
-  // Everything — including stream A's partial batch — must now be
-  // dispatched: poll turns true without any wait()-side flush.
-  for (int spin = 0; spin < 10000 && !(server.poll(a) && server.poll(b1) &&
-                                       server.poll(b2));
-       ++spin) {
-    std::this_thread::yield();
-  }
-  EXPECT_TRUE(server.poll(a));
-  EXPECT_TRUE(server.poll(b1));
-  EXPECT_TRUE(server.poll(b2));
-  server.wait(a);
-  server.wait(b1);
-  server.wait(b2);
-}
-
-TEST(ServeCoalescing, DisabledByDefault) {
-  auto& f = fixture();
-  serve::readout_server server(f.engines(), {.shard_shots = 128});
-  const auto blocks = split_blocks(f.data[0].test, 16);
-  const serve::ticket t =
-      server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
-  server.wait(t);
-  const serve::server_stats stats = server.stats();
-  EXPECT_EQ(stats.requests_coalesced, 0u);
-  EXPECT_EQ(stats.coalesced_batches, 0u);
-}
-
-// --- cross-request lane packing --------------------------------------------
-
-// Single-shot requests merged AND lane-packed: one shared kernel tile
-// evaluates many requests' shots, and every member's result must stay
-// bit-identical to the serial per-block path — exact integer arithmetic on
-// the fixed engine, lane-invariant plane kernels on the float engine.
-TEST(ServeLanePacking, PackedSingleShotsBitExactAndCounted) {
-  auto& f = fixture();
-  serve::readout_server server(
-      f.engines(), {.shard_shots = 64,
-                    .max_inflight = 512,
-                    .coalesce_shots = 8});
-  std::vector<std::vector<data::trace_dataset>> blocks(kQubits);
-  std::vector<std::vector<serve::ticket>> fixed_tickets(kQubits);
-  std::vector<std::vector<serve::ticket>> float_tickets(kQubits);
-  std::size_t submits = 0;
-  for (std::size_t q = 0; q < kQubits; ++q) {
-    // Mixed 1/3-shot requests: 1-shot members exercise the worst unpacked
-    // waste, 3-shot members exercise multi-lane scatter offsets.
-    auto singles = split_blocks(f.data[q].test, 1);
-    singles.resize(48);
-    auto triples = split_blocks(f.data[q].test, 3);
-    triples.resize(16);
-    blocks[q] = std::move(singles);
-    for (auto& b : triples) blocks[q].push_back(std::move(b));
-    for (const data::trace_dataset& block : blocks[q]) {
-      fixed_tickets[q].push_back(
-          server.submit({q, &block, serve::engine_kind::fixed_q16}));
-      float_tickets[q].push_back(
-          server.submit({q, &block, serve::engine_kind::float_student}));
-      submits += 2;
-    }
-  }
-  for (std::size_t q = 0; q < kQubits; ++q) {
-    for (std::size_t b = 0; b < blocks[q].size(); ++b) {
-      const data::trace_dataset& block = blocks[q][b];
-      const serve::readout_result fixed = server.wait(fixed_tickets[q][b]);
-      std::vector<q16_16> registers(block.size());
-      f.hardware[q].logits(block, registers);
-      ASSERT_EQ(fixed.status, serve::request_status::ok);
-      ASSERT_EQ(fixed.registers.size(), registers.size());
-      for (std::size_t r = 0; r < registers.size(); ++r) {
-        ASSERT_EQ(fixed.registers[r].raw(), registers[r].raw())
-            << "qubit " << q << " block " << b << " row " << r;
-        ASSERT_EQ(fixed.states[r] != 0, !registers[r].sign_bit());
-      }
-      const serve::readout_result floats = server.wait(float_tickets[q][b]);
-      const std::vector<float> logits = f.students[q].predict_batch(block);
-      ASSERT_EQ(floats.status, serve::request_status::ok);
-      ASSERT_EQ(floats.logits.size(), logits.size());
-      for (std::size_t r = 0; r < logits.size(); ++r) {
-        ASSERT_EQ(floats.logits[r], logits[r])
-            << "qubit " << q << " block " << b << " row " << r;
-      }
-    }
-  }
-  const serve::server_stats stats = server.stats();
-  EXPECT_EQ(stats.requests_coalesced, submits);
-  EXPECT_GE(stats.packed_batches, 1u);
-  EXPECT_GE(stats.packed_requests, stats.packed_batches * 2);
-  // Packing amortizes kernel dispatches: far fewer tiles than requests.
-  EXPECT_LT(stats.packed_batches, stats.packed_requests);
-  EXPECT_EQ(stats.requests_completed, stats.requests_submitted);
-  // The occupancy histogram materialized and saw every pack.
-  EXPECT_NE(server.metrics().prometheus_text().find(
-                "klinq_serve_lane_occupancy"),
-            std::string::npos);
-}
-
-// Deadline expiry and cancellation inside one packed tile: skipped members
-// resolve with their own status while their pack-mates complete bit-exact —
-// per-member control stays intact through the shared kernel.
-TEST(ServeLanePacking, MixedDeadlineAndCancelInsideOnePack) {
-  auto& f = fixture();
-  // shard_shots 4096 with 1-shot members: nothing auto-dispatches, the
-  // batch stays parked until cancel() flushes it, so all members land in
-  // the same merged batch and the same pack.
-  serve::readout_server server(
-      f.engines(), {.shard_shots = 4096,
-                    .coalesce_shots = 64});
-  const auto blocks = split_blocks(f.data[0].test, 1);
-  const serve::ticket ok1 =
-      server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
-  serve::readout_request doomed{0, &blocks[1], serve::engine_kind::fixed_q16};
-  doomed.deadline_seconds = 1e-12;  // expired long before the pack runs
-  const serve::ticket late = server.submit(doomed);
-  const serve::ticket ok2 =
-      server.submit({0, &blocks[2], serve::engine_kind::fixed_q16});
-  const serve::ticket victim =
-      server.submit({0, &blocks[3], serve::engine_kind::fixed_q16});
-  const serve::ticket ok3 =
-      server.submit({0, &blocks[4], serve::engine_kind::fixed_q16});
-  EXPECT_TRUE(server.cancel(victim));  // flushes the batch → pack executes
-  EXPECT_EQ(server.wait(victim).status, serve::request_status::cancelled);
-  EXPECT_EQ(server.wait(late).status, serve::request_status::timed_out);
-  std::size_t b = 0;
-  for (const serve::ticket t : {ok1, ok2, ok3}) {
-    const serve::readout_result result = server.wait(t);
-    ASSERT_EQ(result.status, serve::request_status::ok);
-    const data::trace_dataset& block = blocks[b == 0 ? 0 : (b == 1 ? 2 : 4)];
-    std::vector<q16_16> registers(block.size());
-    f.hardware[0].logits(block, registers);
-    ASSERT_EQ(result.registers[0].raw(), registers[0].raw()) << "member " << b;
-    ++b;
-  }
-  const serve::server_stats stats = server.stats();
-  EXPECT_EQ(stats.packed_batches, 1u);
-  // Only the three runnable members shared the tile.
-  EXPECT_EQ(stats.packed_requests, 3u);
-  EXPECT_EQ(stats.cancelled_requests, 1u);
-  EXPECT_EQ(stats.timed_out_requests, 1u);
-}
-
-// A member whose trace duration differs from its pack-mates' must not share
-// their tile: the fixed front end rejects a mismatched envelope width, and a
-// shared kernel call would fail every lane with it. The wrong-duration
-// member resolves failed on its own; its same-qubit pack-mates stay ok and
+// A request whose trace duration does not match the engine's envelope width
+// fails on its own: the same-qubit requests submitted around it stay ok and
 // bit-exact.
-TEST(ServeLanePacking, WrongDurationMemberFailsAlone) {
+TEST(Serve, WrongDurationRequestFailsAlone) {
   auto& f = fixture();
   const auto blocks = split_blocks(f.data[0].test, 1);
   const std::size_t n = f.data[0].test.samples_per_quadrature();
   data::trace_dataset short_trace(1, n / 2);
   short_trace.resize_traces(1);
-  // shard_shots 4096 with 1-shot members: nothing auto-dispatches, so every
-  // member lands in the one batch the first wait() flushes.
-  serve::readout_server server(
-      f.engines(), {.shard_shots = 4096, .coalesce_shots = 64});
+  serve::readout_server server(f.engines());
   const serve::ticket ok1 =
       server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
   const serve::ticket bad =
@@ -690,18 +401,17 @@ TEST(ServeLanePacking, WrongDurationMemberFailsAlone) {
   std::size_t b = 0;
   for (const serve::ticket t : {ok1, ok2, ok3}) {
     const serve::readout_result result = server.wait(t);
-    ASSERT_EQ(result.status, serve::request_status::ok) << "member " << b;
+    ASSERT_EQ(result.status, serve::request_status::ok) << "request " << b;
     std::vector<q16_16> registers(1);
     f.hardware[0].logits(blocks[b], registers);
-    ASSERT_EQ(result.registers[0].raw(), registers[0].raw()) << "member " << b;
+    ASSERT_EQ(result.registers[0].raw(), registers[0].raw())
+        << "request " << b;
     ++b;
   }
   EXPECT_THROW(server.wait(bad), invalid_argument_error);
   const serve::server_stats stats = server.stats();
   EXPECT_EQ(stats.failed_requests, 1u);
   EXPECT_EQ(stats.shard_failures, 1u);
-  EXPECT_EQ(stats.packed_batches, 1u);
-  EXPECT_EQ(stats.packed_requests, 3u);
 }
 
 // --- streaming partial results (per-shard completion callback) -------------
@@ -808,25 +518,6 @@ TEST(ServeStreaming, FloatEventsCarryLogits) {
     streamed_rows += e.row_end - e.row_begin;
   }
   EXPECT_EQ(streamed_rows, result.logits.size());
-}
-
-// A coalesced member executes as one contiguous range inside the merged
-// task, so it streams as exactly one event covering its whole block.
-TEST(ServeStreaming, CoalescedMemberStreamsOneFullRangeEvent) {
-  auto& f = fixture();
-  shard_event_log log;
-  serve::readout_server server(f.engines(),
-                               {.shard_shots = 256,
-                                .coalesce_shots = 64,
-                                .on_shard = log.callback()});
-  const auto blocks = split_blocks(f.data[0].test, 16);
-  const serve::ticket t =
-      server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
-  server.wait(t);
-  const std::lock_guard lock(log.mutex);
-  ASSERT_EQ(log.entries.size(), 1u);
-  EXPECT_EQ(log.entries[0].row_begin, 0u);
-  EXPECT_EQ(log.entries[0].row_end, blocks[0].size());
 }
 
 TEST(ServeStreaming, CallbackExceptionFailsTheRequest) {
@@ -1043,17 +734,18 @@ TEST(ServeFailure, DefaultDeadlineAppliesToPlainRequests) {
 }
 
 TEST(ServeFailure, CancelParkedRequestResolvesCancelled) {
+  if (!parked_workers::holds_work()) GTEST_SKIP() << kNoWorkers;
   auto& f = fixture();
-  // A parked coalesced request is deterministically in flight: nothing
-  // dispatches it until cancel() flushes its batch, so the cancel flag is
-  // guaranteed to be seen before its range runs.
-  serve::readout_server server(
-      f.engines(), {.shard_shots = 256, .coalesce_shots = 64});
+  serve::readout_server server(f.engines());
   const auto blocks = split_blocks(f.data[0].test, 16);
+  // With every worker parked the dispatched request is deterministically in
+  // flight: its shard cannot start before the cancel flag is set.
+  parked_workers parked;
   const serve::ticket t =
       server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
   EXPECT_FALSE(server.poll(t));
   EXPECT_TRUE(server.cancel(t));
+  parked.release();
   const serve::readout_result result = server.wait(t);
   EXPECT_EQ(result.status, serve::request_status::cancelled);
   EXPECT_EQ(server.stats().cancelled_requests, 1u);
@@ -1138,13 +830,12 @@ TEST(ObsServe, StageSpansSumToRequestLatency) {
   for (const obs::kept_trace& entry : kept) {
     EXPECT_FALSE(entry.anomalous);
     EXPECT_EQ(entry.status, "ok");
-    ASSERT_EQ(entry.spans.size(), 3u);
-    EXPECT_EQ(entry.spans[0].name, "serve.hold");
-    EXPECT_EQ(entry.spans[1].name, "serve.queue");
-    EXPECT_EQ(entry.spans[2].name, "serve.exec");
-    // The three spans tile the submit→completion interval exactly: hold ends
-    // where queue starts, queue where the first shard starts, exec at the
-    // last shard, all on the same microsecond grid.
+    ASSERT_EQ(entry.spans.size(), 2u);
+    EXPECT_EQ(entry.spans[0].name, "serve.queue");
+    EXPECT_EQ(entry.spans[1].name, "serve.exec");
+    // The two spans tile the submit→completion interval exactly: queue
+    // starts at submit and ends where the first shard starts, exec ends at
+    // the last shard, all on the same microsecond grid.
     std::uint64_t sum = 0;
     for (std::size_t i = 0; i < entry.spans.size(); ++i) {
       sum += entry.spans[i].duration_us;
@@ -1223,13 +914,12 @@ TEST(ObsServe, KeptTracesCaptureInjectedFaults) {
   ASSERT_NE(failed, nullptr) << "anomaly ring missed the failed request";
   ASSERT_NE(slow_ok, nullptr) << "slowest set missed the delayed request";
   for (const obs::kept_trace* entry : {failed, slow_ok}) {
-    ASSERT_EQ(entry->spans.size(), 3u);
-    EXPECT_EQ(entry->spans[0].name, "serve.hold");
-    EXPECT_EQ(entry->spans[1].name, "serve.queue");
-    EXPECT_EQ(entry->spans[2].name, "serve.exec");
+    ASSERT_EQ(entry->spans.size(), 2u);
+    EXPECT_EQ(entry->spans[0].name, "serve.queue");
+    EXPECT_EQ(entry->spans[1].name, "serve.exec");
   }
   // The delay accrued inside shard execution, not while queued.
-  EXPECT_GE(slow_ok->spans[2].duration_us, 20000u);
+  EXPECT_GE(slow_ok->spans[1].duration_us, 20000u);
 
   const obs::metrics_snapshot snap = metrics.snapshot();
   EXPECT_EQ(snap.value("klinq_serve_requests_completed_total",
@@ -1264,8 +954,8 @@ TEST(ObsServe, DisarmedRingStillKeepsFailedRequests) {
   EXPECT_TRUE(kept[0].anomalous);
   EXPECT_EQ(kept[0].status, "failed");
   EXPECT_NE(kept[0].trace_id, 0u);
-  ASSERT_EQ(kept[0].spans.size(), 3u);
-  EXPECT_EQ(kept[0].spans[2].name, "serve.exec");
+  ASSERT_EQ(kept[0].spans.size(), 2u);
+  EXPECT_EQ(kept[0].spans[1].name, "serve.exec");
   EXPECT_EQ(&server.traces(), &ring);
 }
 
@@ -1332,32 +1022,32 @@ TEST(ObsServe, FullStackPrometheusDumpLintsClean) {
 
 // --- latency classes (feedback vs bulk lane) --------------------------------
 
-TEST(ServeLane, FeedbackBypassesCoalescingAndIsCounted) {
+TEST(ServeLane, FeedbackOvertakesQueuedBulkAndIsCounted) {
+  if (!parked_workers::holds_work()) GTEST_SKIP() << kNoWorkers;
   auto& f = fixture();
-  serve::readout_server server(
-      f.engines(), {.shard_shots = 256, .coalesce_shots = 64});
+  serve::readout_server server(f.engines());
   const auto blocks = split_blocks(f.data[0].test, 16);
+  std::vector<q16_16> expected(blocks[1].size());
+  f.hardware[0].logits(blocks[1], expected);
 
-  // A small bulk request parks in its coalescing batch…
+  // A small bulk request queues behind the parked workers…
+  parked_workers parked;
   serve::readout_request bulk{0, &blocks[0], serve::engine_kind::fixed_q16};
   const serve::ticket bulk_ticket = server.submit(bulk);
   EXPECT_FALSE(server.poll(bulk_ticket));
 
-  // …while an equally small feedback request bypasses the batch entirely
-  // and completes without anything flushing it.
+  // …while an equally small feedback request runs inside submit, on this
+  // thread, and completes ahead of it.
   serve::readout_request feedback{0, &blocks[1],
                                   serve::engine_kind::fixed_q16};
   feedback.lane = serve::lane_class::feedback;
   const serve::ticket feedback_ticket = server.submit(feedback);
-  // It ran inside submit, on this thread; poll() never flushes, so the bulk
-  // member is still parked.
-  EXPECT_TRUE(server.poll(feedback_ticket));
+  ASSERT_TRUE(server.poll(feedback_ticket));  // else wait() would block
   EXPECT_FALSE(server.poll(bulk_ticket));
   const serve::readout_result result = server.wait(feedback_ticket);
   EXPECT_EQ(result.status, serve::request_status::ok);
   // Bit-exact against the serial path for those rows.
-  std::vector<q16_16> expected(blocks[1].size());
-  f.hardware[0].logits(blocks[1], expected);
+  ASSERT_EQ(result.registers.size(), expected.size());
   for (std::size_t r = 0; r < expected.size(); ++r) {
     ASSERT_EQ(result.registers[r].raw(), expected[r].raw()) << "row " << r;
   }
@@ -1365,39 +1055,13 @@ TEST(ServeLane, FeedbackBypassesCoalescingAndIsCounted) {
   serve::server_stats stats = server.stats();
   stats.validate();
   EXPECT_EQ(stats.feedback_requests, 1u);
-  EXPECT_EQ(stats.requests_coalesced, 1u);  // only the bulk member parked
+  EXPECT_EQ(stats.requests_completed, 1u);  // the bulk request still queues
   EXPECT_GT(stats.feedback_p99_seconds, 0.0);
 
+  parked.release();
   EXPECT_EQ(server.wait(bulk_ticket).status, serve::request_status::ok);
   server.stats().validate();
 }
-
-/// Parks every global_thread_pool() worker in a spinning task until
-/// destroyed, so only work that needs no pool worker can make progress.
-class parked_workers {
- public:
-  parked_workers() {
-    thread_pool& pool = global_thread_pool();
-    for (std::size_t w = 0; w < pool.worker_count(); ++w) {
-      pool.submit([this] {
-        ++parked_;
-        while (!release_.load()) std::this_thread::yield();
-        --parked_;
-      });
-    }
-    while (parked_.load() < pool.worker_count()) std::this_thread::yield();
-  }
-  ~parked_workers() {
-    release_ = true;
-    while (parked_.load() > 0) std::this_thread::yield();
-  }
-  parked_workers(const parked_workers&) = delete;
-  parked_workers& operator=(const parked_workers&) = delete;
-
- private:
-  std::atomic<bool> release_{false};
-  std::atomic<std::size_t> parked_{0};
-};
 
 TEST(ServeLane, FeedbackCompletesWhileEveryWorkerIsBusy) {
   auto& f = fixture();
@@ -1478,11 +1142,6 @@ TEST(ServeLane, StatsValidateCatchesInconsistentCounters) {
     s.cancelled_requests = 2;  // terminal statuses exceed completions
   });
   rejects([](auto& s) { s.shots_completed = 10; });
-  rejects([](auto& s) { s.requests_coalesced = 1; });  // exceeds submitted
-  rejects([](auto& s) {
-    s.requests_submitted = 4;
-    s.packed_requests = 2;  // packed without coalesced
-  });
   rejects([](auto& s) { s.feedback_requests = 1; });
   rejects([](auto& s) { s.inflight = 1; });
   rejects([](auto& s) { s.latency_p50_seconds = -1.0; });
@@ -1495,12 +1154,11 @@ TEST(ServeLane, StatsValidateCatchesInconsistentCounters) {
 // --- completion doorbell ----------------------------------------------------
 
 TEST(ServeDoorbell, FiresExactlyOncePerTicketAtTerminalStatus) {
+  if (!parked_workers::holds_work()) GTEST_SKIP() << kNoWorkers;
   auto& f = fixture();
   std::mutex mutex;
   std::vector<std::pair<std::uint64_t, serve::request_status>> events;
   serve::server_config config;
-  config.shard_shots = 256;
-  config.coalesce_shots = 64;
   config.on_complete = [&](serve::ticket t, serve::request_status status) {
     const std::lock_guard lock(mutex);
     events.emplace_back(t.id, status);
@@ -1508,13 +1166,16 @@ TEST(ServeDoorbell, FiresExactlyOncePerTicketAtTerminalStatus) {
   serve::readout_server server(f.engines(), config);
   const auto blocks = split_blocks(f.data[0].test, 16);
 
-  // ok (direct dispatch), cancelled (parked member), and an empty request:
-  // every terminal path must ring the doorbell exactly once.
+  // ok (dispatched), cancelled (held by the parked workers), and an empty
+  // request: every terminal path must ring the doorbell exactly once.
   const serve::ticket ok_ticket =
       server.submit({0, &f.data[0].test, serve::engine_kind::fixed_q16});
-  const serve::ticket parked =
-      server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
-  EXPECT_TRUE(server.cancel(parked));
+  serve::ticket held{};
+  {
+    const parked_workers parked;
+    held = server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
+    EXPECT_TRUE(server.cancel(held));
+  }
   const data::trace_dataset empty;
   const serve::ticket zero_shot =
       server.submit({0, &empty, serve::engine_kind::fixed_q16});
@@ -1530,34 +1191,36 @@ TEST(ServeDoorbell, FiresExactlyOncePerTicketAtTerminalStatus) {
       return serve::request_status::failed;
     };
     EXPECT_EQ(status_of(ok_ticket), serve::request_status::ok);
-    EXPECT_EQ(status_of(parked), serve::request_status::cancelled);
+    EXPECT_EQ(status_of(held), serve::request_status::cancelled);
     EXPECT_EQ(status_of(zero_shot), serve::request_status::ok);
   }
   server.wait(ok_ticket);
-  server.wait(parked);
+  server.wait(held);
   server.wait(zero_shot);
 }
 
 TEST(ServeDoorbell, SetOnCompleteRequiresQuiescence) {
+  if (!parked_workers::holds_work()) GTEST_SKIP() << kNoWorkers;
   auto& f = fixture();
-  serve::readout_server server(
-      f.engines(), {.shard_shots = 256, .coalesce_shots = 64});
+  serve::readout_server server(f.engines());
   const auto blocks = split_blocks(f.data[0].test, 16);
-  const serve::ticket parked =
-      server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
-  // An unresolved (parked) ticket makes the swap illegal…
-  EXPECT_THROW(server.set_on_complete([](serve::ticket,
-                                         serve::request_status) {}),
-               invalid_argument_error);
-  server.cancel(parked);
-  server.wait(parked);
+  serve::ticket held{};
+  {
+    const parked_workers parked;
+    held = server.submit({0, &blocks[0], serve::engine_kind::fixed_q16});
+    // An unresolved (held) ticket makes the swap illegal…
+    EXPECT_THROW(server.set_on_complete([](serve::ticket,
+                                           serve::request_status) {}),
+                 invalid_argument_error);
+    server.cancel(held);
+  }
+  server.wait(held);
   // …and consuming it makes the same swap legal.
   std::atomic<int> rings{0};
   server.set_on_complete(
       [&](serve::ticket, serve::request_status) { ++rings; });
   const serve::ticket t =
       server.submit({0, &blocks[1], serve::engine_kind::fixed_q16});
-  server.cancel(t);
   server.wait(t);
   // The doorbell rings after the ticket resolves, from the task that
   // resolved it; drain() waits for that task body to return.
@@ -1566,11 +1229,11 @@ TEST(ServeDoorbell, SetOnCompleteRequiresQuiescence) {
   server.set_on_complete({});  // clearing is also a swap: needs quiescence
 }
 
-// --- cancel vs batch-flush teardown race (regression hammer) ----------------
+// --- cancel vs drain/teardown race (regression hammer) ----------------------
 
-TEST(ServeTeardown, CancelDuringFlushHammer) {
+TEST(ServeTeardown, CancelDuringDrainHammer) {
   auto& f = fixture();
-  // cancel() racing drain()/destruction while coalesced batches flush: the
+  // cancel() racing drain()/destruction while held requests are let go: the
   // post-completion demote tail used to touch server members the destructor
   // was already tearing down. Run the whole lifecycle repeatedly with a
   // concurrent canceller; TSAN (the CI thread-sanitizer job) turns any
@@ -1578,20 +1241,20 @@ TEST(ServeTeardown, CancelDuringFlushHammer) {
   const auto blocks = split_blocks(f.data[0].test, 12);
   for (int iteration = 0; iteration < 25; ++iteration) {
     std::vector<serve::ticket> tickets;
-    auto server = std::make_unique<serve::readout_server>(
-        f.engines(),
-        serve::server_config{.shard_shots = 256, .coalesce_shots = 64});
+    auto server = std::make_unique<serve::readout_server>(f.engines());
+    parked_workers parked;
     for (std::size_t b = 0; b < 4 && b < blocks.size(); ++b) {
       tickets.push_back(
           server->submit({0, &blocks[b], serve::engine_kind::fixed_q16}));
     }
-    // The canceller races drain(): cancel() can land exactly while drain's
-    // flush is dispatching the parked batches these tickets sit in.
+    // The canceller races the released workers and drain(): a cancel() can
+    // land before, during or after the shard it targets runs.
     std::thread canceller([&] {
       for (const serve::ticket t : tickets) {
         server->cancel(t);
       }
     });
+    parked.release();
     server->drain();
     canceller.join();
     server->stats().validate();
@@ -1608,12 +1271,15 @@ TEST(ServeTeardown, CancelDuringFlushHammer) {
 
 TEST(ServeTeardown, DrainDestroyCyclesStayConsistent) {
   auto& f = fixture();
+  const auto blocks = split_blocks(f.data[0].test, 16);
   for (int cycle = 0; cycle < 10; ++cycle) {
-    serve::readout_server server(
-        f.engines(), {.shard_shots = 128, .coalesce_shots = 32});
-    const auto blocks = split_blocks(f.data[0].test, 16);
-    for (std::size_t b = 0; b < 3; ++b) {
-      server.submit({0, &blocks[b], serve::engine_kind::fixed_q16});
+    serve::readout_server server(f.engines(), {.shard_shots = 128});
+    {
+      // Held until the workers are let go, so drain() waits on real work.
+      const parked_workers parked;
+      for (std::size_t b = 0; b < 3; ++b) {
+        server.submit({0, &blocks[b], serve::engine_kind::fixed_q16});
+      }
     }
     server.drain();
     const serve::server_stats stats = server.stats();

@@ -65,7 +65,6 @@
 #include "klinq/net/client.hpp"
 #include "klinq/net/introspection.hpp"
 #include "klinq/net/tcp_front_end.hpp"
-#include "klinq/obs/emitter.hpp"
 #include "klinq/obs/exposition.hpp"
 #include "klinq/obs/fault_mirror.hpp"
 #include "klinq/obs/http.hpp"
@@ -656,12 +655,9 @@ int main(int argc, char** argv) {
     const bool use_registry = (cli.get_flag("registry") || chaos) && !listen;
 
     // One process-wide metrics backend shared by the server, the registry
-    // and the fault mirror, so the exit dump shows the whole stack. The
-    // JSONL emitter starts when KLINQ_METRICS_FILE is set.
+    // and the fault mirror, so the exit dump shows the whole stack.
     obs::metric_registry& metrics = obs::default_registry();
     obs::bind_fault_metrics(metrics);
-    const std::unique_ptr<obs::metrics_emitter> emitter =
-        obs::start_emitter_from_env(metrics);
     // Wire tracing: KLINQ_TRACE_FILE arms the shared ring and exports
     // Chrome trace-event JSON at exit; KLINQ_TRACE_SAMPLE head-samples.
     obs::trace_ring& traces = obs::default_trace_ring();
