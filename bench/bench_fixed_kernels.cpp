@@ -7,6 +7,13 @@
 // 1000-sample traces. The reference rows quantify exactly what the int64
 // post-scaler buys over the int128 round-shift.
 //
+// BM_MacTileShort_* and BM_MacRowPerShot_* put logits_block's split point
+// on file: one Q16.16 16 x 201 layer over 1, 4 or 8 shots as a mac_tile
+// tile, against the same layer as one mac_row per neuron per shot (4 and 8
+// shots), per tier, in MACs/sec. Below tile_lane_block (8) lanes the tile
+// kernel runs its scalar remainder loop; the row kernel vectorizes along
+// the 201 inputs at any shot count.
+//
 // BM_FrontendRow_* time the whole Q16.16 front end for one N = 500 shot at
 // G = 15 (FNN-A) and G = 100 (FNN-B), in shots/sec: the fixed<I,F>
 // reference (quantize_trace + extract) and fixed_frontend::extract_trace
@@ -100,6 +107,59 @@ void BM_MacTileKernel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(out_dim * in_dim *
                                                     stride));
+}
+
+// --- short tiles: logits_block's split point ------------------------------
+
+/// One (out_dim x in_dim) layer over `tile` shots of a 64-lane plane.
+template <class Fixed, auto MacTile>
+void BM_MacTileShort(benchmark::State& state) {
+  constexpr std::size_t stride = kernels::max_tile_lanes;
+  const auto out_dim = static_cast<std::size_t>(state.range(0));
+  const auto in_dim = static_cast<std::size_t>(state.range(1));
+  const auto tile = static_cast<std::size_t>(state.range(2));
+  const auto weights = random_raws<Fixed>(out_dim * in_dim, 3);
+  const auto bias = random_raws<Fixed>(out_dim, 4);
+  const auto plane = random_raws<Fixed>(in_dim * stride, 5);
+  std::vector<std::int32_t> out(out_dim * stride);
+  const auto spec = kernels::spec_of<Fixed>();
+  for (auto _ : state) {
+    MacTile(weights.data(), bias.data(), out_dim, in_dim, plane.data(), tile,
+            stride, true, out.data(), spec);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out_dim * in_dim * tile));
+}
+
+/// The same layer over `shots` contiguous rows, one mac_row per neuron per
+/// shot (what quantized_network::forward_logit_raw runs per layer).
+template <class Fixed, auto MacRow>
+void BM_MacRowPerShot(benchmark::State& state) {
+  const auto out_dim = static_cast<std::size_t>(state.range(0));
+  const auto in_dim = static_cast<std::size_t>(state.range(1));
+  const auto shots = static_cast<std::size_t>(state.range(2));
+  const auto weights = random_raws<Fixed>(out_dim * in_dim, 3);
+  const auto bias = random_raws<Fixed>(out_dim, 4);
+  const auto rows = random_raws<Fixed>(shots * in_dim, 5);
+  std::vector<std::int32_t> out(shots * out_dim);
+  const auto spec = kernels::spec_of<Fixed>();
+  for (auto _ : state) {
+    for (std::size_t s = 0; s < shots; ++s) {
+      for (std::size_t neuron = 0; neuron < out_dim; ++neuron) {
+        std::int64_t value = MacRow(weights.data() + neuron * in_dim,
+                                    rows.data() + s * in_dim, in_dim,
+                                    bias[neuron], spec);
+        if (value < 0) value = 0;
+        out[s * out_dim + neuron] = static_cast<std::int32_t>(value);
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      state.iterations() * static_cast<std::int64_t>(out_dim * in_dim * shots));
 }
 
 // --- quantize_block: one 1000-sample trace ---------------------------------
@@ -207,6 +267,18 @@ BENCHMARK(BM_FrontendRowKernel<kernels::avx2::quantize_mac_row>)
     ->Name("BM_FrontendRow_avx2_q16.16")->ArgName("G")->Arg(15)->Arg(100);
 BENCHMARK(BM_FrontendRowKernel<kernels::avx512::quantize_mac_row>)
     ->Name("BM_FrontendRow_avx512_q16.16")->ArgName("G")->Arg(15)->Arg(100);
+
+#define KLINQ_SPLIT_BENCHES(tier)                                             \
+  BENCHMARK((BM_MacTileShort<q16_16, kernels::tier::mac_tile>))               \
+      ->Name("BM_MacTileShort_" #tier "_q16.16")                              \
+      ->Args({16, 201, 1})->Args({16, 201, 4})->Args({16, 201, 8});           \
+  BENCHMARK((BM_MacRowPerShot<q16_16, kernels::tier::mac_row>))               \
+      ->Name("BM_MacRowPerShot_" #tier "_q16.16")                             \
+      ->Args({16, 201, 4})->Args({16, 201, 8})
+
+KLINQ_SPLIT_BENCHES(scalar64);
+KLINQ_SPLIT_BENCHES(avx2);
+KLINQ_SPLIT_BENCHES(avx512);
 
 #define KLINQ_KERNEL_BENCHES(Fixed, tag)                                      \
   BENCHMARK(BM_MacRowReference<Fixed>)->Name("BM_MacRow_int128ref_" tag)      \

@@ -1,6 +1,6 @@
 // Shared main() for the Google-Benchmark benches: stamps the build type,
 // the resolved SIMD dispatch tiers (fixed + float, which differ under
-// KLINQ_DETERMINISTIC) and the host's hardware concurrency into the
+// KLINQ_DETERMINISTIC) and the CPUs in the process's affinity mask into the
 // benchmark context, so every emitted BENCH json records how it was
 // produced ("klinq_*" keys — see README "Performance").
 #pragma once
@@ -8,8 +8,8 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <thread>
 
+#include "bench_host.hpp"
 #include "klinq/common/cpu_dispatch.hpp"
 
 #ifndef KLINQ_BUILD_TYPE
@@ -26,9 +26,8 @@ inline void add_klinq_context() {
                               simd_tier_name(active_simd_tier()));
   benchmark::AddCustomContext("klinq_float_tier",
                               simd_tier_name(active_float_simd_tier()));
-  benchmark::AddCustomContext(
-      "klinq_hw_concurrency",
-      std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext("klinq_affinity_cpus",
+                              std::to_string(affinity_cpus()));
 }
 
 }  // namespace klinq::bench

@@ -8,17 +8,22 @@
 // registers/logits (tests/test_serve.cpp), so the comparison is pure
 // scheduling.
 //
+// Each row runs --repetitions times (default 5) and reports its median
+// shots/s with the max−min spread over that median: one pass of the default
+// size is only tens of milliseconds, so single runs on a shared host can
+// differ by half.
+//
 // Machine-readable snapshot:
 //   bench_serve --out BENCH_serve.json
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <atomic>
-
+#include "bench_host.hpp"
 #include "klinq/common/cli.hpp"
 #include "klinq/common/cpu_dispatch.hpp"
 #include "klinq/common/error.hpp"
@@ -61,6 +66,45 @@ struct run_record {
   double exec_p50_ms = -1.0;
 };
 
+/// A row's repetitions folded into one record: the median of every field,
+/// and the max−min spread of shots/s over its median.
+struct row_summary {
+  run_record median;
+  double spread = 0.0;
+};
+
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                 : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+template <class Run>
+row_summary repeat_row(std::size_t repetitions, const Run& run) {
+  std::vector<run_record> runs;
+  for (std::size_t i = 0; i < repetitions; ++i) runs.push_back(run());
+  const auto field = [&runs](double run_record::*member) {
+    std::vector<double> values;
+    for (const run_record& r : runs) values.push_back(r.*member);
+    return median_of(std::move(values));
+  };
+  row_summary row{runs.front(), 0.0};
+  row.median.seconds = field(&run_record::seconds);
+  row.median.p50_ms = field(&run_record::p50_ms);
+  row.median.p99_ms = field(&run_record::p99_ms);
+  row.median.queue_p50_ms = field(&run_record::queue_p50_ms);
+  row.median.exec_p50_ms = field(&run_record::exec_p50_ms);
+  const auto [fastest, slowest] = std::minmax_element(
+      runs.begin(), runs.end(), [](const run_record& a, const run_record& b) {
+        return a.seconds < b.seconds;
+      });
+  const double shots = static_cast<double>(row.median.shots);
+  row.spread = (shots / fastest->seconds - shots / slowest->seconds) /
+               (shots / row.median.seconds);
+  return row;
+}
+
 void fill_stage_breakdown(run_record& record,
                           const serve::readout_server& server) {
   const obs::metrics_snapshot snap = server.metrics().snapshot();
@@ -82,6 +126,7 @@ int main(int argc, char** argv) {
   cli.add_option("traces-train", "train shots per state permutation", "200");
   cli.add_option("traces-test", "test shots per state permutation", "512");
   cli.add_option("rounds", "evaluation passes over every qubit block", "8");
+  cli.add_option("repetitions", "timed runs per row (median reported)", "5");
   cli.add_option("shard-shots", "rows per shard (0 = default)", "0");
   cli.add_option("small-shots", "shots per request in the small-request row",
                  "16");
@@ -93,6 +138,10 @@ int main(int argc, char** argv) {
 
     const auto n_qubits = static_cast<std::size_t>(cli.get_int("qubits"));
     const auto rounds = static_cast<std::size_t>(cli.get_int("rounds"));
+    KLINQ_REQUIRE(cli.get_int("repetitions") >= 1,
+                  "bench_serve: --repetitions must be at least 1");
+    const auto repetitions =
+        static_cast<std::size_t>(cli.get_int("repetitions"));
     const auto shard_shots =
         static_cast<std::size_t>(cli.get_int("shard-shots"));
 
@@ -118,10 +167,10 @@ int main(int argc, char** argv) {
     const std::size_t block = stacks[0].data.test.size();
     const std::size_t total_shots = rounds * n_qubits * block;
 
-    std::vector<run_record> records;
+    std::vector<row_summary> rows;
 
     // --- serial per-qubit (the pre-serve klinq_system behavior) ----------
-    {
+    rows.push_back(repeat_row(repetitions, [&] {
       std::vector<q16_16> registers(block);
       stopwatch timer;
       for (std::size_t round = 0; round < rounds; ++round) {
@@ -129,10 +178,10 @@ int main(int argc, char** argv) {
           stack.hardware.logits(stack.data.test, registers);
         }
       }
-      records.push_back(
-          {"fixed-q16.16", "serial-per-qubit", total_shots, timer.seconds()});
-    }
-    {
+      return run_record{"fixed-q16.16", "serial-per-qubit", total_shots,
+                        timer.seconds()};
+    }));
+    rows.push_back(repeat_row(repetitions, [&] {
       kd::student_scratch scratch;
       std::vector<float> logits(block);
       stopwatch timer;
@@ -141,9 +190,9 @@ int main(int argc, char** argv) {
           stack.student.predict_batch(stack.data.test, logits, scratch);
         }
       }
-      records.push_back(
-          {"float-student", "serial-per-qubit", total_shots, timer.seconds()});
-    }
+      return run_record{"float-student", "serial-per-qubit", total_shots,
+                        timer.seconds()};
+    }));
 
     // --- many small same-qubit requests ---------------------------------
     // Mid-circuit-style traffic: each qubit's block arrives as a stream of
@@ -158,73 +207,76 @@ int main(int argc, char** argv) {
     for (std::size_t q = 0; q < n_qubits; ++q) {
       for (std::size_t begin = 0; begin < block; begin += small_shots) {
         const std::size_t end = std::min(begin + small_shots, block);
-        std::vector<std::size_t> rows;
-        for (std::size_t r = begin; r < end; ++r) rows.push_back(r);
-        small_blocks[q].push_back(stacks[q].data.test.subset(rows));
+        std::vector<std::size_t> row_ids;
+        for (std::size_t r = begin; r < end; ++r) row_ids.push_back(r);
+        small_blocks[q].push_back(stacks[q].data.test.subset(row_ids));
         ++small_requests_per_round;
       }
     }
-    for (const serve::engine_kind engine :
-         {serve::engine_kind::fixed_q16, serve::engine_kind::float_student}) {
+    const auto static_engines = [&stacks] {
       std::vector<serve::qubit_engine> engines;
       for (const qubit_stack& stack : stacks) {
         engines.push_back({&stack.student, &stack.hardware});
       }
-      serve::readout_server server(
-          std::move(engines),
-          {.shard_shots = shard_shots,
-           .max_inflight = small_requests_per_round + 1});
-      serve::readout_result result;
-      stopwatch timer;
-      for (std::size_t round = 0; round < rounds; ++round) {
-        std::vector<serve::ticket> tickets;
-        for (std::size_t q = 0; q < n_qubits; ++q) {
-          for (const data::trace_dataset& small : small_blocks[q]) {
-            tickets.push_back(server.submit({q, &small, engine}));
+      return engines;
+    };
+    for (const serve::engine_kind engine :
+         {serve::engine_kind::fixed_q16, serve::engine_kind::float_student}) {
+      rows.push_back(repeat_row(repetitions, [&] {
+        serve::readout_server server(
+            static_engines(),
+            {.shard_shots = shard_shots,
+             .max_inflight = small_requests_per_round + 1});
+        serve::readout_result result;
+        stopwatch timer;
+        for (std::size_t round = 0; round < rounds; ++round) {
+          std::vector<serve::ticket> tickets;
+          for (std::size_t q = 0; q < n_qubits; ++q) {
+            for (const data::trace_dataset& small : small_blocks[q]) {
+              tickets.push_back(server.submit({q, &small, engine}));
+            }
           }
+          for (const serve::ticket t : tickets) server.wait(t, result);
         }
-        for (const serve::ticket t : tickets) server.wait(t, result);
-      }
-      const double seconds = timer.seconds();
-      const serve::server_stats stats = server.stats();
-      run_record record{std::string(serve::engine_name(engine)),
-                        "small-requests", total_shots, seconds,
-                        stats.latency_p50_seconds * 1e3,
-                        stats.latency_p99_seconds * 1e3};
-      fill_stage_breakdown(record, server);
-      records.push_back(std::move(record));
+        const double seconds = timer.seconds();
+        const serve::server_stats stats = server.stats();
+        run_record record{std::string(serve::engine_name(engine)),
+                          "small-requests", total_shots, seconds,
+                          stats.latency_p50_seconds * 1e3,
+                          stats.latency_p99_seconds * 1e3};
+        fill_stage_breakdown(record, server);
+        return record;
+      }));
     }
 
     // --- sharded server ---------------------------------------------------
     std::size_t effective_shard_shots = shard_shots;
     for (const serve::engine_kind engine :
          {serve::engine_kind::fixed_q16, serve::engine_kind::float_student}) {
-      std::vector<serve::qubit_engine> engines;
-      for (const qubit_stack& stack : stacks) {
-        engines.push_back({&stack.student, &stack.hardware});
-      }
-      serve::readout_server server(
-          std::move(engines),
-          {.shard_shots = shard_shots, .max_inflight = 2 * n_qubits});
-      effective_shard_shots = server.shard_shots();
-      serve::readout_result result;
-      stopwatch timer;
-      for (std::size_t round = 0; round < rounds; ++round) {
-        std::vector<serve::ticket> tickets;
-        for (std::size_t q = 0; q < n_qubits; ++q) {
-          tickets.push_back(
-              server.submit({q, &stacks[q].data.test, engine}));
+      rows.push_back(repeat_row(repetitions, [&] {
+        serve::readout_server server(
+            static_engines(),
+            {.shard_shots = shard_shots, .max_inflight = 2 * n_qubits});
+        effective_shard_shots = server.shard_shots();
+        serve::readout_result result;
+        stopwatch timer;
+        for (std::size_t round = 0; round < rounds; ++round) {
+          std::vector<serve::ticket> tickets;
+          for (std::size_t q = 0; q < n_qubits; ++q) {
+            tickets.push_back(
+                server.submit({q, &stacks[q].data.test, engine}));
+          }
+          for (const serve::ticket t : tickets) server.wait(t, result);
         }
-        for (const serve::ticket t : tickets) server.wait(t, result);
-      }
-      const double seconds = timer.seconds();
-      const serve::server_stats stats = server.stats();
-      run_record record{serve::engine_name(engine), "sharded-server",
-                        total_shots, seconds,
-                        stats.latency_p50_seconds * 1e3,
-                        stats.latency_p99_seconds * 1e3};
-      fill_stage_breakdown(record, server);
-      records.push_back(std::move(record));
+        const double seconds = timer.seconds();
+        const serve::server_stats stats = server.stats();
+        run_record record{serve::engine_name(engine), "sharded-server",
+                          total_shots, seconds,
+                          stats.latency_p50_seconds * 1e3,
+                          stats.latency_p99_seconds * 1e3};
+        fill_stage_breakdown(record, server);
+        return record;
+      }));
     }
 
     // --- registry-backed server -------------------------------------------
@@ -234,6 +286,7 @@ int main(int argc, char** argv) {
     // The churn variant additionally toggles the active version between two
     // identical snapshots from a publisher thread — the registry's write
     // path contending with acquisition at a realistic recalibration rate.
+    // Its activation and switch counts are summed over the repetitions.
     std::uint64_t churn_activations = 0;
     std::uint64_t churn_switches_observed = 0;
     for (const bool churn : {false, true}) {
@@ -247,69 +300,76 @@ int main(int argc, char** argv) {
       for (const serve::engine_kind engine :
            {serve::engine_kind::fixed_q16,
             serve::engine_kind::float_student}) {
-        serve::readout_server server(
-            reg, {.shard_shots = shard_shots, .max_inflight = 2 * n_qubits});
-        std::atomic<bool> stop_churn{false};
-        std::thread publisher;
-        if (churn) {
-          publisher = std::thread([&] {
-            std::uint64_t version = 1;
-            while (!stop_churn.load(std::memory_order_acquire)) {
-              for (std::size_t q = 0; q < n_qubits; ++q) {
-                reg.activate(q, version);
+        rows.push_back(repeat_row(repetitions, [&] {
+          serve::readout_server server(
+              reg, {.shard_shots = shard_shots, .max_inflight = 2 * n_qubits});
+          const std::uint64_t activations_before = reg.stats().activations;
+          std::atomic<bool> stop_churn{false};
+          std::thread publisher;
+          if (churn) {
+            publisher = std::thread([&] {
+              std::uint64_t version = 1;
+              while (!stop_churn.load(std::memory_order_acquire)) {
+                for (std::size_t q = 0; q < n_qubits; ++q) {
+                  reg.activate(q, version);
+                }
+                version = version == 1 ? 2 : 1;
+                std::this_thread::yield();
               }
-              version = version == 1 ? 2 : 1;
-              std::this_thread::yield();
-            }
-          });
-        }
-        serve::readout_result result;
-        stopwatch timer;
-        for (std::size_t round = 0; round < rounds; ++round) {
-          std::vector<serve::ticket> tickets;
-          for (std::size_t q = 0; q < n_qubits; ++q) {
-            tickets.push_back(
-                server.submit({q, &stacks[q].data.test, engine}));
+            });
           }
-          for (const serve::ticket t : tickets) server.wait(t, result);
-        }
-        const double seconds = timer.seconds();
-        if (churn) {
-          stop_churn.store(true, std::memory_order_release);
-          publisher.join();
-        }
-        const serve::server_stats stats = server.stats();
-        if (churn) {
-          churn_activations = reg.stats().activations;
-          churn_switches_observed = stats.version_switches;
-        }
-        run_record record{serve::engine_name(engine),
-                          churn ? "sharded-registry-churn"
-                                : "sharded-registry",
-                          total_shots, seconds,
-                          stats.latency_p50_seconds * 1e3,
-                          stats.latency_p99_seconds * 1e3};
-        fill_stage_breakdown(record, server);
-        records.push_back(std::move(record));
+          serve::readout_result result;
+          stopwatch timer;
+          for (std::size_t round = 0; round < rounds; ++round) {
+            std::vector<serve::ticket> tickets;
+            for (std::size_t q = 0; q < n_qubits; ++q) {
+              tickets.push_back(
+                  server.submit({q, &stacks[q].data.test, engine}));
+            }
+            for (const serve::ticket t : tickets) server.wait(t, result);
+          }
+          const double seconds = timer.seconds();
+          if (churn) {
+            stop_churn.store(true, std::memory_order_release);
+            publisher.join();
+          }
+          const serve::server_stats stats = server.stats();
+          if (churn) {
+            churn_activations += reg.stats().activations - activations_before;
+            churn_switches_observed += stats.version_switches;
+          }
+          run_record record{serve::engine_name(engine),
+                            churn ? "sharded-registry-churn"
+                                  : "sharded-registry",
+                            total_shots, seconds,
+                            stats.latency_p50_seconds * 1e3,
+                            stats.latency_p99_seconds * 1e3};
+          fill_stage_breakdown(record, server);
+          return record;
+        }));
       }
     }
 
     // --- report -----------------------------------------------------------
     const std::size_t workers = global_thread_pool().worker_count() + 1;
+    const unsigned cpus = bench::affinity_cpus();
     const char* simd_tier = simd_tier_name(active_simd_tier());
     const char* float_tier = simd_tier_name(active_float_simd_tier());
     std::printf(
-        "\n%zu pool worker(s), hw_concurrency %u, %zu qubits x %zu rounds x "
-        "%zu shots (%s build, %s fixed kernels, %s float kernels, %llu "
-        "registry churn activations / %llu observed switches)\n",
-        workers, std::thread::hardware_concurrency(), n_qubits, rounds, block,
-        KLINQ_BUILD_TYPE, simd_tier, float_tier,
+        "\n%zu pool worker(s), %u CPU(s) in the affinity mask, %zu qubits x "
+        "%zu rounds x %zu shots, median of %zu repetition(s) (%s build, %s "
+        "fixed kernels, %s float kernels, %llu registry churn activations / "
+        "%llu observed switches)\n",
+        workers, cpus, n_qubits, rounds, block, repetitions, KLINQ_BUILD_TYPE,
+        simd_tier, float_tier,
         static_cast<unsigned long long>(churn_activations),
         static_cast<unsigned long long>(churn_switches_observed));
-    for (const run_record& r : records) {
-      std::printf("  %-14s %-18s %8.0f shots/s", r.engine.c_str(),
-                  r.mode.c_str(),
-                  static_cast<double>(r.shots) / r.seconds);
+    for (const row_summary& row : rows) {
+      const run_record& r = row.median;
+      std::printf("  %-14s %-22s %8.0f shots/s  spread %3.0f%%",
+                  r.engine.c_str(), r.mode.c_str(),
+                  static_cast<double>(r.shots) / r.seconds,
+                  row.spread * 100.0);
       if (r.p50_ms >= 0.0) {
         std::printf("   p50 %.2f ms  p99 %.2f ms", r.p50_ms, r.p99_ms);
       }
@@ -330,29 +390,31 @@ int main(int argc, char** argv) {
                    "  \"build_type\": \"%s\",\n"
                    "  \"simd_tier\": \"%s\",\n"
                    "  \"float_tier\": \"%s\",\n"
-                   "  \"hw_concurrency\": %u,\n"
+                   "  \"affinity_cpus\": %u,\n"
                    "  \"pool_workers\": %zu,\n"
                    "  \"qubits\": %zu,\n"
                    "  \"block_shots\": %zu,\n"
                    "  \"rounds\": %zu,\n"
+                   "  \"repetitions\": %zu,\n"
                    "  \"shard_shots\": %zu,\n"
                    "  \"small_request_shots\": %zu,\n"
                    "  \"registry_churn_activations\": %llu,\n"
                    "  \"registry_churn_switches_observed\": %llu,\n"
                    "  \"results\": [\n",
-                   KLINQ_BUILD_TYPE, simd_tier, float_tier,
-                   std::thread::hardware_concurrency(), workers, n_qubits,
-                   block, rounds, effective_shard_shots, small_shots,
+                   KLINQ_BUILD_TYPE, simd_tier, float_tier, cpus, workers,
+                   n_qubits, block, rounds, repetitions, effective_shard_shots,
+                   small_shots,
                    static_cast<unsigned long long>(churn_activations),
                    static_cast<unsigned long long>(churn_switches_observed));
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        const run_record& r = records[i];
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const run_record& r = rows[i].median;
         std::fprintf(out,
                      "    {\"engine\": \"%s\", \"mode\": \"%s\", "
                      "\"shots\": %zu, \"seconds\": %.6f, "
-                     "\"shots_per_second\": %.1f",
+                     "\"shots_per_second\": %.1f, \"spread\": %.3f",
                      r.engine.c_str(), r.mode.c_str(), r.shots, r.seconds,
-                     static_cast<double>(r.shots) / r.seconds);
+                     static_cast<double>(r.shots) / r.seconds,
+                     rows[i].spread);
         if (r.p50_ms >= 0.0) {
           std::fprintf(out,
                        ", \"latency_p50_ms\": %.4f, \"latency_p99_ms\": %.4f",
@@ -364,7 +426,7 @@ int main(int argc, char** argv) {
                        "\"exec\": %.4f}",
                        r.queue_p50_ms, r.exec_p50_ms);
         }
-        std::fprintf(out, "}%s\n", i + 1 < records.size() ? "," : "");
+        std::fprintf(out, "}%s\n", i + 1 < rows.size() ? "," : "");
       }
       std::fprintf(out, "  ]\n}\n");
       std::fclose(out);

@@ -75,6 +75,13 @@ constexpr mac_spec spec_or_default() noexcept {
 /// tile); callers must keep `tile <= max_tile_lanes <= stride`.
 inline constexpr std::size_t max_tile_lanes = 64;
 
+/// mac_tile's AVX-512 lane block: lanes past the last whole block of this
+/// many run in the kernel's scalar remainder loop. Callers that pick between
+/// the tile and row kernels (hw::fixed_discriminator::logits_block) send only
+/// whole blocks to mac_tile and run the ragged rest one shot at a time
+/// through mac_row, which vectorizes along the inputs instead.
+inline constexpr std::size_t tile_lane_block = 8;
+
 /// The branchless DSP post-scaler: round a full-precision product back to F
 /// fractional bits (ties away from zero) and clamp to the format rails.
 /// Bit-identical to fixed::operator* whenever |product| <= 2^62 —

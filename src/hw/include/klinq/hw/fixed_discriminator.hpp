@@ -6,15 +6,17 @@
 // reproduces the float model's decision (the paper's "maintains
 // discrimination accuracy" claim for Q16.16).
 //
-// Every fast-path entry point (logit and both branches of logits_block) runs
-// one front-end sweep per shot, fixed_frontend::extract_trace, which writes
-// the shot's features straight into the network's input: a contiguous row
-// for the row kernel, or one lane of a feature-major 64-shot plane for the
-// tile kernels. Dataset-scale
-// evaluation goes through logits(), which cuts the dataset into
-// cache-blocked tiles and parallelizes them over the global thread pool with
-// one scratch arena per worker chunk — bit-identical to the single-shot
-// path.
+// Every fast-path entry point (logit and both halves of a logits_block
+// tile) runs one front-end sweep per shot, fixed_frontend::extract_trace,
+// which writes the shot's features straight into the network's input: a
+// contiguous row for the row kernel, or one lane of a feature-major 64-shot
+// plane for the tile kernels. logits_block cuts its rows into 64-shot tiles
+// and splits each one by a single rule: the leading whole blocks of
+// fx::kernels::tile_lane_block (8) shots go through the tile kernels, and
+// the ragged rest, so every tile under 8 shots, runs the row kernel shot by
+// shot. Dataset-scale evaluation goes through logits(), which parallelizes
+// logits_block over the global thread pool with one scratch arena per
+// worker chunk. Every path is bit-identical to the single-shot one.
 #pragma once
 
 #include <cstdint>
@@ -131,29 +133,33 @@ class fixed_discriminator {
       for (std::size_t tile_begin = row_begin; tile_begin < row_end;
            tile_begin += kTile) {
         const std::size_t tile = std::min(kTile, row_end - tile_begin);
-        if (tile < 4) {
-          // Too few shots for the tile kernel's lanes: extract contiguously
-          // and run the row kernel, which vectorizes along the features.
-          for (std::size_t s = 0; s < tile; ++s) {
+        std::span<Fixed> tile_out = out.subspan(tile_begin - row_begin, tile);
+        // Each tile splits in two. Its whole 8-lane blocks go through the
+        // tile kernel's vector lanes. The ragged rest (all of a tile under
+        // 8 shots) runs the row kernel, which vectorizes along the features
+        // where mac_tile would run those lanes scalar; each such shot is
+        // extracted contiguously into the front of the plane buffer, whose
+        // lanes the tile kernel has already consumed.
+        const std::size_t lanes =
+            tile - tile % fx::kernels::tile_lane_block;
+        if (lanes > 0) {
+          for (std::size_t s = 0; s < lanes; ++s) {
             frontend_.extract_trace(dataset.trace(tile_begin + s), n,
-                                    scratch.frontend, scratch.plane_raw.data(),
-                                    1);
-            out[tile_begin - row_begin + s] = Fixed::from_raw(
-                net_.forward_logit_raw(scratch.plane_raw.data(),
-                                       scratch.net));
+                                    scratch.frontend,
+                                    scratch.plane_raw.data() + s, kTile);
           }
-          continue;
+          net_.forward_logits_plane(scratch.plane_raw.data(), lanes,
+                                    scratch.logits_raw.data(), scratch.net);
+          for (std::size_t s = 0; s < lanes; ++s) {
+            tile_out[s] = Fixed::from_raw(scratch.logits_raw[s]);
+          }
         }
-        for (std::size_t s = 0; s < tile; ++s) {
+        for (std::size_t s = lanes; s < tile; ++s) {
           frontend_.extract_trace(dataset.trace(tile_begin + s), n,
-                                  scratch.frontend,
-                                  scratch.plane_raw.data() + s, kTile);
-        }
-        net_.forward_logits_plane(scratch.plane_raw.data(), tile,
-                                  scratch.logits_raw.data(), scratch.net);
-        for (std::size_t s = 0; s < tile; ++s) {
-          out[tile_begin - row_begin + s] =
-              Fixed::from_raw(scratch.logits_raw[s]);
+                                  scratch.frontend, scratch.plane_raw.data(),
+                                  1);
+          tile_out[s] = Fixed::from_raw(
+              net_.forward_logit_raw(scratch.plane_raw.data(), scratch.net));
         }
       }
     } else {

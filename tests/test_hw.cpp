@@ -432,7 +432,11 @@ TEST(FixedDiscriminator, FastPathEqualsReferenceAtEveryCallShape) {
       ASSERT_EQ(engine.logit(test.trace(r), n, scratch).raw(), expected[r])
           << "logit row " << r;
     }
-    for (const std::size_t size : {1, 3, 4, 64, 65}) {
+    // Every split of a tile into whole 8-lane blocks (tile kernel) and a
+    // ragged rest (row kernel): rest only, blocks only, both, and tiles of
+    // 64 followed by a ragged or a whole-block tail.
+    for (const std::size_t size : {1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 63,
+                                   64, 65, 71, 72}) {
       std::vector<q16_16> out(test.size());
       for (std::size_t b = 0; b < test.size(); b += size) {
         const std::size_t e = std::min(test.size(), b + size);
@@ -443,6 +447,17 @@ TEST(FixedDiscriminator, FastPathEqualsReferenceAtEveryCallShape) {
         ASSERT_EQ(out[r].raw(), expected[r])
             << "logits_block size " << size << " row " << r;
       }
+    }
+    // A block at an odd row_begin: a full tile, then 8 + 3 shots.
+    constexpr std::size_t odd_begin = 5;
+    constexpr std::size_t odd_size = 75;
+    ASSERT_GE(test.size(), odd_begin + odd_size);
+    std::vector<q16_16> odd_out(odd_size);
+    engine.logits_block(test, odd_begin, odd_begin + odd_size, odd_out,
+                        scratch);
+    for (std::size_t s = 0; s < odd_size; ++s) {
+      ASSERT_EQ(odd_out[s].raw(), expected[odd_begin + s])
+          << "logits_block from row " << odd_begin << " shot " << s;
     }
   }
   EXPECT_TRUE(negative_shift);
