@@ -9,9 +9,10 @@
 // scheduling.
 //
 // Each row runs --repetitions times (default 5) and reports its median
-// shots/s with the max−min spread over that median: one pass of the default
-// size is only tens of milliseconds, so single runs on a shared host can
-// differ by half.
+// shots/s with the max−min spread over that median. The default --rounds
+// makes one pass of every row last at least ~100 ms (the float rows are the
+// shortest): at 8 rounds a float pass was ~10 ms, and its repetitions
+// spread 40–43% on one pinned CPU.
 //
 // Machine-readable snapshot:
 //   bench_serve --out BENCH_serve.json
@@ -125,7 +126,7 @@ int main(int argc, char** argv) {
   cli.add_option("qubits", "number of simulated qubit channels", "3");
   cli.add_option("traces-train", "train shots per state permutation", "200");
   cli.add_option("traces-test", "test shots per state permutation", "512");
-  cli.add_option("rounds", "evaluation passes over every qubit block", "8");
+  cli.add_option("rounds", "evaluation passes over every qubit block", "100");
   cli.add_option("repetitions", "timed runs per row (median reported)", "5");
   cli.add_option("shard-shots", "rows per shard (0 = default)", "0");
   cli.add_option("small-shots", "shots per request in the small-request row",

@@ -14,6 +14,15 @@
 // progress on whatever is queued, and only sleeps once every outstanding
 // chunk of its own dispatch is already executing elsewhere. Results are
 // chunking-invariant, so stealing changes scheduling, never values.
+//
+// Deferred wake-ups: a thread that submits several tasks in one pass (the TCP
+// front end's loop thread, once per loop turn) holds a deferred_wake guard.
+// Its submissions queue without signalling a worker, and the guard's end
+// wakes min(queued, worker_count()) workers at once. On a host where the
+// workers share CPUs with the submitter, a worker woken mid-pass preempts it
+// before it finishes the pass (and answers what it already has); deferring
+// the wake to the end of the pass keeps the submitter running. The price on
+// a host with spare CPUs: a queued task starts at most one pass later.
 #pragma once
 
 #include <condition_variable>
@@ -29,6 +38,12 @@ namespace klinq {
 class thread_pool {
  public:
   /// Creates `worker_count` workers; 0 means std::thread::hardware_concurrency.
+  /// The default deliberately ignores the process's CPU affinity mask: a
+  /// process pinned to one CPU then still gets background workers, so bulk
+  /// shards never run inline on a latency-critical submitter such as the TCP
+  /// loop thread. Sizing from the mask made the one-CPU pool workerless and
+  /// cut perfbench's feedback deadline_met_ratio from ~0.94 to ~0.8
+  /// (ROADMAP item 1, measured dead ends).
   explicit thread_pool(std::size_t worker_count = 0);
   ~thread_pool();
 
@@ -47,6 +62,27 @@ class thread_pool {
   /// terminate (there is nowhere to rethrow them); wrap fallible work and
   /// route errors through your own completion state.
   void submit(std::function<void()> task);
+
+  /// Scoped deferral of worker wake-ups, thread-local to the holder. While a
+  /// guard is open on this thread, submit() to this pool queues the task but
+  /// signals no worker (a worker that is already awake may still take it);
+  /// the outermost guard's end — normal or by exception — wakes
+  /// min(tasks queued under it, worker_count()) workers. Nested guards on
+  /// the same pool wake once, at the outermost end. A guard opened while
+  /// another pool's guard is open on this thread is inert. Only submit()
+  /// defers: parallel_for still wakes the pool at once, and a task that
+  /// submit() runs inline (workerless pool, or a worker submitting) is
+  /// unaffected. Do not block on a task submitted under an open guard.
+  class deferred_wake {
+   public:
+    explicit deferred_wake(thread_pool& pool) noexcept;
+    ~deferred_wake();
+    deferred_wake(const deferred_wake&) = delete;
+    deferred_wake& operator=(const deferred_wake&) = delete;
+
+   private:
+    thread_pool* pool_;  // null when inert
+  };
 
   /// True when the current thread is one of this pool's workers (or is
   /// running an inline-executed submit on a workerless pool).

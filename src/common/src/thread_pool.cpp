@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <utility>
 
 namespace klinq {
 
@@ -22,7 +23,40 @@ struct worker_scope {
   ~worker_scope() { t_on_pool_worker = previous; }
 };
 
+// The open deferred_wake guards of this thread: the pool they defer (null:
+// none), their nesting depth, and the tasks submitted under them.
+struct wake_deferral {
+  const thread_pool* pool = nullptr;
+  std::size_t depth = 0;
+  std::size_t queued = 0;
+};
+thread_local wake_deferral t_deferral;
+
 }  // namespace
+
+thread_pool::deferred_wake::deferred_wake(thread_pool& pool) noexcept
+    : pool_(&pool) {
+  if (t_deferral.pool == nullptr) {
+    t_deferral.pool = &pool;
+  } else if (t_deferral.pool != &pool) {
+    pool_ = nullptr;
+    return;
+  }
+  ++t_deferral.depth;
+}
+
+thread_pool::deferred_wake::~deferred_wake() {
+  if (pool_ == nullptr || --t_deferral.depth > 0) return;
+  t_deferral.pool = nullptr;
+  // min(queued, workers) wake-ups: the tasks were pushed under the pool's
+  // mutex, so a worker that checks the queue after this finds them.
+  const std::size_t queued = std::exchange(t_deferral.queued, 0);
+  if (queued >= pool_->workers_.size()) {
+    pool_->task_ready_.notify_all();
+    return;
+  }
+  for (std::size_t i = 0; i < queued; ++i) pool_->task_ready_.notify_one();
+}
 
 bool thread_pool::on_worker() noexcept { return t_on_pool_worker; }
 
@@ -80,6 +114,10 @@ void thread_pool::submit(std::function<void()> task) {
   {
     const std::lock_guard lock(mutex_);
     tasks_.push_back(std::move(task));
+  }
+  if (t_deferral.pool == this) {
+    ++t_deferral.queued;  // the guard's end wakes a worker for it
+    return;
   }
   task_ready_.notify_one();
 }

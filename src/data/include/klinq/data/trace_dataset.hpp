@@ -75,6 +75,11 @@ class trace_dataset {
   /// Resizes to exactly `count` zero-filled traces for bulk filling.
   void resize_traces(std::size_t count);
 
+  /// Resizes to exactly `count` traces without clearing the sample storage it
+  /// reuses (labels and permutations are still zeroed), for a producer that
+  /// overwrites every sample — a recycled request buffer.
+  void resize_traces_for_overwrite(std::size_t count);
+
   /// Overwrites one row (after resize_traces).
   void set_trace(std::size_t row, std::span<const float> flat, bool state,
                  std::uint8_t permutation = 0);

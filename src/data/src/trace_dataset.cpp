@@ -40,6 +40,14 @@ void trace_dataset::resize_traces(std::size_t count) {
   permutations_.assign(count, 0);
 }
 
+void trace_dataset::resize_traces_for_overwrite(std::size_t count) {
+  KLINQ_REQUIRE(samples_ > 0,
+                "resize_traces_for_overwrite: dataset has no sample width");
+  features_.resize_for_overwrite(count, feature_width());
+  labels_.assign(count, 0.0f);
+  permutations_.assign(count, 0);
+}
+
 void trace_dataset::set_trace(std::size_t row, std::span<const float> flat,
                               bool state, std::uint8_t permutation) {
   KLINQ_REQUIRE(row < size(), "set_trace: row out of range");

@@ -77,6 +77,15 @@ class matrix {
     data_.assign(rows * cols, fill_value);
   }
 
+  /// Like resize, but the storage keeps its current values (elements past
+  /// the old size are value-initialized), for callers that overwrite every
+  /// element: reused storage is not cleared first.
+  void resize_for_overwrite(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   friend bool operator==(const matrix& a, const matrix& b) = default;
 
  private:

@@ -204,12 +204,25 @@ std::vector<std::uint8_t> encode_request(std::uint64_t request_id,
                                          const data::trace_dataset& traces,
                                          const trace_context* trace = nullptr);
 
-/// Decodes a request payload into `traces` (resized to shots rows of
-/// 2·samples columns, filled row by row — the dataset the readout_request
-/// then borrows). Throws invalid_argument_error when the payload disagrees
-/// with its own dimensions or the reserved bytes are nonzero.
+/// Decodes a request payload into `traces` (shaped by request_rows, then
+/// filled — the dataset the readout_request then borrows). Throws
+/// invalid_argument_error when the payload disagrees with its own dimensions
+/// or the reserved bytes are nonzero.
 request_info decode_request(std::span<const std::uint8_t> payload,
                             data::trace_dataset& traces);
+
+/// Parses and checks a request payload's fixed prefix (its first
+/// kRequestPayloadHeaderSize bytes) against the payload's total size, with
+/// decode_request's checks. The server calls it as soon as the prefix has
+/// arrived, so the rows can be read straight into their dataset.
+request_info decode_request_prefix(const std::uint8_t* prefix,
+                                   std::size_t payload_size);
+
+/// Shapes `traces` to info.shots rows of 2·samples columns and returns its
+/// row storage as the wire's row bytes (rows are contiguous f32, wire order).
+/// Reused storage is not cleared: the caller overwrites every byte.
+std::span<std::uint8_t> request_rows(const request_info& info,
+                                     data::trace_dataset& traces);
 
 /// Serializes a full response frame for a finished result. Non-ok statuses
 /// carry no data rows (their buffers are unspecified by contract).

@@ -6,25 +6,40 @@
 // are treated as the normal case.
 //
 // Threading: one loop thread, owned by the front end, polls the listen
-// socket, every connection socket and a wake pipe. Each iteration it accepts
-// (enforcing the connection cap: an over-cap connection gets a best-effort
-// busy frame and is closed at once), reads and parses frames, admits and
-// submits requests, turns finished tickets into responses, flushes write
-// queues, and enforces the idle/stall deadlines. No other thread touches a
-// socket.
+// socket, every connection socket and a wake pipe, and handles what poll()
+// reported in one turn:
+//   1. reads: accepts (enforcing the connection cap: an over-cap connection
+//      gets a best-effort busy frame and is closed at once), then reads each
+//      readable connection until its socket is drained, parsing, admitting
+//      and submitting requests as their frames complete. A request frame's
+//      rows are read straight into a recycled trace buffer once its header
+//      and fixed prefix are parsed; only the row bytes that arrived with the
+//      header are copied.
+//   2. same-turn replies: a request that completed inside try_submit (a
+//      small feedback request, or any request on a workerless pool) is
+//      answered in the turn that admitted it, and that connection's replies
+//      are flushed before the next connection is read;
+//   3. one pool wake: the turn holds a thread_pool::deferred_wake guard, so
+//      the bulk shards it submitted wake the pool workers once, at its end,
+//      instead of preempting the loop mid-turn. On a host with spare CPUs a
+//      submitted shard therefore starts at most one turn later;
+//   4. flush: finished tickets rung in by the doorbell become responses,
+//      every write queue is flushed, and the idle/stall deadlines are
+//      enforced.
+// No other thread touches a socket.
 //
 // Locking: one mutex, `state_mutex`, guards connections and the ticket map.
-// The loop holds it around all of an iteration's event handling and
-// releases it across poll(); stats(), connections() and shutdown() take it
-// between iterations. The completion doorbell (the server's on_complete)
-// runs on whichever thread finished the request and never takes
-// state_mutex: it fires the net.complete fault site, appends the ticket id
-// to a small mutex-guarded vector and writes a wake byte. (A request that
-// try_submit ran inline, on a workerless pool, rings on the loop itself; the
-// loop delivers it the same way, off the lock, before its next poll().) The
-// loop consumes that vector after reads and hangups, so a ticket is always
-// registered before its completion is processed, and a departed client's
-// result is dropped rather than queued.
+// The loop holds it around all of a turn's event handling and releases it
+// across poll(); stats(), connections() and shutdown() take it between
+// turns. The completion doorbell (the server's on_complete) runs on
+// whichever thread finished the request and never takes state_mutex: it
+// fires the net.complete fault site, appends the ticket id to a small
+// mutex-guarded vector and writes a wake byte. The loop consumes that vector
+// after reads and hangups, so a ticket is always registered before its
+// completion is processed, and a departed client's result is dropped rather
+// than queued. A same-turn reply keeps that contract: with a fault armed it
+// fires net.complete off the lock, then checks its connection for a hangup
+// and drops the result, counted, if the client left.
 //
 // Robustness contracts (each has a test in tests/test_net.cpp and a chaos
 // scenario in `klinq_serve --listen --chaos`):

@@ -190,11 +190,10 @@ std::vector<std::uint8_t> encode_request(std::uint64_t request_id,
   return bytes;
 }
 
-request_info decode_request(std::span<const std::uint8_t> payload,
-                            data::trace_dataset& traces) {
-  KLINQ_REQUIRE(payload.size() >= kRequestPayloadHeaderSize,
+request_info decode_request_prefix(const std::uint8_t* p,
+                                   std::size_t payload_size) {
+  KLINQ_REQUIRE(payload_size >= kRequestPayloadHeaderSize,
                 "net: request payload shorter than its fixed prefix");
-  const std::uint8_t* p = payload.data();
   request_info info;
   info.qubit = load<std::uint32_t>(p);
   const std::uint8_t engine_raw = p[4];
@@ -210,23 +209,40 @@ request_info decode_request(std::span<const std::uint8_t> payload,
   info.shots = load<std::uint32_t>(p + 20);
   KLINQ_REQUIRE(info.shots == 0 || info.samples_per_quadrature > 0,
                 "net: request has shots but zero samples per quadrature");
+  // Divided, not multiplied: shots × row bytes can wrap 64 bits, and a
+  // wrapped product must not pass for a small payload.
+  const std::size_t samples = info.samples_per_quadrature;
+  const std::size_t row_bytes = 2 * samples * sizeof(float);
+  const std::size_t rows_bytes = payload_size - kRequestPayloadHeaderSize;
   KLINQ_REQUIRE(
-      payload.size() ==
-          request_payload_size(info.shots, info.samples_per_quadrature),
+      info.shots == 0 ? rows_bytes == 0
+                      : rows_bytes % row_bytes == 0 &&
+                            rows_bytes / row_bytes == info.shots,
       "net: request payload size disagrees with its shots × samples header");
-  // Fill the borrowed dataset in place: this is the buffer the
-  // readout_request hands the shard scheduler, so the payload is decoded
-  // exactly once, straight into serving memory.
+  return info;
+}
+
+std::span<std::uint8_t> request_rows(const request_info& info,
+                                     data::trace_dataset& traces) {
+  // This is the buffer the readout_request hands the shard scheduler, so the
+  // payload lands exactly once, straight in serving memory.
   if (traces.samples_per_quadrature() != info.samples_per_quadrature) {
     traces = data::trace_dataset(info.shots, info.samples_per_quadrature);
   }
-  traces.resize_traces(info.shots);
-  const std::uint8_t* rows = p + kRequestPayloadHeaderSize;
-  const std::size_t row_bytes =
-      2 * static_cast<std::size_t>(info.samples_per_quadrature) *
-      sizeof(float);
-  for (std::uint32_t r = 0; r < info.shots; ++r) {
-    std::memcpy(traces.trace(r).data(), rows + r * row_bytes, row_bytes);
+  traces.resize_traces_for_overwrite(info.shots);
+  la::matrix_f& rows = traces.features();
+  return {reinterpret_cast<std::uint8_t*>(rows.data()),
+          rows.size() * sizeof(float)};
+}
+
+request_info decode_request(std::span<const std::uint8_t> payload,
+                            data::trace_dataset& traces) {
+  const request_info info =
+      decode_request_prefix(payload.data(), payload.size());
+  const std::span<std::uint8_t> rows = request_rows(info, traces);
+  if (!rows.empty()) {
+    std::memcpy(rows.data(), payload.data() + kRequestPayloadHeaderSize,
+                rows.size());
   }
   return info;
 }

@@ -13,6 +13,7 @@
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -35,6 +36,7 @@
 #include "klinq/common/error.hpp"
 #include "klinq/common/log.hpp"
 #include "klinq/common/stopwatch.hpp"
+#include "klinq/common/thread_pool.hpp"
 #include "klinq/fault/fault.hpp"
 #include "klinq/net/frame.hpp"
 
@@ -187,9 +189,23 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// The front end whose loop runs on this thread (null elsewhere): a doorbell
-/// that rings there ran inline inside try_submit.
-thread_local const void* t_loop_owner = nullptr;
+/// Set on the loop thread while try_submit runs: a doorbell that rings there
+/// belongs to a request that completed inline, and is answered in the same
+/// turn instead of through the wake pipe.
+struct inline_completion {
+  const void* front_end = nullptr;
+  std::optional<std::uint64_t> ticket_id;
+};
+thread_local inline_completion* t_inline_completion = nullptr;
+
+/// Size of a connection's read buffer: frame headers, small frames and the
+/// first bytes of a request payload land there. The rest of a request's rows
+/// is read straight into its trace buffer.
+constexpr std::size_t kReadBufferBytes = std::size_t{64} << 10;
+
+/// Answered requests' trace buffers kept for reuse; beyond this many, a
+/// buffer is freed when its request is answered.
+constexpr std::size_t kSpareTraceBuffers = 16;
 
 /// Asks the kernel for the shortest fair-scheduler slice (0.1 ms) for the
 /// calling thread, keeping its policy and nice value. The result is ignored.
@@ -217,12 +233,34 @@ struct owned_fd {
 }  // namespace
 
 struct tcp_front_end::impl {
+  /// A request frame from its parsed prefix to its admission.
+  struct request_frame {
+    frame_header header;
+    trace_context tctx;
+    /// The request payload's size (trace context excluded): what the byte
+    /// budget counts.
+    std::size_t payload_bytes = 0;
+    /// A frame parsed whole from the read buffer: its undecoded payload.
+    std::span<const std::uint8_t> payload;
+    /// Rows read straight in: the decoded prefix, the dataset, its row bytes
+    /// and how many of them have arrived. Null traces: decode `payload`.
+    request_info info;
+    std::unique_ptr<data::trace_dataset> traces;
+    std::span<std::uint8_t> rows;
+    std::size_t rows_filled = 0;
+  };
+
   // One client connection, owned by the loop thread (stats() and
   // connections() read it under state_mutex).
   struct connection {
     int fd = -1;
     std::uint64_t id = 0;
+    /// Unparsed bytes are read_buffer[read_begin, read_end).
     std::vector<std::uint8_t> read_buffer;
+    std::size_t read_begin = 0;
+    std::size_t read_end = 0;
+    /// The request whose rows are being read straight into its dataset.
+    std::optional<request_frame> body;
     std::deque<std::vector<std::uint8_t>> write_queue;
     std::size_t write_queue_bytes = 0;
     std::size_t write_offset = 0;  // sent bytes of write_queue.front()
@@ -293,14 +331,17 @@ struct tcp_front_end::impl {
 
   // --- state_mutex domain ------------------------------------------------
   mutable std::mutex state_mutex;
+  /// The loop thread's hold on state_mutex (loop thread only).
+  std::unique_lock<std::mutex> turn_lock{state_mutex, std::defer_lock};
   std::uint64_t next_conn_id = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<connection>> conns;
   std::unordered_map<std::uint64_t, inflight_ticket> tickets;
+  /// Trace buffers of answered requests, reused by the next ones.
+  std::vector<std::unique_ptr<data::trace_dataset>> spare_traces;
 
   // --- the doorbell's hand-off (never nested in state_mutex) -------------
   std::mutex done_mutex;
   std::vector<std::uint64_t> done_ids;  // finished tickets, not yet consumed
-  std::vector<std::uint64_t> inline_done;  // loop thread only (see doorbell)
 
   // --- metric cells (pre-resolved; recording is lock-free) ---------------
   obs::counter* accepted_cell = nullptr;
@@ -447,25 +488,31 @@ struct tcp_front_end::impl {
   // --- doorbell (runs on whichever thread finished the request) ----------
 
   void doorbell(std::uint64_t ticket_id) {
-    if (t_loop_owner == this) {
+    inline_completion* caught = t_inline_completion;
+    if (caught != nullptr && caught->front_end == this && !caught->ticket_id) {
       // Ran inline inside try_submit (a small feedback request, or a
-      // workerless pool): park it for poll_loop, which delivers it off the
-      // lock before its next poll().
-      inline_done.push_back(ticket_id);
+      // workerless pool): handle_request answers it in this turn.
+      caught->ticket_id = ticket_id;
       return;
     }
-    deliver(ticket_id);
+    fire_complete_site();
+    enqueue_done(ticket_id);
   }
 
-  /// Fires the net.complete site, then hands the ticket to the loop. Off the
-  /// loop thread, so delay mode stalls only the response path while
-  /// admission quotas fill — deterministic fodder for the shedding tests.
-  void deliver(std::uint64_t ticket_id) {
+  /// The net.complete site. A doorbell fires it on the completing thread, so
+  /// delay mode stalls only the response path while admission quotas fill —
+  /// deterministic fodder for the shedding tests. A same-turn reply fires it
+  /// on the loop thread, off the lock.
+  static void fire_complete_site() {
     try {
       fault::trigger("net.complete");
     } catch (const std::exception&) {
       // A throwing completion site must not lose the ticket.
     }
+  }
+
+  /// Hands a finished ticket to the loop's next turn.
+  void enqueue_done(std::uint64_t ticket_id) {
     bool first = false;
     {
       const std::lock_guard lock(done_mutex);
@@ -513,23 +560,22 @@ struct tcp_front_end::impl {
   // --- the loop thread ----------------------------------------------------
   //
   // Every handler from poll_loop() down to the shutdown section runs with
-  // state_mutex held: the loop takes it once per iteration, around all event
-  // handling, and releases it across poll().
+  // state_mutex held: the loop takes it once per turn, around all event
+  // handling, and releases it across poll() (and, with a fault armed, across
+  // a same-turn reply's net.complete site).
 
   void poll_loop() {
     std::vector<pollfd> pfds;
     std::vector<connection*> pfd_conns;  // pfds[i + 2] watches pfd_conns[i]
     std::vector<std::uint64_t> done;
-    std::vector<std::uint8_t> read_chunk(std::size_t{64} << 10);
     const int timeout_ms =
         std::max(1, static_cast<int>(config.poll_interval_seconds * 1000.0));
-    t_loop_owner = this;
     // Small feedback requests run on this thread (try_submit). A short slice
     // gives it an earlier EEVDF deadline on wake-up (kernels >= 6.12), so it
     // preempts a running bulk shard sooner at the same CPU share; older
     // kernels ignore the request.
     request_short_slice();
-    std::unique_lock lock(state_mutex);
+    turn_lock.lock();
     // shutdown() sets stopping only after its bounded flush window, so
     // leaving at once cannot strand a flushable write queue.
     while (!stopping.load(std::memory_order_relaxed)) {
@@ -542,30 +588,34 @@ struct tcp_front_end::impl {
         pfds.push_back({conn->fd, events, 0});
         pfd_conns.push_back(conn.get());
       }
-      lock.unlock();
-      // Inline completions get their net.complete site here, off the lock
-      // and before the poll() that reports their client leaving, so a delay
-      // drops a departed client's result as it does on a pool worker. Each
-      // delivery wakes the poll() at once.
-      for (const std::uint64_t ticket_id : inline_done) deliver(ticket_id);
-      inline_done.clear();
+      turn_lock.unlock();
       ::poll(pfds.data(), pfds.size(), timeout_ms);
       if (pfds[0].revents & POLLIN) {
         std::uint8_t drain_buf[64];
         while (::read(wake_read.fd, drain_buf, sizeof(drain_buf)) > 0) {
         }
       }
-      lock.lock();
+      turn_lock.lock();
+      // Bulk shards submitted this turn wake the pool once, at the end of
+      // the turn: a worker woken mid-turn would preempt this thread before
+      // it has answered what it already holds.
+      const thread_pool::deferred_wake one_wake(global_thread_pool());
       if (pfds[1].revents & POLLIN) accept_connections();
       // Only this thread adds or removes connections, so each pointer stays
-      // valid until its own handler closes it. Writability is served by the
-      // flush in flush_and_reap().
+      // valid until its own handler closes it.
       for (std::size_t i = 0; i < pfd_conns.size(); ++i) {
+        connection& conn = *pfd_conns[i];
         const short revents = pfds[i + 2].revents;
         if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
-          close_connection(*pfd_conns[i]);
+          close_connection(conn);
         } else if (revents & POLLIN) {
-          handle_readable(*pfd_conns[i], read_chunk);
+          // The replies answered in this turn go out before the next
+          // connection is read.
+          if (handle_readable(conn) && !conn.write_queue.empty() &&
+              !flush_writes(conn)) {
+            conn.evict = true;
+            close_connection(conn);
+          }
         }
       }
       // Completions drain after the hangups, so a departed client's result
@@ -587,6 +637,7 @@ struct tcp_front_end::impl {
     }
     conns.clear();
     open_conns_cell->set(0.0);
+    turn_lock.unlock();
   }
 
   /// Accepts until the backlog is empty. Over the connection cap (or while
@@ -631,19 +682,35 @@ struct tcp_front_end::impl {
     }
   }
 
-  void handle_readable(connection& conn, std::vector<std::uint8_t>& chunk) {
+  /// Reads until the socket is drained, parsing after every read so a
+  /// request's rows go straight into its trace buffer once its prefix is
+  /// parsed. Returns false when the connection was closed.
+  bool handle_readable(connection& conn) {
     if (trace_sink() != nullptr) {
       // Anchor for the net.read span of any traced request this batch of
       // socket reads completes (one clock read per readiness event).
       conn.read_batch_start_us = obs::trace_clock_us();
     }
-    for (;;) {
-      const ssize_t n = ::read(conn.fd, chunk.data(), chunk.size());
+    while (!conn.closing) {
+      if (conn.read_buffer.size() - conn.read_end < kReadBufferBytes / 4) {
+        compact_read_buffer(conn, kReadBufferBytes);
+      }
+      std::array<iovec, 2> iov{};
+      std::size_t parts = 0;
+      if (conn.body) {
+        request_frame& body = *conn.body;
+        iov[parts++] = {body.rows.data() + body.rows_filled,
+                        body.rows.size() - body.rows_filled};
+      }
+      iov[parts++] = {conn.read_buffer.data() + conn.read_end,
+                      conn.read_buffer.size() - conn.read_end};
+      const std::size_t wanted = iov[0].iov_len + iov[1].iov_len;
+      const ssize_t n = ::readv(conn.fd, iov.data(), static_cast<int>(parts));
       if (n < 0 && errno == EINTR) continue;
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (n <= 0) {
         close_connection(conn);  // orderly peer close, or a hard read error
-        return;
+        return false;
       }
       bytes_in_cell->inc(static_cast<std::uint64_t>(n));
       conn.last_read_at = clock.seconds();
@@ -655,26 +722,48 @@ struct tcp_front_end::impl {
       } catch (const std::exception&) {
         conn.evict = true;
         close_connection(conn);
-        return;
+        return false;
       }
       if (!discard) {
-        conn.read_buffer.insert(conn.read_buffer.end(), chunk.data(),
-                                chunk.data() + n);
+        std::size_t got = static_cast<std::size_t>(n);
+        if (conn.body) {
+          request_frame& body = *conn.body;
+          const std::size_t rows =
+              std::min(got, body.rows.size() - body.rows_filled);
+          body.rows_filled += rows;
+          got -= rows;
+          if (body.rows_filled == body.rows.size()) finish_body(conn);
+        }
+        conn.read_end += got;
+        parse_frames(conn);
       }
-      if (static_cast<std::size_t>(n) < chunk.size()) break;
+      if (static_cast<std::size_t>(n) < wanted) break;
     }
-    parse_frames(conn);
+    return true;
   }
 
-  /// Parses every complete frame in the connection's read buffer. May mark
-  /// the connection closing (protocol violation).
+  /// Moves the unparsed bytes to the front of the read buffer and grows the
+  /// buffer to at least `size` bytes.
+  static void compact_read_buffer(connection& conn, std::size_t size) {
+    const std::size_t unparsed = conn.read_end - conn.read_begin;
+    if (conn.read_begin > 0 && unparsed > 0) {
+      std::memmove(conn.read_buffer.data(),
+                   conn.read_buffer.data() + conn.read_begin, unparsed);
+    }
+    conn.read_begin = 0;
+    conn.read_end = unparsed;
+    if (conn.read_buffer.size() < size) conn.read_buffer.resize(size);
+  }
+
+  /// Parses every complete frame in the connection's read buffer, and starts
+  /// reading a partial request's rows into its trace buffer. May mark the
+  /// connection closing (protocol violation).
   void parse_frames(connection& conn) {
-    std::size_t offset = 0;
-    while (!conn.closing &&
-           conn.read_buffer.size() - offset >= kHeaderSize) {
+    while (!conn.closing && !conn.body &&
+           conn.read_end - conn.read_begin >= kHeaderSize) {
+      const std::uint8_t* frame = conn.read_buffer.data() + conn.read_begin;
       frame_header header;
-      const header_verdict verdict =
-          decode_header(conn.read_buffer.data() + offset, header);
+      const header_verdict verdict = decode_header(frame, header);
       if (verdict != header_verdict::ok) {
         const error_code code =
             verdict == header_verdict::bad_version ? error_code::bad_version
@@ -693,28 +782,119 @@ struct tcp_front_end::impl {
       // fixes the dialect; every outbound frame echoes it (conn_version).
       if (conn.version == 0) conn.version = header.version;
       const std::size_t frame_size = kHeaderSize + header.payload_size;
-      if (conn.read_buffer.size() - offset < frame_size) break;  // partial
+      if (conn.read_end - conn.read_begin < frame_size) {
+        // Partial: a request whose prefix is in takes the direct path;
+        // anything else waits whole in the buffer.
+        if (!start_body(conn, header)) {
+          compact_read_buffer(conn, std::max(frame_size, kReadBufferBytes));
+        }
+        break;
+      }
       frames_in_cell->inc();
-      handle_frame(
-          conn, header,
-          std::span<const std::uint8_t>(
-              conn.read_buffer.data() + offset + kHeaderSize,
-              header.payload_size));
-      offset += frame_size;
+      handle_frame(conn, header,
+                   std::span<const std::uint8_t>(frame + kHeaderSize,
+                                                 header.payload_size));
+      conn.read_begin += frame_size;
     }
-    if (offset > 0) {
-      conn.read_buffer.erase(conn.read_buffer.begin(),
-                             conn.read_buffer.begin() +
-                                 static_cast<std::ptrdiff_t>(offset));
+    if (conn.read_begin == conn.read_end) conn.read_begin = conn.read_end = 0;
+  }
+
+  /// Starts reading a partial request frame's rows straight into a recycled
+  /// trace buffer, once its header, trace context and fixed prefix are in
+  /// the read buffer: the row bytes already read are copied over and the
+  /// rest is read in place. False (the frame is buffered whole, and handled
+  /// exactly as before) when the prefix has not arrived or does not decode.
+  bool start_body(connection& conn, const frame_header& header) {
+    if (header.type != frame_type::request) return false;
+    const std::size_t context = header.has_trace() ? kTraceContextSize : 0;
+    const std::size_t rows_at =
+        kHeaderSize + context + kRequestPayloadHeaderSize;
+    const std::size_t available = conn.read_end - conn.read_begin;
+    if (header.payload_size < context + kRequestPayloadHeaderSize ||
+        available < rows_at) {
+      return false;
+    }
+    const std::uint8_t* frame = conn.read_buffer.data() + conn.read_begin;
+    request_frame req;
+    req.header = header;
+    if (context != 0) req.tctx = decode_trace_context(frame + kHeaderSize);
+    req.payload_bytes = header.payload_size - context;
+    try {
+      req.info = decode_request_prefix(frame + kHeaderSize + context,
+                                       req.payload_bytes);
+      req.traces = lease_traces(req.payload_bytes);
+      req.rows = request_rows(req.info, *req.traces);
+    } catch (const std::exception&) {
+      recycle_traces(std::move(req.traces));
+      return false;  // decode_request reports it after admission
+    }
+    req.rows_filled = available - rows_at;
+    std::memcpy(req.rows.data(), frame + rows_at, req.rows_filled);
+    conn.read_begin = conn.read_end = 0;
+    conn.body = std::move(req);
+    return true;
+  }
+
+  /// The last row byte of the direct-read request arrived: handle it.
+  void finish_body(connection& conn) {
+    request_frame req = std::move(*conn.body);
+    conn.body.reset();
+    frames_in_cell->inc();
+    handle_request(conn, req);
+    recycle_traces(std::move(req.traces));
+  }
+
+  /// A recycled trace buffer for a request payload of `payload_bytes`: the
+  /// smallest spare at least that large (its reuse clears nothing), else the
+  /// largest.
+  std::unique_ptr<data::trace_dataset> lease_traces(std::size_t payload_bytes) {
+    if (spare_traces.empty()) return std::make_unique<data::trace_dataset>();
+    const std::size_t wanted = payload_bytes / sizeof(float);
+    const auto fits_better = [wanted](const auto& a, const auto& b) {
+      const std::size_t x = a->features().size();
+      const std::size_t y = b->features().size();
+      if ((x >= wanted) != (y >= wanted)) return x >= wanted;
+      return x >= wanted ? x < y : x > y;
+    };
+    const auto best =
+        std::min_element(spare_traces.begin(), spare_traces.end(), fits_better);
+    std::unique_ptr<data::trace_dataset> traces = std::move(*best);
+    *best = std::move(spare_traces.back());
+    spare_traces.pop_back();
+    return traces;
+  }
+
+  void recycle_traces(std::unique_ptr<data::trace_dataset> traces) {
+    if (traces != nullptr && spare_traces.size() < kSpareTraceBuffers) {
+      spare_traces.push_back(std::move(traces));
     }
   }
 
   void handle_frame(connection& conn, const frame_header& header,
                     std::span<const std::uint8_t> payload) {
     switch (header.type) {
-      case frame_type::request:
-        handle_request(conn, header, payload);
+      case frame_type::request: {
+        // v2 trace context rides as the first payload bytes of a flagged
+        // frame; strip it before the admission/decode path sees the request
+        // payload. When tracing is disarmed server-side the context is still
+        // stripped (the frame is valid) but ignored.
+        request_frame req;
+        req.header = header;
+        if (header.has_trace()) {
+          if (payload.size() < kTraceContextSize) {
+            protocol_error(conn, header.request_id, error_code::decode_error,
+                           "trace-flagged request shorter than its context");
+            return;
+          }
+          req.tctx = decode_trace_context(payload.data());
+          payload = payload.subspan(kTraceContextSize);
+        }
+        req.payload_bytes = payload.size();
+        req.payload = payload;
+        handle_request(conn, req);
+        recycle_traces(std::move(req.traces));
         return;
+      }
       case frame_type::cancel: {
         cancels_cell->inc();
         const auto it = conn.requests.find(header.request_id);
@@ -745,22 +925,13 @@ struct tcp_front_end::impl {
     }
   }
 
-  void handle_request(connection& conn, const frame_header& header,
-                      std::span<const std::uint8_t> payload) {
-    // v2 trace context rides as the first payload bytes of a flagged frame;
-    // strip it before the admission/decode path sees the request payload.
-    // When tracing is disarmed server-side the context is still stripped
-    // (the frame is valid) but ignored.
-    trace_context tctx;
-    if (header.has_trace()) {
-      if (payload.size() < kTraceContextSize) {
-        protocol_error(conn, header.request_id, error_code::decode_error,
-                       "trace-flagged request shorter than its context");
-        return;
-      }
-      tctx = decode_trace_context(payload.data());
-      payload = payload.subspan(kTraceContextSize);
-    }
+  /// Admission, decode and submission of one complete request frame. A
+  /// request that completes inside try_submit is answered here, in the turn
+  /// that admitted it. A request that is not admitted leaves its trace
+  /// buffer in `req`, for the caller to recycle.
+  void handle_request(connection& conn, request_frame& req) {
+    const frame_header& header = req.header;
+    const trace_context& tctx = req.tctx;
     obs::trace_ring* ring = trace_sink();
     const bool traced = ring != nullptr && tctx.trace_id != 0;
     const std::uint64_t admit_start_us = traced ? obs::trace_clock_us() : 0;
@@ -773,34 +944,19 @@ struct tcp_front_end::impl {
 
     // Admission control, cheapest checks first; every rejection is an
     // explicit retriable busy frame, never an unbounded queue.
-    if (draining.load(std::memory_order_relaxed)) {
-      shed(conn, header.request_id, busy_reason::draining);
-      return;
-    }
-    if (conn.inflight >= config.max_inflight_per_connection) {
-      shed(conn, header.request_id, busy_reason::connection_inflight);
-      return;
-    }
-    if (conn.inflight_bytes + payload.size() >
-        config.max_inflight_bytes_per_connection) {
-      shed(conn, header.request_id, busy_reason::connection_bytes);
-      return;
-    }
-    const bool feedback = header.lane == serve::lane_class::feedback;
-    const std::size_t budget =
-        feedback ? config.max_inflight
-                 : config.max_inflight - config.feedback_reserve;
-    if (tickets.size() >= budget) {
-      shed(conn, header.request_id, busy_reason::server_busy);
+    const std::optional<busy_reason> rejection = admission_verdict(conn, req);
+    if (rejection) {
+      shed(conn, header.request_id, *rejection);
       return;
     }
 
-    auto traces = std::make_unique<data::trace_dataset>();
-    request_info info;
     const std::uint64_t decode_start_us = traced ? obs::trace_clock_us() : 0;
     try {
       fault::trigger("net.decode");
-      info = decode_request(payload, *traces);
+      if (req.traces == nullptr) {
+        req.traces = lease_traces(req.payload_bytes);
+        req.info = decode_request(req.payload, *req.traces);
+      }
     } catch (const std::exception& e) {
       protocol_error(conn, header.request_id, error_code::decode_error,
                      e.what());
@@ -812,28 +968,32 @@ struct tcp_front_end::impl {
     }
 
     serve::readout_request request;
-    request.qubit = info.qubit;
-    request.traces = traces.get();
-    request.engine = info.engine;
-    request.deadline_seconds = info.deadline_seconds;
+    request.qubit = req.info.qubit;
+    request.traces = req.traces.get();
+    request.engine = req.info.engine;
+    request.deadline_seconds = req.info.deadline_seconds;
     request.lane = header.lane;
     if (traced) {
       request.trace_id = tctx.trace_id;
       request.trace_parent = tctx.parent_span;
     }
     std::optional<serve::ticket> ticket;
+    // May run the whole request inline (small feedback, workerless pool): the
+    // doorbell then rings here, and the ticket is answered after the
+    // registration below. Nothing rings when try_submit throws or sheds.
+    inline_completion completed_inline{this, std::nullopt};
+    t_inline_completion = &completed_inline;
     try {
-      // May run the whole request inline (small feedback, workerless pool):
-      // the doorbell then parks the ticket in inline_done, which this thread
-      // delivers after the registration below.
       ticket = server.try_submit(request);
     } catch (const std::exception& e) {
+      t_inline_completion = nullptr;
       // Semantically invalid (bad qubit, missing engine path): a protocol
       // contract violation, handled like any malformed frame.
       protocol_error(conn, header.request_id, error_code::decode_error,
                      e.what());
       return;
     }
+    t_inline_completion = nullptr;
     if (!ticket) {
       shed(conn, header.request_id, busy_reason::server_busy);
       return;
@@ -841,10 +1001,10 @@ struct tcp_front_end::impl {
     inflight_ticket entry;
     entry.conn_id = conn.id;
     entry.request_id = header.request_id;
-    entry.payload_bytes = payload.size();
-    entry.engine = info.engine;
+    entry.payload_bytes = req.payload_bytes;
+    entry.engine = req.info.engine;
     entry.lane = header.lane;
-    entry.traces = std::move(traces);
+    entry.traces = std::move(req.traces);
     if (traced) {
       entry.trace_id = tctx.trace_id;
       entry.trace_parent = tctx.parent_span;
@@ -852,7 +1012,7 @@ struct tcp_front_end::impl {
     tickets.emplace(ticket->id, std::move(entry));
     conn.requests[header.request_id] = ticket->id;
     ++conn.inflight;
-    conn.inflight_bytes += payload.size();
+    conn.inflight_bytes += req.payload_bytes;
     ++conn.lane_admitted[static_cast<std::size_t>(header.lane)];
     admitted_cell->inc();
     inflight_cell->set(static_cast<double>(tickets.size()));
@@ -860,6 +1020,46 @@ struct tcp_front_end::impl {
       record_net_span(*ring, tctx.trace_id, tctx.parent_span, "net.admit",
                       admit_start_us, obs::trace_clock_us());
     }
+    if (completed_inline.ticket_id) {
+      answer_same_turn(conn, *completed_inline.ticket_id);
+    }
+  }
+
+  /// The busy reason that sheds this request, if any.
+  std::optional<busy_reason> admission_verdict(const connection& conn,
+                                               const request_frame& req) const {
+    if (draining.load(std::memory_order_relaxed)) return busy_reason::draining;
+    if (conn.inflight >= config.max_inflight_per_connection) {
+      return busy_reason::connection_inflight;
+    }
+    if (conn.inflight_bytes + req.payload_bytes >
+        config.max_inflight_bytes_per_connection) {
+      return busy_reason::connection_bytes;
+    }
+    const std::size_t budget =
+        req.header.lane == serve::lane_class::feedback
+            ? config.max_inflight
+            : config.max_inflight - config.feedback_reserve;
+    if (tickets.size() >= budget) return busy_reason::server_busy;
+    return std::nullopt;
+  }
+
+  /// Queues the reply of a ticket that completed inside try_submit. With a
+  /// fault armed, net.complete keeps its meaning: the site fires off the
+  /// lock, and when the client hung up meanwhile its result is dropped,
+  /// counted, and the connection closes as if its read had returned EOF.
+  void answer_same_turn(connection& conn, std::uint64_t ticket_id) {
+    bool client_left = false;
+    if (fault::any_armed()) {
+      turn_lock.unlock();
+      fire_complete_site();
+      turn_lock.lock();
+      pollfd hangup{conn.fd, POLLRDHUP, 0};
+      client_left = ::poll(&hangup, 1, 0) > 0 &&
+                    (hangup.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
+      if (client_left) conn.closing = true;
+    }
+    process_completion(ticket_id, client_left);
   }
 
   void shed(connection& conn, std::uint64_t request_id, busy_reason reason) {
@@ -994,7 +1194,9 @@ struct tcp_front_end::impl {
     open_conns_cell->set(static_cast<double>(conns.size()));
   }
 
-  void process_completion(std::uint64_t ticket_id) {
+  /// Consumes a finished ticket and queues its response, or drops the
+  /// result, counted, when its client is gone (or `client_left`).
+  void process_completion(std::uint64_t ticket_id, bool client_left = false) {
     const auto it = tickets.find(ticket_id);
     if (it == tickets.end()) return;  // foreign ticket: not ours to consume
     inflight_ticket entry = std::move(it->second);
@@ -1015,20 +1217,25 @@ struct tcp_front_end::impl {
       result.logits.clear();
     }
     inflight_cell->set(static_cast<double>(tickets.size()));
+    // The ticket is consumed, so the serve layer is done with the rows.
+    recycle_traces(std::move(entry.traces));
     const auto conn_it = conns.find(entry.conn_id);
-    if (conn_it == conns.end()) {
+    if (conn_it != conns.end()) {
+      connection& conn = *conn_it->second;
+      --conn.inflight;
+      conn.inflight_bytes -= entry.payload_bytes;
+      const auto req_it = conn.requests.find(entry.request_id);
+      if (req_it != conn.requests.end() && req_it->second == ticket_id) {
+        conn.requests.erase(req_it);
+      }
+    }
+    if (conn_it == conns.end() || client_left) {
       // Disconnect reconciliation: the client left; the result is dropped,
       // counted, and the ticket is still consumed — never leaked.
       dropped_cell->inc();
       return;
     }
     connection& conn = *conn_it->second;
-    --conn.inflight;
-    conn.inflight_bytes -= entry.payload_bytes;
-    const auto req_it = conn.requests.find(entry.request_id);
-    if (req_it != conn.requests.end() && req_it->second == ticket_id) {
-      conn.requests.erase(req_it);
-    }
     lane_seconds[static_cast<std::size_t>(entry.lane)]->record(
         result.latency_seconds);
     const std::uint64_t write_start_us =

@@ -223,6 +223,86 @@ TEST(ThreadPool, BlockedCallerDrainsQueueWhileWorkersAreBusy) {
   EXPECT_FALSE(worker_timed_out.load());
 }
 
+/// Waits up to five seconds for `count` to reach `target`.
+bool reaches(const std::atomic<int>& count, int target) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (count.load() < target) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPoolDeferredWake, EveryTaskSubmittedUnderTheGuardRunsAfterIt) {
+  // Fewer, as many and more tasks than workers: the guard's one wake must
+  // leave no task queued with every worker asleep.
+  thread_pool pool(4);
+  std::atomic<int> ran{0};
+  int submitted = 0;
+  for (int round = 0; round < 40; ++round) {
+    {
+      const thread_pool::deferred_wake guard(pool);
+      for (int t = 0; t < round % 7; ++t) {
+        pool.submit([&] { ran.fetch_add(1); });
+        ++submitted;
+      }
+    }
+    ASSERT_TRUE(reaches(ran, submitted)) << "round " << round;
+  }
+}
+
+TEST(ThreadPoolDeferredWake, NestedGuardsWakeOnceAtTheOutermostEnd) {
+  thread_pool pool(3);
+  std::atomic<int> ran{0};
+  // Let both workers go to sleep: a worker that is awake may take a
+  // deferred task, which the contract allows.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  {
+    const thread_pool::deferred_wake outer(pool);
+    {
+      const thread_pool::deferred_wake inner(pool);
+      pool.submit([&] { ran.fetch_add(1); });
+    }
+    pool.submit([&] { ran.fetch_add(1); });
+    // The inner guard's end woke nobody.
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_EQ(ran.load(), 0);
+  }
+  EXPECT_TRUE(reaches(ran, 2));
+}
+
+TEST(ThreadPoolDeferredWake, GuardLeftByAnExceptionStillWakesThePool) {
+  thread_pool pool(4);
+  std::atomic<int> ran{0};
+  try {
+    const thread_pool::deferred_wake guard(pool);
+    for (int t = 0; t < 5; ++t) pool.submit([&] { ran.fetch_add(1); });
+    throw std::runtime_error("leave the turn early");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_TRUE(reaches(ran, 5));
+}
+
+TEST(ThreadPoolDeferredWake, WorkerlessPoolStillRunsTasksInline) {
+  thread_pool pool(1);
+  ASSERT_EQ(pool.worker_count(), 0u);
+  int ran = 0;
+  const thread_pool::deferred_wake guard(pool);
+  pool.submit([&] { ++ran; });
+  EXPECT_EQ(ran, 1);  // before submit returned, guard still open
+}
+
+TEST(ThreadPoolDeferredWake, AnotherPoolsSubmissionsAreNotDeferred) {
+  thread_pool held(2);
+  thread_pool other(2);
+  std::atomic<int> ran{0};
+  const thread_pool::deferred_wake guard(held);
+  const thread_pool::deferred_wake inert(other);  // held's guard is open
+  other.submit([&] { ran.fetch_add(1); });
+  EXPECT_TRUE(reaches(ran, 1));
+}
+
 TEST(Math, CeilLog2MatchesDefinition) {
   EXPECT_EQ(ceil_log2(1), 0);
   EXPECT_EQ(ceil_log2(2), 1);

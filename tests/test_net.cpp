@@ -267,6 +267,19 @@ TEST(NetFrame, RequestDecodeRejectsInconsistentPayloads) {
   bad[4] = 0;
   bad[5] = 1;  // reserved byte must be zero
   EXPECT_THROW(net::decode_request(bad, sink), invalid_argument_error);
+
+  // shots × samples × 8 = 2^64: the product wraps to an empty row section,
+  // which must not pass for the 24-byte prefix-only payload it mimics.
+  std::vector<std::uint8_t> wrapped(payload.begin(),
+                                    payload.begin() +
+                                        net::kRequestPayloadHeaderSize);
+  const std::uint32_t samples = 1u << 30;
+  const std::uint32_t shots = 1u << 31;
+  std::memcpy(wrapped.data() + 16, &samples, sizeof(samples));
+  std::memcpy(wrapped.data() + 20, &shots, sizeof(shots));
+  EXPECT_THROW(net::decode_request_prefix(wrapped.data(), wrapped.size()),
+               invalid_argument_error);
+  EXPECT_THROW(net::decode_request(wrapped, sink), invalid_argument_error);
 }
 
 TEST(NetFrame, ResponseRoundTripFixedAndFloat) {
@@ -890,6 +903,177 @@ TEST(NetReconcile, DisconnectMidRequestDropsTheResultCounted) {
   EXPECT_EQ(stats.responses_sent, 0u);
   EXPECT_EQ(stats.inflight, 0u);
   EXPECT_EQ(stats.open_connections, 0u);
+}
+
+TEST(NetReconcile, DisconnectMidFeedbackRequestDropsTheResultCounted) {
+  // A feedback request small enough to run inline inside try_submit is
+  // answered in the turn that admitted it; a delayed completion of a client
+  // that left meanwhile must still be dropped, not answered.
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::tcp_front_end front(server);
+  fault::disarm_all();
+  fault::arm_from_string("net.complete:delay_ms=400:1.0:3");
+  {
+    net::client cli("127.0.0.1", front.port());
+    cli.send_request(fixed_request(), f.small_block(1),
+                     serve::lane_class::feedback);
+    ASSERT_TRUE(
+        wait_until([&] { return front.stats().requests_admitted == 1; }));
+  }  // client destructor closes the socket while the completion is delayed
+  const bool dropped =
+      wait_until([&] { return front.stats().results_dropped == 1; });
+  fault::disarm_all();
+  ASSERT_TRUE(dropped);
+  EXPECT_EQ(server.stats().feedback_requests, 1u);
+  const net::front_end_stats stats = front.stats();
+  stats.validate();
+  EXPECT_EQ(stats.responses_sent, 0u);
+  EXPECT_EQ(stats.inflight, 0u);
+  EXPECT_EQ(stats.open_connections, 0u);
+}
+
+// --- ingest: rows read straight into their trace buffers -------------------
+
+/// `rows` consecutive test-set shots starting at `first`.
+data::trace_dataset test_rows(std::size_t first, std::size_t rows) {
+  std::vector<std::size_t> indices;
+  for (std::size_t r = first; r < first + rows; ++r) indices.push_back(r);
+  return fixture().data.test.subset(indices);
+}
+
+TEST(NetIngest, RequestDribbledOneBytePerSendDecodesBitExact) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::tcp_front_end front(server);
+  net::client cli("127.0.0.1", front.port());
+  const data::trace_dataset block = f.small_block(3);
+  net::trace_context ctx;
+  ctx.trace_id = 0xD1BB1E;
+  ctx.parent_span = 7;
+  const std::vector<std::uint8_t> frame = net::encode_request(
+      41, fixed_request(), serve::lane_class::bulk, block, &ctx);
+  // Pauses at the boundaries make each part arrive in reads of its own:
+  // header, trace context, fixed prefix, and a row split mid-way.
+  const std::size_t rows_at = net::kHeaderSize + net::kTraceContextSize +
+                              net::kRequestPayloadHeaderSize;
+  const std::size_t row_bytes = block.feature_width() * sizeof(float);
+  const std::set<std::size_t> pauses = {
+      net::kHeaderSize - 1, net::kHeaderSize + net::kTraceContextSize - 1,
+      rows_at - 1, rows_at + row_bytes / 2, rows_at + row_bytes - 1};
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    cli.send_bytes(&frame[i], 1);
+    if (pauses.contains(i)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  const auto reply = cli.read_reply(41);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->header.type, net::frame_type::response);
+  expect_fixed_response(net::decode_response(reply->payload), block);
+  const net::front_end_stats stats = front.stats();
+  stats.validate();
+  EXPECT_EQ(stats.frames_received, 1u);
+  EXPECT_EQ(stats.bytes_received, frame.size());
+}
+
+TEST(NetIngest, TwoWholeFramesAndAPartialThirdInOneSend) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::tcp_front_end front(server);
+  net::client cli("127.0.0.1", front.port());
+  const std::vector<data::trace_dataset> blocks = {
+      test_rows(0, 2), test_rows(10, 5), test_rows(40, 16)};
+  std::vector<std::uint8_t> first_send;
+  std::vector<std::uint8_t> third;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const std::vector<std::uint8_t> frame = net::encode_request(
+        b + 1, fixed_request(), serve::lane_class::bulk, blocks[b]);
+    if (b < 2) {
+      first_send.insert(first_send.end(), frame.begin(), frame.end());
+    } else {
+      third = frame;
+    }
+  }
+  const std::size_t split = third.size() / 2;
+  first_send.insert(first_send.end(), third.begin(),
+                    third.begin() + static_cast<std::ptrdiff_t>(split));
+  cli.send_bytes(first_send);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cli.send_bytes(third.data() + split, third.size() - split);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const auto reply = cli.read_reply(b + 1);
+    ASSERT_TRUE(reply.has_value()) << "frame " << b + 1;
+    ASSERT_EQ(reply->header.type, net::frame_type::response);
+    expect_fixed_response(net::decode_response(reply->payload), blocks[b]);
+  }
+  const net::front_end_stats stats = front.stats();
+  stats.validate();
+  EXPECT_EQ(stats.requests_admitted, 3u);
+  EXPECT_EQ(stats.responses_sent, 3u);
+}
+
+TEST(NetIngest, ShedFrameHasItsPayloadSkippedAndTheNextFrameParses) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  const data::trace_dataset big = test_rows(0, 16);
+  const data::trace_dataset next = test_rows(20, 4);
+  net::front_end_config cfg;
+  // Room for the small request only: the big one is shed when it completes.
+  cfg.max_inflight_bytes_per_connection = net::request_payload_size(
+      4, static_cast<std::uint32_t>(next.samples_per_quadrature()));
+  net::tcp_front_end front(server, cfg);
+  net::client cli("127.0.0.1", front.port());
+  const std::vector<std::uint8_t> shed_frame =
+      net::encode_request(1, fixed_request(), serve::lane_class::bulk, big);
+  std::vector<std::uint8_t> rest(
+      shed_frame.begin() + static_cast<std::ptrdiff_t>(shed_frame.size() / 2),
+      shed_frame.end());
+  const std::vector<std::uint8_t> next_frame =
+      net::encode_request(2, fixed_request(), serve::lane_class::bulk, next);
+  rest.insert(rest.end(), next_frame.begin(), next_frame.end());
+  cli.send_bytes(shed_frame.data(), shed_frame.size() / 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cli.send_bytes(rest);
+
+  const auto busy = cli.read_reply(1);
+  ASSERT_TRUE(busy.has_value());
+  ASSERT_EQ(busy->header.type, net::frame_type::busy);
+  EXPECT_EQ(net::decode_busy(busy->payload),
+            net::busy_reason::connection_bytes);
+  const auto reply = cli.read_reply(2);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->header.type, net::frame_type::response);
+  expect_fixed_response(net::decode_response(reply->payload), next);
+  const net::front_end_stats stats = front.stats();
+  stats.validate();
+  EXPECT_EQ(stats.busy_rejections, 1u);
+  EXPECT_EQ(stats.requests_admitted, 1u);
+  EXPECT_EQ(stats.malformed_frames, 0u);
+}
+
+TEST(NetIngest, RecycledTraceBufferNeverLeaksAnEarlierRequestsRows) {
+  // Each answered request's trace buffer is reused by a later one without
+  // being cleared; a shorter request after a longer one must see exactly its
+  // own rows. The rows differ from the longer request's leading rows.
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::tcp_front_end front(server);
+  net::client cli("127.0.0.1", front.port());
+  const std::vector<std::pair<data::trace_dataset, serve::lane_class>> plan = {
+      {test_rows(0, 64), serve::lane_class::bulk},
+      {test_rows(100, 3), serve::lane_class::bulk},
+      {test_rows(0, 48), serve::lane_class::feedback},
+      {test_rows(150, 1), serve::lane_class::feedback},
+      {test_rows(60, 2), serve::lane_class::bulk}};
+  for (const auto& [block, lane] : plan) {
+    const std::uint64_t id = cli.send_request(fixed_request(), block, lane);
+    const auto reply = cli.read_reply(id);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->header.type, net::frame_type::response);
+    expect_fixed_response(net::decode_response(reply->payload), block);
+  }
+  front.stats().validate();
 }
 
 // --- fault sites ------------------------------------------------------------
