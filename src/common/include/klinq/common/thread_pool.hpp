@@ -18,11 +18,13 @@
 // Deferred wake-ups: a thread that submits several tasks in one pass (the TCP
 // front end's loop thread, once per loop turn) holds a deferred_wake guard.
 // Its submissions queue without signalling a worker, and the guard's end
-// wakes min(queued, worker_count()) workers at once. On a host where the
-// workers share CPUs with the submitter, a worker woken mid-pass preempts it
-// before it finishes the pass (and answers what it already has); deferring
-// the wake to the end of the pass keeps the submitter running. The price on
-// a host with spare CPUs: a queued task starts at most one pass later.
+// wakes min(queued, worker_count()) workers at once. Where the workers share
+// the submitter's CPU, a worker woken mid-pass preempts it before it
+// finishes the pass (and answers what it already has); deferring the wake to
+// the end of the pass keeps the submitter running. Where spare CPUs exist, a
+// woken worker runs beside the submitter and deferring only starts a queued
+// task up to one pass later, so the front end holds the guard only when its
+// loop thread may run on one CPU alone.
 #pragma once
 
 #include <condition_variable>

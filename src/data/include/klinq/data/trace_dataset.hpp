@@ -75,9 +75,11 @@ class trace_dataset {
   /// Resizes to exactly `count` zero-filled traces for bulk filling.
   void resize_traces(std::size_t count);
 
-  /// Resizes to exactly `count` traces without clearing the sample storage it
-  /// reuses (labels and permutations are still zeroed), for a producer that
-  /// overwrites every sample — a recycled request buffer.
+  /// Resizes to exactly `count` traces without clearing the sample storage:
+  /// the samples of the first min(old, new) traces are kept, the rest are
+  /// uninitialized (labels and permutations are zeroed), for a producer that
+  /// writes every sample before anything reads it — a request buffer that
+  /// grows as its rows arrive.
   void resize_traces_for_overwrite(std::size_t count);
 
   /// Overwrites one row (after resize_traces).

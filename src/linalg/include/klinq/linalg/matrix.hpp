@@ -7,12 +7,40 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "klinq/common/error.hpp"
 
 namespace klinq::la {
+
+/// std::allocator whose value-less construct default-initializes: a vector
+/// using it leaves the trivial elements that resize() adds uninitialized.
+/// matrix passes an explicit value everywhere else, so only
+/// resize_for_overwrite relies on it.
+template <class T>
+struct default_init_allocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = default_init_allocator<U>;
+  };
+  default_init_allocator() noexcept = default;
+  template <class U>
+  default_init_allocator(const default_init_allocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 template <class T>
 class matrix {
@@ -29,13 +57,15 @@ class matrix {
     matrix m;
     m.rows_ = rows;
     m.cols_ = cols;
-    m.data_ = std::move(data);
+    m.data_.assign(data.begin(), data.end());
     return m;
   }
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
   std::size_t size() const noexcept { return data_.size(); }
+  /// Elements the storage holds without reallocating.
+  std::size_t capacity() const noexcept { return data_.capacity(); }
   bool empty() const noexcept { return data_.empty(); }
 
   T& operator()(std::size_t r, std::size_t c) noexcept {
@@ -77,9 +107,9 @@ class matrix {
     data_.assign(rows * cols, fill_value);
   }
 
-  /// Like resize, but the storage keeps its current values (elements past
-  /// the old size are value-initialized), for callers that overwrite every
-  /// element: reused storage is not cleared first.
+  /// Like resize, but nothing is cleared: the first min(old, new) elements
+  /// keep their values and the elements past the old size are left
+  /// uninitialized, for callers that overwrite every element they read.
   void resize_for_overwrite(std::size_t rows, std::size_t cols) {
     rows_ = rows;
     cols_ = cols;
@@ -91,7 +121,7 @@ class matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<T> data_;
+  std::vector<T, default_init_allocator<T>> data_;
 };
 
 using matrix_f = matrix<float>;

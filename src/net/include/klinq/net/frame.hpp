@@ -218,10 +218,13 @@ request_info decode_request(std::span<const std::uint8_t> payload,
 request_info decode_request_prefix(const std::uint8_t* prefix,
                                    std::size_t payload_size);
 
-/// Shapes `traces` to info.shots rows of 2·samples columns and returns its
-/// row storage as the wire's row bytes (rows are contiguous f32, wire order).
-/// Reused storage is not cleared: the caller overwrites every byte.
+/// Shapes `traces` to the request's first `shots` rows (shots <=
+/// info.shots) of 2·samples columns and returns their storage as the wire's
+/// row bytes (rows are contiguous f32, wire order). Rows already stored keep
+/// their bytes, so the storage can grow as rows arrive; nothing is cleared:
+/// the caller writes every byte before the dataset is read.
 std::span<std::uint8_t> request_rows(const request_info& info,
+                                     std::size_t shots,
                                      data::trace_dataset& traces);
 
 /// Serializes a full response frame for a finished result. Non-ok statuses

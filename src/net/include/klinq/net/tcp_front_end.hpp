@@ -14,15 +14,21 @@
 //      and submitting requests as their frames complete. A request frame's
 //      rows are read straight into a recycled trace buffer once its header
 //      and fixed prefix are parsed; only the row bytes that arrived with the
-//      header are copied.
+//      header are copied. The buffer grows with the bytes that arrive (from
+//      a read buffer's worth, doubling), never to the announced size at
+//      once, and the spare buffers kept for reuse are bounded in bytes. A
+//      prefix that does not decode has the rest of its frame skipped.
 //   2. same-turn replies: a request that completed inside try_submit (a
 //      small feedback request, or any request on a workerless pool) is
 //      answered in the turn that admitted it, and that connection's replies
 //      are flushed before the next connection is read;
-//   3. one pool wake: the turn holds a thread_pool::deferred_wake guard, so
-//      the bulk shards it submitted wake the pool workers once, at its end,
-//      instead of preempting the loop mid-turn. On a host with spare CPUs a
-//      submitted shard therefore starts at most one turn later;
+//   3. one pool wake, where the loop thread may run on one CPU alone (a
+//      process pinned to one CPU): the turn holds a
+//      thread_pool::deferred_wake guard, so the bulk shards it submitted
+//      wake the pool workers once, at its end, instead of preempting the
+//      loop mid-turn. With spare CPUs a woken worker runs beside the loop,
+//      and the wake is not deferred: a held shard would start up to one
+//      turn later, which measured slower probes on 4 unpinned CPUs;
 //   4. flush: finished tickets rung in by the doorbell become responses,
 //      every write queue is flushed, and the idle/stall deadlines are
 //      enforced.

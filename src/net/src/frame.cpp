@@ -223,13 +223,15 @@ request_info decode_request_prefix(const std::uint8_t* p,
 }
 
 std::span<std::uint8_t> request_rows(const request_info& info,
+                                     std::size_t shots,
                                      data::trace_dataset& traces) {
+  KLINQ_REQUIRE(shots <= info.shots, "net: request_rows past the last shot");
   // This is the buffer the readout_request hands the shard scheduler, so the
   // payload lands exactly once, straight in serving memory.
   if (traces.samples_per_quadrature() != info.samples_per_quadrature) {
-    traces = data::trace_dataset(info.shots, info.samples_per_quadrature);
+    traces = data::trace_dataset(shots, info.samples_per_quadrature);
   }
-  traces.resize_traces_for_overwrite(info.shots);
+  traces.resize_traces_for_overwrite(shots);
   la::matrix_f& rows = traces.features();
   return {reinterpret_cast<std::uint8_t*>(rows.data()),
           rows.size() * sizeof(float)};
@@ -239,7 +241,7 @@ request_info decode_request(std::span<const std::uint8_t> payload,
                             data::trace_dataset& traces) {
   const request_info info =
       decode_request_prefix(payload.data(), payload.size());
-  const std::span<std::uint8_t> rows = request_rows(info, traces);
+  const std::span<std::uint8_t> rows = request_rows(info, info.shots, traces);
   if (!rows.empty()) {
     std::memcpy(rows.data(), payload.data() + kRequestPayloadHeaderSize,
                 rows.size());

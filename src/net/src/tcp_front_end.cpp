@@ -203,9 +203,16 @@ thread_local inline_completion* t_inline_completion = nullptr;
 /// is read straight into its trace buffer.
 constexpr std::size_t kReadBufferBytes = std::size_t{64} << 10;
 
-/// Answered requests' trace buffers kept for reuse; beyond this many, a
-/// buffer is freed when its request is answered.
+/// Answered requests' trace buffers kept for reuse: at most this many, of at
+/// most this much sample storage in all; a buffer beyond either is freed when
+/// its request is answered.
 constexpr std::size_t kSpareTraceBuffers = 16;
+constexpr std::size_t kSpareTraceBytes = std::size_t{16} << 20;
+
+/// Bytes of sample storage a trace buffer holds without reallocating.
+std::size_t capacity_bytes(const data::trace_dataset& traces) noexcept {
+  return traces.features().capacity() * sizeof(float);
+}
 
 /// Asks the kernel for the shortest fair-scheduler slice (0.1 ms) for the
 /// calling thread, keeping its policy and nice value. The result is ignored.
@@ -216,6 +223,16 @@ void request_short_slice() {
   attr.sched_nice = ::getpriority(PRIO_PROCESS, 0);
   attr.sched_runtime = 100000;
   [[maybe_unused]] const long rc = ::syscall(SYS_sched_setattr, 0, &attr, 0);
+}
+
+/// True when the calling thread may run on one CPU only, as in a process
+/// pinned to one CPU: a pool worker woken there takes that CPU from its
+/// waker. With more CPUs a woken worker can run beside the waker.
+bool confined_to_one_cpu() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  return ::sched_getaffinity(0, sizeof(cpus), &cpus) == 0 &&
+         CPU_COUNT(&cpus) == 1;
 }
 
 /// A file descriptor closed on destruction, so a constructor that throws
@@ -233,20 +250,23 @@ struct owned_fd {
 }  // namespace
 
 struct tcp_front_end::impl {
-  /// A request frame from its parsed prefix to its admission.
+  /// A request frame from its parsed prefix to its last byte.
   struct request_frame {
     frame_header header;
     trace_context tctx;
     /// The request payload's size (trace context excluded): what the byte
     /// budget counts.
     std::size_t payload_bytes = 0;
-    /// A frame parsed whole from the read buffer: its undecoded payload.
-    std::span<const std::uint8_t> payload;
-    /// Rows read straight in: the decoded prefix, the dataset, its row bytes
-    /// and how many of them have arrived. Null traces: decode `payload`.
     request_info info;
+    /// The dataset the rows are read straight into. Null when the prefix did
+    /// not decode (`error` says why): the rest of the frame is skipped.
     std::unique_ptr<data::trace_dataset> traces;
+    std::string error;
+    /// The row storage shaped so far: whole rows, grown as bytes arrive.
     std::span<std::uint8_t> rows;
+    /// The frame's bytes after its prefix (the rows, or the bytes to skip),
+    /// and how many of them have arrived.
+    std::size_t rows_total = 0;
     std::size_t rows_filled = 0;
   };
 
@@ -259,7 +279,7 @@ struct tcp_front_end::impl {
     std::vector<std::uint8_t> read_buffer;
     std::size_t read_begin = 0;
     std::size_t read_end = 0;
-    /// The request whose rows are being read straight into its dataset.
+    /// The request whose prefix is parsed and whose rows are still arriving.
     std::optional<request_frame> body;
     std::deque<std::vector<std::uint8_t>> write_queue;
     std::size_t write_queue_bytes = 0;
@@ -336,8 +356,10 @@ struct tcp_front_end::impl {
   std::uint64_t next_conn_id = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<connection>> conns;
   std::unordered_map<std::uint64_t, inflight_ticket> tickets;
-  /// Trace buffers of answered requests, reused by the next ones.
+  /// Trace buffers of answered requests, reused by the next ones, and their
+  /// total capacity_bytes.
   std::vector<std::unique_ptr<data::trace_dataset>> spare_traces;
+  std::size_t spare_bytes = 0;
 
   // --- the doorbell's hand-off (never nested in state_mutex) -------------
   std::mutex done_mutex;
@@ -575,6 +597,12 @@ struct tcp_front_end::impl {
     // preempts a running bulk shard sooner at the same CPU share; older
     // kernels ignore the request.
     request_short_slice();
+    // Where the pool's workers share this thread's only CPU, a worker woken
+    // mid-turn preempts the loop before it has answered what it holds: the
+    // turn then wakes the pool once, at its end. With spare CPUs the wake is
+    // not deferred; there the deferral measured slower probes (the CPU mask
+    // is read once, when the loop starts).
+    const bool one_wake_per_turn = confined_to_one_cpu();
     turn_lock.lock();
     // shutdown() sets stopping only after its bounded flush window, so
     // leaving at once cannot strand a flushable write queue.
@@ -596,10 +624,8 @@ struct tcp_front_end::impl {
         }
       }
       turn_lock.lock();
-      // Bulk shards submitted this turn wake the pool once, at the end of
-      // the turn: a worker woken mid-turn would preempt this thread before
-      // it has answered what it already holds.
-      const thread_pool::deferred_wake one_wake(global_thread_pool());
+      std::optional<thread_pool::deferred_wake> one_wake;
+      if (one_wake_per_turn) one_wake.emplace(global_thread_pool());
       if (pfds[1].revents & POLLIN) accept_connections();
       // Only this thread adds or removes connections, so each pointer stays
       // valid until its own handler closes it.
@@ -698,9 +724,8 @@ struct tcp_front_end::impl {
       std::array<iovec, 2> iov{};
       std::size_t parts = 0;
       if (conn.body) {
-        request_frame& body = *conn.body;
-        iov[parts++] = {body.rows.data() + body.rows_filled,
-                        body.rows.size() - body.rows_filled};
+        const std::span<std::uint8_t> room = row_room(*conn.body);
+        if (!room.empty()) iov[parts++] = {room.data(), room.size()};
       }
       iov[parts++] = {conn.read_buffer.data() + conn.read_end,
                       conn.read_buffer.size() - conn.read_end};
@@ -726,13 +751,10 @@ struct tcp_front_end::impl {
       }
       if (!discard) {
         std::size_t got = static_cast<std::size_t>(n);
-        if (conn.body) {
-          request_frame& body = *conn.body;
-          const std::size_t rows =
-              std::min(got, body.rows.size() - body.rows_filled);
-          body.rows_filled += rows;
+        if (parts == 2) {
+          const std::size_t rows = std::min(got, iov[0].iov_len);
+          conn.body->rows_filled += rows;
           got -= rows;
-          if (body.rows_filled == body.rows.size()) finish_body(conn);
         }
         conn.read_end += got;
         parse_frames(conn);
@@ -755,12 +777,17 @@ struct tcp_front_end::impl {
     if (conn.read_buffer.size() < size) conn.read_buffer.resize(size);
   }
 
-  /// Parses every complete frame in the connection's read buffer, and starts
-  /// reading a partial request's rows into its trace buffer. May mark the
-  /// connection closing (protocol violation).
+  /// Parses the read buffer: feeds the current request its rows, starts
+  /// every request whose prefix is in, and handles every complete control
+  /// frame. May mark the connection closing (protocol violation).
   void parse_frames(connection& conn) {
-    while (!conn.closing && !conn.body &&
-           conn.read_end - conn.read_begin >= kHeaderSize) {
+    while (!conn.closing) {
+      if (conn.body) {
+        if (!feed_body(conn)) break;
+        continue;
+      }
+      const std::size_t available = conn.read_end - conn.read_begin;
+      if (available < kHeaderSize) break;
       const std::uint8_t* frame = conn.read_buffer.data() + conn.read_begin;
       frame_header header;
       const header_verdict verdict = decode_header(frame, header);
@@ -781,120 +808,171 @@ struct tcp_front_end::impl {
       // Per-connection version negotiation: the first well-formed frame
       // fixes the dialect; every outbound frame echoes it (conn_version).
       if (conn.version == 0) conn.version = header.version;
+      if (header.type == frame_type::request) {
+        if (!start_request(conn, header)) break;
+        continue;
+      }
       const std::size_t frame_size = kHeaderSize + header.payload_size;
-      if (conn.read_end - conn.read_begin < frame_size) {
-        // Partial: a request whose prefix is in takes the direct path;
-        // anything else waits whole in the buffer.
-        if (!start_body(conn, header)) {
-          compact_read_buffer(conn, std::max(frame_size, kReadBufferBytes));
-        }
+      if (available < frame_size) {
+        compact_read_buffer(conn, std::max(frame_size, kReadBufferBytes));
         break;
       }
       frames_in_cell->inc();
-      handle_frame(conn, header,
-                   std::span<const std::uint8_t>(frame + kHeaderSize,
-                                                 header.payload_size));
+      handle_frame(conn, header);
       conn.read_begin += frame_size;
     }
     if (conn.read_begin == conn.read_end) conn.read_begin = conn.read_end = 0;
   }
 
-  /// Starts reading a partial request frame's rows straight into a recycled
-  /// trace buffer, once its header, trace context and fixed prefix are in
-  /// the read buffer: the row bytes already read are copied over and the
-  /// rest is read in place. False (the frame is buffered whole, and handled
-  /// exactly as before) when the prefix has not arrived or does not decode.
-  bool start_body(connection& conn, const frame_header& header) {
-    if (header.type != frame_type::request) return false;
+  /// Starts a request frame once its header, trace context and fixed prefix
+  /// are in the read buffer: a prefix that decodes gets a recycled trace
+  /// buffer for its rows; one that does not keeps its error, and the rest of
+  /// the frame is skipped. False when the prefix has not arrived yet.
+  bool start_request(connection& conn, const frame_header& header) {
     const std::size_t context = header.has_trace() ? kTraceContextSize : 0;
-    const std::size_t rows_at =
-        kHeaderSize + context + kRequestPayloadHeaderSize;
+    const std::size_t prefix = std::min<std::size_t>(
+        header.payload_size, context + kRequestPayloadHeaderSize);
     const std::size_t available = conn.read_end - conn.read_begin;
-    if (header.payload_size < context + kRequestPayloadHeaderSize ||
-        available < rows_at) {
-      return false;
-    }
-    const std::uint8_t* frame = conn.read_buffer.data() + conn.read_begin;
+    if (available < kHeaderSize + prefix) return false;
+    const std::uint8_t* payload =
+        conn.read_buffer.data() + conn.read_begin + kHeaderSize;
     request_frame req;
     req.header = header;
-    if (context != 0) req.tctx = decode_trace_context(frame + kHeaderSize);
-    req.payload_bytes = header.payload_size - context;
-    try {
-      req.info = decode_request_prefix(frame + kHeaderSize + context,
-                                       req.payload_bytes);
-      req.traces = lease_traces(req.payload_bytes);
-      req.rows = request_rows(req.info, *req.traces);
-    } catch (const std::exception&) {
-      recycle_traces(std::move(req.traces));
-      return false;  // decode_request reports it after admission
+    req.rows_total = header.payload_size - prefix;
+    // A trace-flagged frame too short for its context is rejected when it
+    // is complete (finish_body), before admission.
+    if (header.payload_size >= context) {
+      if (context != 0) req.tctx = decode_trace_context(payload);
+      req.payload_bytes = header.payload_size - context;
+      try {
+        req.info = decode_request_prefix(payload + context, req.payload_bytes);
+        req.traces = lease_traces(req.rows_total);
+        grow_rows(req, available - kHeaderSize - prefix);
+      } catch (const std::exception& e) {
+        drop_rows(req, e.what());  // reported after admission, as before
+      }
     }
-    req.rows_filled = available - rows_at;
-    std::memcpy(req.rows.data(), frame + rows_at, req.rows_filled);
-    conn.read_begin = conn.read_end = 0;
+    conn.read_begin += kHeaderSize + prefix;
     conn.body = std::move(req);
     return true;
   }
 
-  /// The last row byte of the direct-read request arrived: handle it.
+  /// Moves the read buffer's bytes into the current request's rows (or
+  /// skips them, for a prefix that did not decode) and handles the request
+  /// once its last byte is in. False when more bytes are needed.
+  bool feed_body(connection& conn) {
+    request_frame& req = *conn.body;
+    while (req.rows_filled < req.rows_total &&
+           conn.read_begin < conn.read_end) {
+      std::size_t take = std::min(conn.read_end - conn.read_begin,
+                                  req.rows_total - req.rows_filled);
+      const std::span<std::uint8_t> room = row_room(req);
+      if (req.traces != nullptr) {
+        take = std::min(take, room.size());
+        std::memcpy(room.data(), conn.read_buffer.data() + conn.read_begin,
+                    take);
+      }
+      req.rows_filled += take;
+      conn.read_begin += take;
+    }
+    if (req.rows_filled < req.rows_total) return false;
+    finish_body(conn);
+    return true;
+  }
+
+  /// The last byte of the current request arrived: handle it.
   void finish_body(connection& conn) {
     request_frame req = std::move(*conn.body);
     conn.body.reset();
     frames_in_cell->inc();
+    if (req.header.has_trace() && req.header.payload_size < kTraceContextSize) {
+      protocol_error(conn, req.header.request_id, error_code::decode_error,
+                     "trace-flagged request shorter than its context");
+      return;
+    }
     handle_request(conn, req);
     recycle_traces(std::move(req.traces));
   }
 
-  /// A recycled trace buffer for a request payload of `payload_bytes`: the
-  /// smallest spare at least that large (its reuse clears nothing), else the
-  /// largest.
-  std::unique_ptr<data::trace_dataset> lease_traces(std::size_t payload_bytes) {
+  /// Shapes the request's row storage to whole rows covering at least
+  /// `bytes` row bytes, and at least double what it had, a read buffer's
+  /// worth, and what the leased buffer holds without reallocating — so the
+  /// memory a request takes follows the bytes that arrived, not the size its
+  /// header announced. Throws when the storage cannot be shaped.
+  static void grow_rows(request_frame& req, std::size_t bytes) {
+    const std::size_t row_bytes =
+        2 * std::size_t{req.info.samples_per_quadrature} * sizeof(float);
+    const std::size_t reusable =
+        req.traces->samples_per_quadrature() ==
+                req.info.samples_per_quadrature
+            ? capacity_bytes(*req.traces)
+            : 0;
+    const std::size_t target =
+        std::max({bytes, 2 * req.rows.size(), kReadBufferBytes, reusable});
+    const std::size_t shots =
+        row_bytes == 0 ? 0
+                       : std::min<std::size_t>(
+                             req.info.shots, (target + row_bytes - 1) / row_bytes);
+    req.rows = request_rows(req.info, shots, *req.traces);
+  }
+
+  /// The request's unfilled row storage, grown first when it is full; empty
+  /// when its rows are skipped. A storage that cannot grow has the rest of
+  /// the frame skipped and the request answered with the error.
+  std::span<std::uint8_t> row_room(request_frame& req) {
+    if (req.traces != nullptr && req.rows_filled == req.rows.size()) {
+      try {
+        grow_rows(req, req.rows_filled + 1);
+      } catch (const std::exception& e) {
+        drop_rows(req, e.what());
+      }
+    }
+    return req.traces != nullptr ? req.rows.subspan(req.rows_filled)
+                                 : std::span<std::uint8_t>{};
+  }
+
+  /// The request's rows are skipped from now on; admission reports `why`.
+  void drop_rows(request_frame& req, const char* why) {
+    req.error = why;
+    req.rows = {};
+    recycle_traces(std::move(req.traces));
+  }
+
+  /// A recycled trace buffer for `row_bytes` of rows: the spare with the
+  /// smallest capacity that holds them (filling it reallocates and clears
+  /// nothing), else the largest; a new one when there is no spare.
+  std::unique_ptr<data::trace_dataset> lease_traces(std::size_t row_bytes) {
     if (spare_traces.empty()) return std::make_unique<data::trace_dataset>();
-    const std::size_t wanted = payload_bytes / sizeof(float);
-    const auto fits_better = [wanted](const auto& a, const auto& b) {
-      const std::size_t x = a->features().size();
-      const std::size_t y = b->features().size();
-      if ((x >= wanted) != (y >= wanted)) return x >= wanted;
-      return x >= wanted ? x < y : x > y;
+    const auto fits_better = [row_bytes](const auto& a, const auto& b) {
+      const std::size_t x = capacity_bytes(*a);
+      const std::size_t y = capacity_bytes(*b);
+      if ((x >= row_bytes) != (y >= row_bytes)) return x >= row_bytes;
+      return x >= row_bytes ? x < y : x > y;
     };
     const auto best =
         std::min_element(spare_traces.begin(), spare_traces.end(), fits_better);
     std::unique_ptr<data::trace_dataset> traces = std::move(*best);
     *best = std::move(spare_traces.back());
     spare_traces.pop_back();
+    spare_bytes -= capacity_bytes(*traces);
     return traces;
   }
 
   void recycle_traces(std::unique_ptr<data::trace_dataset> traces) {
-    if (traces != nullptr && spare_traces.size() < kSpareTraceBuffers) {
+    if (traces == nullptr) return;
+    const std::size_t bytes = capacity_bytes(*traces);
+    if (spare_traces.size() < kSpareTraceBuffers &&
+        spare_bytes + bytes <= kSpareTraceBytes) {
+      spare_bytes += bytes;
       spare_traces.push_back(std::move(traces));
     }
   }
 
-  void handle_frame(connection& conn, const frame_header& header,
-                    std::span<const std::uint8_t> payload) {
+  /// A complete control frame (requests go through start_request).
+  void handle_frame(connection& conn, const frame_header& header) {
     switch (header.type) {
-      case frame_type::request: {
-        // v2 trace context rides as the first payload bytes of a flagged
-        // frame; strip it before the admission/decode path sees the request
-        // payload. When tracing is disarmed server-side the context is still
-        // stripped (the frame is valid) but ignored.
-        request_frame req;
-        req.header = header;
-        if (header.has_trace()) {
-          if (payload.size() < kTraceContextSize) {
-            protocol_error(conn, header.request_id, error_code::decode_error,
-                           "trace-flagged request shorter than its context");
-            return;
-          }
-          req.tctx = decode_trace_context(payload.data());
-          payload = payload.subspan(kTraceContextSize);
-        }
-        req.payload_bytes = payload.size();
-        req.payload = payload;
-        handle_request(conn, req);
-        recycle_traces(std::move(req.traces));
+      case frame_type::request:
         return;
-      }
       case frame_type::cancel: {
         cancels_cell->inc();
         const auto it = conn.requests.find(header.request_id);
@@ -925,10 +1003,11 @@ struct tcp_front_end::impl {
     }
   }
 
-  /// Admission, decode and submission of one complete request frame. A
-  /// request that completes inside try_submit is answered here, in the turn
-  /// that admitted it. A request that is not admitted leaves its trace
-  /// buffer in `req`, for the caller to recycle.
+  /// Admission and submission of one complete request frame (a prefix that
+  /// did not decode is reported once admitted). A request that completes
+  /// inside try_submit is answered here, in the turn that admitted it. A
+  /// request that is not admitted leaves its trace buffer in `req`, for the
+  /// caller to recycle.
   void handle_request(connection& conn, request_frame& req) {
     const frame_header& header = req.header;
     const trace_context& tctx = req.tctx;
@@ -953,13 +1032,14 @@ struct tcp_front_end::impl {
     const std::uint64_t decode_start_us = traced ? obs::trace_clock_us() : 0;
     try {
       fault::trigger("net.decode");
-      if (req.traces == nullptr) {
-        req.traces = lease_traces(req.payload_bytes);
-        req.info = decode_request(req.payload, *req.traces);
-      }
     } catch (const std::exception& e) {
       protocol_error(conn, header.request_id, error_code::decode_error,
                      e.what());
+      return;
+    }
+    if (req.traces == nullptr) {
+      protocol_error(conn, header.request_id, error_code::decode_error,
+                     req.error);
       return;
     }
     if (traced) {

@@ -11,6 +11,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <optional>
 #include <set>
@@ -139,6 +141,39 @@ net::request_info fixed_request(double deadline_seconds = 0.0) {
   info.engine = serve::engine_kind::fixed_q16;
   info.deadline_seconds = deadline_seconds;
   return info;
+}
+
+/// `rows` consecutive test-set shots starting at `first`.
+data::trace_dataset test_rows(std::size_t first, std::size_t rows) {
+  std::vector<std::size_t> indices;
+  for (std::size_t r = first; r < first + rows; ++r) indices.push_back(r);
+  return fixture().data.test.subset(indices);
+}
+
+/// The header and fixed prefix of a bulk request announcing `shots` rows of
+/// `samples` samples per quadrature, none of which follow.
+std::vector<std::uint8_t> request_prefix(std::uint64_t request_id,
+                                         std::uint32_t samples,
+                                         std::uint32_t shots) {
+  std::vector<std::uint8_t> bytes =
+      net::encode_request(request_id, fixed_request(), serve::lane_class::bulk,
+                          data::trace_dataset(0, samples));
+  std::memcpy(bytes.data() + net::kHeaderSize + 20, &shots, sizeof(shots));
+  net::frame_header header;
+  EXPECT_EQ(net::decode_header(bytes.data(), header), net::header_verdict::ok);
+  header.payload_size =
+      static_cast<std::uint32_t>(net::request_payload_size(shots, samples));
+  net::encode_header(header, bytes.data());
+  return bytes;
+}
+
+/// The process's resident set size, in bytes.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  std::size_t resident = 0;
+  statm >> pages >> resident;
+  return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
 }
 
 // --- frame codec (no sockets) ----------------------------------------------
@@ -554,6 +589,63 @@ TEST(NetServing, FeedbackReplyArrivesWhileEveryWorkerIsBusy) {
   EXPECT_EQ(server.stats().feedback_requests, 1u);
 }
 
+/// Confines the calling thread to the CPU it is on while in scope; threads
+/// it starts meanwhile keep that one-CPU mask.
+struct on_one_cpu {
+  cpu_set_t saved{};
+  on_one_cpu() {
+    EXPECT_EQ(::sched_getaffinity(0, sizeof(saved), &saved), 0);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(::sched_getcpu(), &one);
+    EXPECT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+  }
+  ~on_one_cpu() { ::sched_setaffinity(0, sizeof(saved), &saved); }
+  on_one_cpu(const on_one_cpu&) = delete;
+  on_one_cpu& operator=(const on_one_cpu&) = delete;
+};
+
+TEST(NetServing, LoopOnOneCpuServesABulkBurstAndFeedbackBitExact) {
+  // A loop thread confined to one CPU wakes the pool once per turn, at the
+  // turn's end: every bulk request of a burst read in one turn must still
+  // run, and the feedback probe behind them be answered, bit-exact.
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  global_thread_pool();  // its workers keep the process's CPU mask
+  const std::unique_ptr<net::tcp_front_end> front = [&] {
+    const on_one_cpu confined;
+    return std::make_unique<net::tcp_front_end>(server);
+  }();
+  net::client cli("127.0.0.1", front->port());
+  std::vector<data::trace_dataset> blocks;
+  std::vector<std::uint8_t> burst;
+  for (std::size_t b = 0; b < 8; ++b) {
+    blocks.push_back(test_rows(b * 20, 20));
+    const std::vector<std::uint8_t> frame = net::encode_request(
+        b + 1, fixed_request(), serve::lane_class::bulk, blocks.back());
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  const data::trace_dataset probe = f.small_block(1);
+  const std::vector<std::uint8_t> probe_frame = net::encode_request(
+      9, fixed_request(), serve::lane_class::feedback, probe);
+  burst.insert(burst.end(), probe_frame.begin(), probe_frame.end());
+  cli.send_bytes(burst);
+  const auto probe_reply = cli.read_reply(9);
+  ASSERT_TRUE(probe_reply.has_value());
+  ASSERT_EQ(probe_reply->header.type, net::frame_type::response);
+  expect_fixed_response(net::decode_response(probe_reply->payload), probe);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const auto reply = cli.read_reply(b + 1);
+    ASSERT_TRUE(reply.has_value()) << "request " << b + 1;
+    ASSERT_EQ(reply->header.type, net::frame_type::response);
+    expect_fixed_response(net::decode_response(reply->payload), blocks[b]);
+  }
+  const net::front_end_stats stats = front->stats();
+  stats.validate();
+  EXPECT_EQ(stats.requests_admitted, 9u);
+  EXPECT_EQ(stats.responses_sent, 9u);
+}
+
 // --- admission control and shedding ----------------------------------------
 
 TEST(NetAdmission, PerConnectionInflightQuotaShedsWithBusy) {
@@ -935,13 +1027,6 @@ TEST(NetReconcile, DisconnectMidFeedbackRequestDropsTheResultCounted) {
 
 // --- ingest: rows read straight into their trace buffers -------------------
 
-/// `rows` consecutive test-set shots starting at `first`.
-data::trace_dataset test_rows(std::size_t first, std::size_t rows) {
-  std::vector<std::size_t> indices;
-  for (std::size_t r = first; r < first + rows; ++r) indices.push_back(r);
-  return fixture().data.test.subset(indices);
-}
-
 TEST(NetIngest, RequestDribbledOneBytePerSendDecodesBitExact) {
   auto& f = fixture();
   serve::readout_server server(f.engines());
@@ -1050,6 +1135,32 @@ TEST(NetIngest, ShedFrameHasItsPayloadSkippedAndTheNextFrameParses) {
   EXPECT_EQ(stats.busy_rejections, 1u);
   EXPECT_EQ(stats.requests_admitted, 1u);
   EXPECT_EQ(stats.malformed_frames, 0u);
+}
+
+TEST(NetIngest, LargeRequestSentInPiecesDecodesBitExact) {
+  // A request larger than the first storage step (a read buffer's worth) is
+  // stored as its rows arrive, across several reads; the second one reuses
+  // the first one's buffer.
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::tcp_front_end front(server);
+  net::client cli("127.0.0.1", front.port());
+  const std::vector<data::trace_dataset> blocks = {
+      test_rows(0, 200), test_rows(10, 190), test_rows(3, 40)};
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const std::vector<std::uint8_t> frame = net::encode_request(
+        b + 1, fixed_request(), serve::lane_class::bulk, blocks[b]);
+    for (std::size_t at = 0; at < frame.size(); at += 70001) {
+      cli.send_bytes(frame.data() + at, std::min<std::size_t>(
+                                            70001, frame.size() - at));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    const auto reply = cli.read_reply(b + 1);
+    ASSERT_TRUE(reply.has_value()) << "frame " << b + 1;
+    ASSERT_EQ(reply->header.type, net::frame_type::response);
+    expect_fixed_response(net::decode_response(reply->payload), blocks[b]);
+  }
+  front.stats().validate();
 }
 
 TEST(NetIngest, RecycledTraceBufferNeverLeaksAnEarlierRequestsRows) {
@@ -1354,6 +1465,93 @@ TEST(NetHostile, TraceFlaggedRequestShorterThanContextIsRejected) {
   EXPECT_TRUE(got_error);
   EXPECT_TRUE(wait_until(
       [&] { return front.stats().malformed_frames >= 1; }));
+}
+
+TEST(NetHostile, AnnouncedButUnsentPayloadsStayBoundedAndServing) {
+  // Every connection announces a request of the largest payload allowed and
+  // sends only its header and fixed prefix, then goes silent. The server's
+  // memory must follow the bytes that arrived, not the sizes announced (32
+  // × 8 MiB here): half the requests have trace-sized rows, half one row of
+  // the whole payload.
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::front_end_config cfg;
+  cfg.max_frame_payload = std::size_t{8} << 20;
+  net::tcp_front_end front(server, cfg);
+  constexpr std::size_t kStalled = 32;
+  const std::size_t rows_bytes =
+      cfg.max_frame_payload - net::kRequestPayloadHeaderSize;
+  const std::size_t resident_before = resident_bytes();
+  std::vector<net::client> stalled;
+  std::size_t sent = 0;
+  for (std::size_t c = 0; c < kStalled; ++c) {
+    const std::size_t samples = c % 2 == 0 ? 500 : rows_bytes / 8;
+    const std::size_t shots = rows_bytes / (8 * samples);
+    const std::vector<std::uint8_t> prefix =
+        request_prefix(c + 1, static_cast<std::uint32_t>(samples),
+                       static_cast<std::uint32_t>(shots));
+    stalled.emplace_back("127.0.0.1", front.port());
+    stalled.back().send_bytes(prefix);
+    sent += prefix.size();
+  }
+  ASSERT_TRUE(wait_until([&] {
+    const net::front_end_stats s = front.stats();
+    return s.open_connections == kStalled && s.bytes_received == sent;
+  }));
+  const std::size_t resident_after = resident_bytes();
+  const std::size_t grown =
+      resident_after > resident_before ? resident_after - resident_before : 0;
+  EXPECT_LT(grown, std::size_t{48} << 20)
+      << "resident set grew " << grown << " bytes for " << sent
+      << " bytes received";
+
+  // The server keeps serving, bit-exact, beside the stalled requests.
+  net::client cli("127.0.0.1", front.port());
+  const data::trace_dataset block = f.small_block(8);
+  const std::uint64_t id = cli.send_request(fixed_request(), block);
+  const auto reply = cli.read_reply(id);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->header.type, net::frame_type::response);
+  expect_fixed_response(net::decode_response(reply->payload), block);
+  stalled.clear();
+  ASSERT_TRUE(wait_until([&] { return front.stats().open_connections == 1; }));
+  const net::front_end_stats stats = front.stats();
+  stats.validate();
+  EXPECT_EQ(stats.requests_admitted, 1u);
+  EXPECT_EQ(stats.responses_sent, 1u);
+}
+
+TEST(NetHostile, UndecodablePrefixIsSkippedThenAnsweredWithItsError) {
+  // A request whose fixed prefix does not decode has its rows skipped as
+  // they arrive; the decode error is answered once the frame is complete,
+  // where admission would have run.
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::tcp_front_end front(server);
+  net::client cli("127.0.0.1", front.port());
+  std::vector<std::uint8_t> frame = net::encode_request(
+      4, fixed_request(), serve::lane_class::bulk, test_rows(0, 64));
+  frame[net::kHeaderSize + 5] = 1;  // a reserved byte must be zero
+  const std::size_t half = frame.size() / 2;
+  cli.send_bytes(frame.data(), half);
+  EXPECT_FALSE(cli.read_frame(0.1).has_value());
+  cli.send_bytes(frame.data() + half, frame.size() - half);
+  const auto error = cli.read_frame();
+  ASSERT_TRUE(error.has_value());
+  ASSERT_EQ(error->header.type, net::frame_type::error);
+  EXPECT_EQ(error->header.request_id, 4u);
+  const net::error_view view = net::decode_error(error->payload);
+  EXPECT_EQ(view.code, net::error_code::decode_error);
+  EXPECT_NE(view.message.find("reserved bytes must be zero"),
+            std::string::npos)
+      << view.message;
+  while (cli.read_frame(1.0).has_value()) {
+  }
+  const net::front_end_stats stats = front.stats();
+  stats.validate();
+  EXPECT_EQ(stats.bytes_received, frame.size());
+  EXPECT_EQ(stats.requests_admitted, 0u);
+  EXPECT_EQ(stats.malformed_frames, 1u);
 }
 
 // --- end-to-end wire tracing ------------------------------------------------
