@@ -10,7 +10,6 @@
 #include <optional>
 #include <string>
 
-#include "klinq/kd/distiller.hpp"
 #include "klinq/kd/teacher.hpp"
 
 namespace klinq::core {
@@ -31,9 +30,6 @@ class artifact_cache {
 
   std::optional<kd::teacher_model> load_teacher(const std::string& key) const;
   void store_teacher(const std::string& key, const kd::teacher_model& model);
-
-  std::optional<kd::student_model> load_student(const std::string& key) const;
-  void store_student(const std::string& key, const kd::student_model& model);
 
  private:
   std::string path_for(const std::string& key, const char* kind) const;

@@ -72,29 +72,4 @@ void artifact_cache::store_teacher(const std::string& key,
   model.save(out);
 }
 
-std::optional<kd::student_model> artifact_cache::load_student(
-    const std::string& key) const {
-  if (!enabled()) return std::nullopt;
-  std::ifstream in(path_for(key, "student"), std::ios::binary);
-  if (!in) return std::nullopt;
-  try {
-    auto model = kd::student_model::load(in);
-    log_info("cache hit: student ", key);
-    return model;
-  } catch (const error&) {
-    return std::nullopt;
-  }
-}
-
-void artifact_cache::store_student(const std::string& key,
-                                   const kd::student_model& model) {
-  if (!enabled()) return;
-  std::ofstream out(path_for(key, "student"), std::ios::binary);
-  if (!out) {
-    log_warn("cannot write student cache entry for ", key);
-    return;
-  }
-  model.save(out);
-}
-
 }  // namespace klinq::core

@@ -32,9 +32,6 @@ class fir_filter {
   /// out must not alias in.
   void apply(std::span<const float> in, std::span<float> out) const;
 
-  /// DC gain (sum of taps) — 1.0 for a normalized low-pass.
-  double dc_gain() const noexcept;
-
  private:
   std::vector<float> taps_;
 };

@@ -60,10 +60,4 @@ void fir_filter::apply(std::span<const float> in, std::span<float> out) const {
   }
 }
 
-double fir_filter::dc_gain() const noexcept {
-  double sum = 0.0;
-  for (const float t : taps_) sum += t;
-  return sum;
-}
-
 }  // namespace klinq::dsp

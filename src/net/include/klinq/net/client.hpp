@@ -38,7 +38,7 @@ class client {
   client& operator=(client&& other) noexcept;
 
   /// Arms end-to-end wire tracing: every sampled send_request stamps a fresh
-  /// trace_id + a client RTT span id into the frame's v2 trace context, and
+  /// trace_id + a client RTT span id into the frame's trace context, and
   /// the RTT span (category "client", covering send → reply) is recorded
   /// into `ring` when the reply arrives. `ring` is borrowed and must outlive
   /// the client; pass sample_rate in [0, 1] (deterministic head sampling).

@@ -10,23 +10,20 @@
 //
 //   offset  size  field
 //        0     4  magic        0x514E4C4B ("KLNQ" little-endian)
-//        4     1  version      kProtocolVersion (currently 2; 1 accepted)
+//        4     1  version      kProtocolVersion (2)
 //        5     1  type         frame_type
 //        6     1  lane         serve::lane_class (requests; 0 elsewhere)
-//        7     1  flags        v2: kTraceFlag on request frames; v1: must be 0
+//        7     1  flags        kTraceFlag on request frames; otherwise 0
 //        8     8  request_id   client-chosen correlation id (echoed back)
 //       16     4  payload_size bytes following the header
 //       20     4  crc32        IEEE CRC32 over header bytes [0, 20)
 //
-// Version negotiation is per connection: the server accepts both v1 and v2
-// frames and answers each connection with the version of the first frame it
-// received from it, so a v1 client never sees a v2 byte. The only v2
-// addition is the flags byte (reserved-and-zero under v1): kTraceFlag marks
-// a request frame whose payload starts with a 16-byte trace context
-// (trace_id u64 + parent span u64, little-endian, counted in payload_size)
-// ahead of the request_payload below. Unknown flag bits, or the trace flag
-// on a non-request frame, are rejected as bad_type — hostile bytes in the
-// flags byte stay typed errors, exactly as the reserved byte was under v1.
+// There is one protocol version: a frame of any other version is answered
+// with a typed bad_version error and the connection closes. kTraceFlag in
+// the flags byte marks a request frame whose payload starts with a 16-byte
+// trace context (trace_id u64 + parent span u64, little-endian, counted in
+// payload_size) ahead of the request_payload below. Unknown flag bits, or
+// the trace flag on a non-request frame, are rejected as bad_type.
 //
 // All integers are little-endian. Frame types:
 //
@@ -79,13 +76,10 @@ namespace klinq::net {
 
 inline constexpr std::uint32_t kMagic = 0x514E4C4Bu;  // "KLNQ"
 inline constexpr std::uint8_t kProtocolVersion = 2;
-/// Oldest version decode_header still accepts (per-connection negotiation:
-/// the server answers in whatever version the client spoke first).
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 inline constexpr std::size_t kHeaderSize = 24;
 inline constexpr std::size_t kRequestPayloadHeaderSize = 24;
 inline constexpr std::size_t kResponsePayloadHeaderSize = 24;
-/// v2 flags-byte bit: this request frame's payload starts with a 16-byte
+/// Flags-byte bit: this request frame's payload starts with a 16-byte
 /// trace context. Every other flag bit is reserved and rejected.
 inline constexpr std::uint8_t kTraceFlag = 0x01;
 inline constexpr std::size_t kTraceContextSize = 16;
@@ -100,8 +94,6 @@ enum class frame_type : std::uint8_t {
   busy = 7,
   goodbye = 8,
 };
-
-const char* frame_type_name(frame_type type) noexcept;
 
 /// Why a busy frame shed the request. Every reason is retriable; the
 /// connection stays open.
@@ -139,7 +131,7 @@ struct frame_header {
   std::uint8_t version = kProtocolVersion;
   frame_type type = frame_type::ping;
   serve::lane_class lane = serve::lane_class::bulk;
-  std::uint8_t flags = 0;  // v2 only; encode_header zeroes it for v1 frames
+  std::uint8_t flags = 0;
   std::uint64_t request_id = 0;
   std::uint32_t payload_size = 0;
 
@@ -195,26 +187,21 @@ constexpr std::size_t request_payload_size(std::uint32_t shots,
 }
 
 /// Serializes a full request frame (header + payload) for `traces`. A
-/// non-null `trace` with a nonzero trace_id emits a v2 kTraceFlag frame
-/// whose payload is the 16-byte context followed by the request payload;
-/// otherwise the frame is an unflagged v2 frame with the plain payload.
+/// non-null `trace` with a nonzero trace_id emits a kTraceFlag frame whose
+/// payload is the 16-byte context followed by the request payload;
+/// otherwise the frame is unflagged with the plain payload.
 std::vector<std::uint8_t> encode_request(std::uint64_t request_id,
                                          const request_info& info,
                                          serve::lane_class lane,
                                          const data::trace_dataset& traces,
                                          const trace_context* trace = nullptr);
 
-/// Decodes a request payload into `traces` (shaped by request_rows, then
-/// filled — the dataset the readout_request then borrows). Throws
-/// invalid_argument_error when the payload disagrees with its own dimensions
-/// or the reserved bytes are nonzero.
-request_info decode_request(std::span<const std::uint8_t> payload,
-                            data::trace_dataset& traces);
-
 /// Parses and checks a request payload's fixed prefix (its first
-/// kRequestPayloadHeaderSize bytes) against the payload's total size, with
-/// decode_request's checks. The server calls it as soon as the prefix has
-/// arrived, so the rows can be read straight into their dataset.
+/// kRequestPayloadHeaderSize bytes) against the payload's total size. Throws
+/// invalid_argument_error when the payload disagrees with its own
+/// dimensions or the reserved bytes are nonzero. The server calls it as soon
+/// as the prefix has arrived, so the rows can be read straight into their
+/// dataset (request_rows).
 request_info decode_request_prefix(const std::uint8_t* prefix,
                                    std::size_t payload_size);
 
@@ -229,11 +216,8 @@ std::span<std::uint8_t> request_rows(const request_info& info,
 
 /// Serializes a full response frame for a finished result. Non-ok statuses
 /// carry no data rows (their buffers are unspecified by contract).
-/// `version` is the connection's negotiated protocol version.
 std::vector<std::uint8_t> encode_response(std::uint64_t request_id,
-                                          const serve::readout_result& result,
-                                          std::uint8_t version =
-                                              kProtocolVersion);
+                                          const serve::readout_result& result);
 
 /// Client-side decoded response.
 struct response_view {
@@ -250,20 +234,14 @@ struct response_view {
 /// Throws invalid_argument_error on a size-inconsistent payload.
 response_view decode_response(std::span<const std::uint8_t> payload);
 
-/// Small control frames. `version` is the connection's negotiated protocol
-/// version (server-side frames echo the version the client spoke).
+/// Small control frames.
 std::vector<std::uint8_t> encode_control(frame_type type,
-                                         std::uint64_t request_id,
-                                         std::uint8_t version =
-                                             kProtocolVersion);
+                                         std::uint64_t request_id);
 std::vector<std::uint8_t> encode_busy(std::uint64_t request_id,
-                                      busy_reason reason,
-                                      std::uint8_t version = kProtocolVersion);
+                                      busy_reason reason);
 std::vector<std::uint8_t> encode_error(std::uint64_t request_id,
                                        error_code code,
-                                       const std::string& message,
-                                       std::uint8_t version =
-                                           kProtocolVersion);
+                                       const std::string& message);
 
 /// Decoded busy/error payloads (client side).
 busy_reason decode_busy(std::span<const std::uint8_t> payload);

@@ -129,7 +129,7 @@ struct front_end_config {
   /// front end a private registry.
   obs::metric_registry* metrics = nullptr;
   /// Distributed-tracing sink (borrowed; must outlive the front end). When
-  /// set and armed, requests arriving with a v2 trace context get
+  /// set and armed, requests arriving with a trace context get
   /// net.read/net.decode/net.admit/net.write spans recorded here (same
   /// trace_clock_us timeline as the serve spans). Null or disarmed: the
   /// per-frame cost is one relaxed load.
@@ -179,8 +179,6 @@ struct front_end_stats {
 /// Point-in-time view of one live connection (the /statusz table).
 struct connection_info {
   std::uint64_t id = 0;
-  /// Negotiated protocol version (0 until the first frame arrives).
-  std::uint8_t protocol_version = 0;
   std::size_t inflight = 0;
   std::size_t inflight_bytes = 0;
   std::size_t write_queue_bytes = 0;

@@ -53,20 +53,6 @@ std::vector<std::uint8_t> frame_with_payload(const frame_header& header,
 
 }  // namespace
 
-const char* frame_type_name(frame_type type) noexcept {
-  switch (type) {
-    case frame_type::request: return "request";
-    case frame_type::response: return "response";
-    case frame_type::cancel: return "cancel";
-    case frame_type::ping: return "ping";
-    case frame_type::pong: return "pong";
-    case frame_type::error: return "error";
-    case frame_type::busy: return "busy";
-    case frame_type::goodbye: return "goodbye";
-  }
-  return "unknown";
-}
-
 const char* busy_reason_name(busy_reason reason) noexcept {
   switch (reason) {
     case busy_reason::server_busy: return "server-busy";
@@ -103,8 +89,7 @@ void encode_header(const frame_header& header, std::uint8_t* out) noexcept {
   out[4] = header.version;
   out[5] = static_cast<std::uint8_t>(header.type);
   out[6] = static_cast<std::uint8_t>(header.lane);
-  // The flags byte exists only from v2 on; v1 frames keep it reserved-zero.
-  out[7] = header.version >= 2 ? header.flags : 0;
+  out[7] = header.flags;
   store<std::uint64_t>(out + 8, header.request_id);
   store<std::uint32_t>(out + 16, header.payload_size);
   store<std::uint32_t>(out + 20, crc32(out, 20));
@@ -119,20 +104,15 @@ header_verdict decode_header(const std::uint8_t* data,
   out.version = data[4];
   out.request_id = load<std::uint64_t>(data + 8);
   out.payload_size = load<std::uint32_t>(data + 16);
-  if (out.version < kMinProtocolVersion || out.version > kProtocolVersion) {
-    return header_verdict::bad_version;
-  }
-  // The lane byte is validated here (it is enum-typed downstream). Byte 7
-  // is reserved-and-zero under v1 and a flags byte under v2, where only
-  // kTraceFlag — and only on request frames — is defined; anything else in
-  // it stays a typed rejection.
-  out.flags = out.version >= 2 ? data[7] : 0;
+  if (out.version != kProtocolVersion) return header_verdict::bad_version;
+  // The lane byte is validated here (it is enum-typed downstream). Only
+  // kTraceFlag — and only on request frames — is defined in the flags byte;
+  // anything else in it stays a typed rejection.
+  out.flags = data[7];
   const bool flags_ok =
-      out.version >= 2
-          ? (out.flags & ~kTraceFlag) == 0 &&
-                (out.flags == 0 ||
-                 data[5] == static_cast<std::uint8_t>(frame_type::request))
-          : data[7] == 0;
+      (out.flags & ~kTraceFlag) == 0 &&
+      (out.flags == 0 ||
+       data[5] == static_cast<std::uint8_t>(frame_type::request));
   if (!valid_frame_type(data[5]) || data[6] > 1 || !flags_ok) {
     return header_verdict::bad_type;
   }
@@ -237,28 +217,14 @@ std::span<std::uint8_t> request_rows(const request_info& info,
           rows.size() * sizeof(float)};
 }
 
-request_info decode_request(std::span<const std::uint8_t> payload,
-                            data::trace_dataset& traces) {
-  const request_info info =
-      decode_request_prefix(payload.data(), payload.size());
-  const std::span<std::uint8_t> rows = request_rows(info, info.shots, traces);
-  if (!rows.empty()) {
-    std::memcpy(rows.data(), payload.data() + kRequestPayloadHeaderSize,
-                rows.size());
-  }
-  return info;
-}
-
 std::vector<std::uint8_t> encode_response(std::uint64_t request_id,
-                                          const serve::readout_result& result,
-                                          std::uint8_t version) {
+                                          const serve::readout_result& result) {
   const bool ok = result.status == serve::request_status::ok;
   const std::uint32_t shots =
       static_cast<std::uint32_t>(result.states.size());
   const std::size_t data_bytes =
       ok ? static_cast<std::size_t>(shots) * (1 + sizeof(float)) : 0;
   frame_header header;
-  header.version = version;
   header.type = frame_type::response;
   header.request_id = request_id;
   std::vector<std::uint8_t> bytes =
@@ -321,20 +287,16 @@ response_view decode_response(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> encode_control(frame_type type,
-                                         std::uint64_t request_id,
-                                         std::uint8_t version) {
+                                         std::uint64_t request_id) {
   frame_header header;
-  header.version = version;
   header.type = type;
   header.request_id = request_id;
   return frame_with_payload(header, 0);
 }
 
 std::vector<std::uint8_t> encode_busy(std::uint64_t request_id,
-                                      busy_reason reason,
-                                      std::uint8_t version) {
+                                      busy_reason reason) {
   frame_header header;
-  header.version = version;
   header.type = frame_type::busy;
   header.request_id = request_id;
   std::vector<std::uint8_t> bytes = frame_with_payload(header, 2);
@@ -345,10 +307,8 @@ std::vector<std::uint8_t> encode_busy(std::uint64_t request_id,
 
 std::vector<std::uint8_t> encode_error(std::uint64_t request_id,
                                        error_code code,
-                                       const std::string& message,
-                                       std::uint8_t version) {
+                                       const std::string& message) {
   frame_header header;
-  header.version = version;
   header.type = frame_type::error;
   header.request_id = request_id;
   std::vector<std::uint8_t> bytes = frame_with_payload(header, 2 + message.size());

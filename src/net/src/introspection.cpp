@@ -52,16 +52,15 @@ std::string render_front_end(const tcp_front_end& fe) {
 
   out += "connections:\n";
   out +=
-      "  id        ver  inflight  inflight_bytes  write_queue  bulk      "
+      "  id        inflight  inflight_bytes  write_queue  bulk      "
       "feedback  age_s     idle_s    closing\n";
   for (const connection_info& c : fe.connections()) {
     appendf(out,
-            "  %-8" PRIu64 "  v%-2u  %-8zu  %-14zu  %-11zu  %-8" PRIu64
+            "  %-8" PRIu64 "  %-8zu  %-14zu  %-11zu  %-8" PRIu64
             "  %-8" PRIu64 "  %-8.1f  %-8.1f  %s\n",
-            c.id, static_cast<unsigned>(c.protocol_version), c.inflight,
-            c.inflight_bytes, c.write_queue_bytes, c.admitted_bulk,
-            c.admitted_feedback, c.age_seconds, c.idle_seconds,
-            c.closing ? "yes" : "no");
+            c.id, c.inflight, c.inflight_bytes, c.write_queue_bytes,
+            c.admitted_bulk, c.admitted_feedback, c.age_seconds,
+            c.idle_seconds, c.closing ? "yes" : "no");
   }
   return out;
 }

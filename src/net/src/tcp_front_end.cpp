@@ -292,9 +292,6 @@ struct tcp_front_end::impl {
     double last_read_at = 0.0;
     double last_write_progress_at = 0.0;
     double accepted_at = 0.0;
-    /// Protocol version of the first frame this client sent; every outbound
-    /// frame echoes it (0 = nothing received yet → current version).
-    std::uint8_t version = 0;
     /// Requests admitted on this connection, by lane (the /statusz mix).
     std::array<std::uint64_t, 2> lane_admitted{};
     /// Protocol violation or client goodbye: stop reading, flush the write
@@ -560,11 +557,6 @@ struct tcp_front_end::impl {
                                                               : nullptr;
   }
 
-  /// Outbound frames echo the version the client spoke first.
-  static std::uint8_t conn_version(const connection& conn) noexcept {
-    return conn.version != 0 ? conn.version : kProtocolVersion;
-  }
-
   static void record_net_span(obs::trace_ring& ring, std::uint64_t trace_id,
                               std::uint64_t parent, const char* name,
                               std::uint64_t start_us, std::uint64_t end_us) {
@@ -805,9 +797,6 @@ struct tcp_front_end::impl {
                        "payload length above the configured bound");
         break;
       }
-      // Per-connection version negotiation: the first well-formed frame
-      // fixes the dialect; every outbound frame echoes it (conn_version).
-      if (conn.version == 0) conn.version = header.version;
       if (header.type == frame_type::request) {
         if (!start_request(conn, header)) break;
         continue;
@@ -986,8 +975,7 @@ struct tcp_front_end::impl {
       }
       case frame_type::ping:
         pings_cell->inc();
-        queue_frame(conn, encode_control(frame_type::pong, header.request_id,
-                                         conn_version(conn)));
+        queue_frame(conn, encode_control(frame_type::pong, header.request_id));
         pongs_cell->inc();
         return;
       case frame_type::goodbye:
@@ -1144,7 +1132,7 @@ struct tcp_front_end::impl {
 
   void shed(connection& conn, std::uint64_t request_id, busy_reason reason) {
     shed_cells[static_cast<std::size_t>(reason)]->inc();
-    queue_frame(conn, encode_busy(request_id, reason, conn_version(conn)));
+    queue_frame(conn, encode_busy(request_id, reason));
   }
 
   /// Typed error frame, then close exactly this connection (reads stop now;
@@ -1152,10 +1140,8 @@ struct tcp_front_end::impl {
   void protocol_error(connection& conn, std::uint64_t request_id,
                       error_code code, const std::string& message) {
     malformed_cells[static_cast<std::size_t>(code)]->inc();
-    queue_frame(
-        conn, encode_error(request_id, code, message, conn_version(conn)));
-    queue_frame(
-        conn, encode_control(frame_type::goodbye, 0, conn_version(conn)));
+    queue_frame(conn, encode_error(request_id, code, message));
+    queue_frame(conn, encode_control(frame_type::goodbye, 0));
     conn.closing = true;
     conn.evict = true;
   }
@@ -1321,8 +1307,7 @@ struct tcp_front_end::impl {
     const std::uint64_t write_start_us =
         entry.trace_id != 0 && trace_sink() != nullptr ? obs::trace_clock_us()
                                                        : 0;
-    queue_frame(
-        conn, encode_response(entry.request_id, result, conn_version(conn)));
+    queue_frame(conn, encode_response(entry.request_id, result));
     responses_cell->inc();
     if (write_start_us != 0) {
       // The net.write span runs from response-queued to the flush that
@@ -1363,8 +1348,7 @@ struct tcp_front_end::impl {
       const std::lock_guard lock(state_mutex);
       for (auto& [id, conn] : conns) {
         if (!conn->closing) {
-          queue_frame(*conn, encode_control(frame_type::goodbye, 0,
-                                            conn_version(*conn)));
+          queue_frame(*conn, encode_control(frame_type::goodbye, 0));
         }
       }
     }
@@ -1432,7 +1416,6 @@ struct tcp_front_end::impl {
     for (const auto& [id, conn] : conns) {
       connection_info info;
       info.id = id;
-      info.protocol_version = conn->version;
       info.inflight = conn->inflight;
       info.inflight_bytes = conn->inflight_bytes;
       info.write_queue_bytes = conn->write_queue_bytes;

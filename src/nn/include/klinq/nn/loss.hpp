@@ -49,19 +49,6 @@ class bce_with_logits_loss final : public loss_fn {
   std::span<const float> labels_;
 };
 
-/// Mean squared error against per-sample scalar targets (logit regression).
-class mse_loss final : public loss_fn {
- public:
-  explicit mse_loss(std::span<const float> targets);
-
-  double compute(const la::matrix_f& logits,
-                 std::span<const std::size_t> sample_indices,
-                 la::matrix_f& d_logits) const override;
-
- private:
-  std::span<const float> targets_;
-};
-
 enum class soften_mode { soft_probability, raw_logit };
 
 struct distillation_config {

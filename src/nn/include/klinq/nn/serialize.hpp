@@ -15,10 +15,8 @@
 namespace klinq::nn {
 
 void save_network(const network& net, std::ostream& out);
-void save_network_file(const network& net, const std::string& path);
 
 network load_network(std::istream& in);
-network load_network_file(const std::string& path);
 
 /// Little-endian primitive (de)serialization shared by the network format
 /// and the registry snapshot format. Readers throw io_error on truncation,

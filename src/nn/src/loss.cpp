@@ -47,26 +47,6 @@ double bce_with_logits_loss::compute(
   return loss * inv_batch;
 }
 
-mse_loss::mse_loss(std::span<const float> targets) : targets_(targets) {}
-
-double mse_loss::compute(const la::matrix_f& logits,
-                         std::span<const std::size_t> sample_indices,
-                         la::matrix_f& d_logits) const {
-  prepare_gradient(logits, d_logits);
-  KLINQ_REQUIRE(sample_indices.size() == logits.rows(),
-                "mse: minibatch index count mismatch");
-  const double inv_batch = 1.0 / static_cast<double>(logits.rows());
-  double loss = 0.0;
-  for (std::size_t i = 0; i < logits.rows(); ++i) {
-    const std::size_t row = sample_indices[i];
-    KLINQ_REQUIRE(row < targets_.size(), "mse: sample index out of range");
-    const double err = static_cast<double>(logits(i, 0)) - targets_[row];
-    loss += err * err;
-    d_logits(i, 0) = static_cast<float>(2.0 * err * inv_batch);
-  }
-  return loss * inv_batch;
-}
-
 distillation_loss::distillation_loss(std::span<const float> labels,
                                      std::span<const float> teacher_logits,
                                      distillation_config config)

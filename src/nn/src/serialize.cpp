@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -100,12 +99,6 @@ void save_network(const network& net, std::ostream& out) {
   if (!out) throw io_error("network serialize: stream write failed");
 }
 
-void save_network_file(const network& net, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw io_error("cannot open for writing: " + path);
-  save_network(net, out);
-}
-
 network load_network(std::istream& in) {
   std::array<char, 8> magic{};
   in.read(magic.data(), magic.size());
@@ -150,12 +143,6 @@ network load_network(std::istream& in) {
               layer.bias().begin());
   }
   return net;
-}
-
-network load_network_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw io_error("cannot open for reading: " + path);
-  return load_network(in);
 }
 
 }  // namespace klinq::nn

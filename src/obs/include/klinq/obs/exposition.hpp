@@ -22,10 +22,6 @@ namespace klinq::obs {
 
 std::string prometheus_text(const metrics_snapshot& snap);
 
-/// Single-line compact JSON (one JSONL record). Histogram series carry
-/// count/sum/min/max plus p50/p90/p99 instead of raw bins.
-std::string json_text(const metrics_snapshot& snap);
-
 /// Returns one message per violation ("line N: ..."); empty = clean.
 std::vector<std::string> lint_prometheus_text(std::string_view text);
 

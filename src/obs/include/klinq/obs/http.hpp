@@ -3,11 +3,11 @@
 // A single poll-loop thread serving GET requests from registered handlers —
 // the live plane behind /metrics, /healthz, /statusz, and /tracez. It is
 // deliberately not a web server: GET only, Connection: close, bounded
-// request size, bounded connection count, and a per-connection read
-// deadline, mirroring the TCP front end's eviction/quota discipline (it
-// cannot reuse that code — net layers above obs). Handlers run on the
-// serving thread and must be fast and lock-light; everything they expose
-// here is a snapshot read.
+// request size, bounded connection count, and a per-connection deadline
+// over the request and the response alike, mirroring the TCP front end's
+// eviction/quota discipline (it cannot reuse that code — net layers above
+// obs). Handlers run on the serving thread and must be fast and
+// lock-light; everything they expose here is a snapshot read.
 //
 // Enabled from the environment: KLINQ_HTTP=host:port (bare port accepted;
 // port 0 binds an ephemeral port, readable back via port()).
@@ -28,7 +28,9 @@ struct http_config {
   std::string bind_address = "127.0.0.1:0";
   std::size_t max_connections = 16;     // accept() beyond this: 503 + close
   std::size_t max_request_bytes = 8192; // header bytes before 431 + close
-  double read_timeout_seconds = 5.0;    // slow clients are evicted
+  /// A connection still open this long after accept is evicted, whether it
+  /// is still sending its request or not reading its response.
+  double read_timeout_seconds = 5.0;
   /// Parses KLINQ_HTTP ("host:port" or bare "port"); empty bind_address
   /// (variable unset) means "do not serve".
   static http_config from_env();
@@ -52,7 +54,7 @@ struct http_stats {
   std::uint64_t not_found = 0;       // 404s
   std::uint64_t malformed = 0;       // 400/405/431 rejections
   std::uint64_t over_capacity = 0;   // connections shed with 503
-  std::uint64_t evicted = 0;         // read-deadline evictions
+  std::uint64_t evicted = 0;         // deadline evictions (read or write)
 };
 
 class http_server {

@@ -15,8 +15,8 @@
 //
 // snapshot() renders a point-in-time copy (running registered collectors
 // first, so pull-style sources — drift status, fault::report() — can
-// refresh their gauges); prometheus_text()/json_text() in exposition.hpp
-// serialize it.
+// refresh their gauges); prometheus_text() in exposition.hpp serializes
+// it.
 #pragma once
 
 #include <atomic>
@@ -94,7 +94,6 @@ struct family_snapshot {
 
 /// Point-in-time copy of every family/series, name-sorted.
 struct metrics_snapshot {
-  double unix_seconds = 0.0;
   std::vector<family_snapshot> families;
 
   const family_snapshot* find(std::string_view name) const noexcept;
@@ -137,7 +136,6 @@ class metric_registry {
   metrics_snapshot snapshot() const;
   /// Convenience: exposition of snapshot() (see exposition.hpp).
   std::string prometheus_text() const;
-  std::string json_text() const;
 
   std::size_t family_count() const;
 

@@ -113,35 +113,6 @@ void render_histogram_series(std::string& out, const std::string& name,
   out += '\n';
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  // JSON has no Inf/NaN literals; clamp to null.
-  if (!std::isfinite(v)) return "null";
-  return format_value(v);
-}
-
 }  // namespace
 
 std::string prometheus_text(const metrics_snapshot& snap) {
@@ -171,63 +142,6 @@ std::string prometheus_text(const metrics_snapshot& snap) {
       }
     }
   }
-  return out;
-}
-
-std::string json_text(const metrics_snapshot& snap) {
-  std::string out = "{\"ts\":";
-  out += json_number(snap.unix_seconds);
-  out += ",\"families\":[";
-  bool first_family = true;
-  for (const auto& fam : snap.families) {
-    if (!first_family) out += ',';
-    first_family = false;
-    out += "{\"name\":\"";
-    out += json_escape(fam.name);
-    out += "\",\"kind\":\"";
-    out += metric_kind_name(fam.kind);
-    out += "\",\"series\":[";
-    bool first_series = true;
-    for (const auto& s : fam.series) {
-      if (!first_series) out += ',';
-      first_series = false;
-      out += "{\"labels\":{";
-      bool first_label = true;
-      for (const auto& [k, v] : s.labels) {
-        if (!first_label) out += ',';
-        first_label = false;
-        out += '"';
-        out += json_escape(k);
-        out += "\":\"";
-        out += json_escape(v);
-        out += '"';
-      }
-      out += '}';
-      if (fam.kind == metric_kind::histogram) {
-        const histogram_data& h = s.histogram;
-        out += ",\"count\":";
-        out += format_value(static_cast<double>(h.count));
-        out += ",\"sum\":";
-        out += json_number(h.sum);
-        out += ",\"min\":";
-        out += json_number(h.min);
-        out += ",\"max\":";
-        out += json_number(h.max);
-        out += ",\"p50\":";
-        out += json_number(h.quantile(0.50));
-        out += ",\"p90\":";
-        out += json_number(h.quantile(0.90));
-        out += ",\"p99\":";
-        out += json_number(h.quantile(0.99));
-      } else {
-        out += ",\"value\":";
-        out += json_number(s.value);
-      }
-      out += '}';
-    }
-    out += "]}";
-  }
-  out += "]}";
   return out;
 }
 

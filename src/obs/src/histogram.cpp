@@ -62,22 +62,6 @@ double histogram_data::quantile(double q) const noexcept {
   return max;  // unreachable: seen == count >= rank by the last bin
 }
 
-double histogram_data::quantile_midpoint(double q) const noexcept {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(q * static_cast<double>(count))));
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < bins.size(); ++b) {
-    seen += bins[b];
-    if (seen < rank) continue;
-    if (b == kUnderflowBin) return kMinValue;
-    const double low = bin_lower_edge(b);
-    return low * std::pow(10.0, 0.5 / kBinsPerDecade);
-  }
-  return kMinValue * std::pow(10.0, kDecades);  // unreachable
-}
-
 void histogram_data::merge(const histogram_data& other) noexcept {
   for (std::size_t b = 0; b < bins.size(); ++b) bins[b] += other.bins[b];
   if (other.count > 0) {

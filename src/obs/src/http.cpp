@@ -111,7 +111,9 @@ struct http_server::impl {
     std::string read_buffer;
     std::string write_buffer;
     std::size_t write_offset = 0;
-    double read_deadline = 0.0;
+    /// accept time + read_timeout_seconds; bounds the request and the
+    /// response alike, so a client that never reads cannot keep its slot.
+    double deadline = 0.0;
     bool responding = false;  // request parsed; draining write_buffer
   };
   std::vector<connection> conns;
@@ -288,6 +290,7 @@ void http_server::impl::handle_readable(connection& conn) {
       }
       continue;
     }
+    if (n < 0 && errno == EINTR) continue;
     if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
       // Peer closed (or errored) before a full request: just drop it.
       ::close(conn.fd);
@@ -317,18 +320,30 @@ void http_server::impl::run() {
         set_nonblocking(fd);
         if (conns.size() >= config.max_connections) {
           // Over capacity: answer 503 best-effort and close — the shed
-          // discipline of the front end, minus the queueing.
+          // discipline of the front end, minus the queueing. The FIN goes
+          // out behind the 503 and the request that has arrived (up to the
+          // request bound) is drained first: a socket closed with unread
+          // bytes answers with a reset, which would cost the client the
+          // 503 it was already sent.
           over_capacity.fetch_add(1, std::memory_order_relaxed);
           const std::string shed = render_response(
               {503, "text/plain; charset=utf-8", "over capacity\n"});
           [[maybe_unused]] const ssize_t n =
               ::send(fd, shed.data(), shed.size(), MSG_NOSIGNAL);
+          ::shutdown(fd, SHUT_WR);
+          char sink[1024];
+          std::size_t drained = 0;
+          ssize_t got = 0;
+          while (drained < config.max_request_bytes &&
+                 (got = ::recv(fd, sink, sizeof(sink), MSG_DONTWAIT)) > 0) {
+            drained += static_cast<std::size_t>(got);
+          }
           ::close(fd);
           continue;
         }
         connection conn;
         conn.fd = fd;
-        conn.read_deadline = now_seconds() + config.read_timeout_seconds;
+        conn.deadline = now_seconds() + config.read_timeout_seconds;
         conns.push_back(std::move(conn));
       }
     }
@@ -360,7 +375,7 @@ void http_server::impl::run() {
           conn.fd = -1;
         }
       }
-      if (conn.fd >= 0 && !conn.responding && now > conn.read_deadline) {
+      if (conn.fd >= 0 && now > conn.deadline) {
         evicted.fetch_add(1, std::memory_order_relaxed);
         ::close(conn.fd);
         conn.fd = -1;

@@ -1,7 +1,6 @@
 #include "klinq/obs/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "klinq/common/error.hpp"
 #include "klinq/obs/exposition.hpp"
@@ -222,10 +221,6 @@ metrics_snapshot metric_registry::snapshot() const {
   for (const auto& fn : collectors) fn();
 
   metrics_snapshot snap;
-  snap.unix_seconds =
-      std::chrono::duration<double>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
   const std::lock_guard lock(families_mutex_);
   snap.families.reserve(families_.size());
   for (const auto& [name, fam] : families_) {  // map: name-sorted
@@ -263,10 +258,6 @@ metrics_snapshot metric_registry::snapshot() const {
 
 std::string metric_registry::prometheus_text() const {
   return obs::prometheus_text(snapshot());
-}
-
-std::string metric_registry::json_text() const {
-  return obs::json_text(snapshot());
 }
 
 std::size_t metric_registry::family_count() const {

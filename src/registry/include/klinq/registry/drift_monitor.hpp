@@ -33,9 +33,9 @@
 #include <span>
 #include <vector>
 
+#include "klinq/obs/histogram.hpp"
 #include "klinq/obs/metrics.hpp"
 #include "klinq/serve/request.hpp"
-#include "klinq/serve/telemetry.hpp"
 
 namespace klinq::registry {
 
@@ -136,9 +136,9 @@ class drift_monitor {
     std::uint64_t ones = 0;
     std::uint64_t low_margin = 0;
     double sum_abs_margin = 0.0;
-    /// |margin| distribution, log-binned (the serve histogram's 1e-7..100
-    /// span covers every sane logit scale).
-    serve::latency_histogram histogram;
+    /// |margin| distribution, log-binned (the histogram's 1e-7..100 span
+    /// covers every sane logit scale).
+    obs::log_histogram histogram;
 
     void clear();
     double mean_abs_margin() const;

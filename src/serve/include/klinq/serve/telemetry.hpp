@@ -1,11 +1,5 @@
-// Serving telemetry surface.
-//
-// The log-binned latency histogram that used to live here is now the
-// stack-wide `obs::log_histogram` (klinq/obs/histogram.hpp) — same binning
-// (16 bins/decade from 100 ns), but thread-safe lock-free recording, exact
-// min/max tracking, and within-bin interpolated quantiles (the old
-// geometric-midpoint answer survives as quantile_midpoint()). The alias
-// keeps the serving-era name compiling.
+// Serving telemetry surface. Latency histograms are the stack-wide
+// `obs::log_histogram` (klinq/obs/histogram.hpp).
 //
 // `server_stats` remains the one-call lifetime summary. Since the obs PR it
 // is a *view*: readout_server keeps every count in labeled metric families
@@ -18,11 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "klinq/obs/histogram.hpp"
-
 namespace klinq::serve {
-
-using latency_histogram = obs::log_histogram;
 
 /// Point-in-time snapshot of a server's counters.
 struct server_stats {

@@ -3,8 +3,10 @@
 // Contracts under test:
 //   * the server answers registered GET handlers and nothing else: unknown
 //     paths 404, non-GET methods 405, malformed request lines 400, oversize
-//     headers 431, over-capacity accepts 503, and a slow client is evicted
-//     on the read deadline — each rejection visible in http_stats;
+//     headers 431, over-capacity accepts 503 (also to a client that wrote
+//     its request first), and a slow sender or a client that never reads
+//     its response is evicted on the deadline — each rejection visible in
+//     http_stats;
 //   * handler exceptions surface as 500 without killing the server;
 //   * environment wiring via KLINQ_HTTP;
 //   * the standard introspection handlers: /metrics is a lint-clean
@@ -191,7 +193,50 @@ TEST(HttpServer, OverCapacityConnectionsAreShedWith503) {
   const std::string reply = raw_round_trip(server.port(), "");
   EXPECT_NE(reply.find("503"), std::string::npos);
   EXPECT_TRUE(wait_until([&] { return server.stats().over_capacity >= 1; }));
+  // A scraper writes its request before it reads; the shed must still
+  // reach it as a 503, not as a reset.
+  for (int i = 0; i < 50; ++i) {
+    obs::http_result shed;
+    ASSERT_NO_THROW(shed = obs::http_get(server.host(), server.port(), "/"))
+        << "scrape " << i;
+    EXPECT_EQ(shed.status, 503) << "scrape " << i;
+  }
   ::close(holder);
+}
+
+TEST(HttpServer, SlowReaderIsEvictedOnTheDeadline) {
+  obs::http_config config;
+  config.max_connections = 1;
+  config.read_timeout_seconds = 0.2;
+  obs::http_server server = make_server(config);
+  server.add_handler("/big", [](const obs::http_request&) {
+    return obs::http_response{200, "text/plain; charset=utf-8",
+                              std::string(std::size_t{32} << 20, 'x')};
+  });
+  server.add_handler("/small", [](const obs::http_request&) {
+    return obs::http_response{200, "text/plain; charset=utf-8", "ok\n"};
+  });
+  // Ask for a body far larger than the socket buffers, then never read it.
+  const int reader = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(reader, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(reader, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string request = "GET /big HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(reader, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  // The stalled response must not keep the only slot past the deadline.
+  EXPECT_TRUE(wait_until([&] { return server.stats().evicted >= 1; }));
+  EXPECT_EQ(server.stats().evicted, 1u);
+  const obs::http_result next =
+      obs::http_get(server.host(), server.port(), "/small");
+  EXPECT_EQ(next.status, 200);
+  EXPECT_EQ(next.body, "ok\n");
+  ::close(reader);
 }
 
 TEST(HttpServer, EnvironmentWiring) {
@@ -341,7 +386,12 @@ TEST(HttpIntrospection, StatuszAndTracezRenderLiveState) {
   ASSERT_EQ(status.status, 200);
   EXPECT_NE(status.body.find("connections:"), std::string::npos);
   EXPECT_NE(status.body.find("front_end:"), std::string::npos);
-  EXPECT_NE(status.body.find("v2"), std::string::npos);  // negotiated version
+  // The table's one row is the live client, not closing.
+  const std::size_t header = status.body.find("closing\n");
+  ASSERT_NE(header, std::string::npos);
+  const std::size_t row_end = status.body.find('\n', header + 8);
+  ASSERT_NE(row_end, std::string::npos);
+  EXPECT_EQ(status.body.compare(row_end - 4, 4, "  no"), 0);
   EXPECT_NE(status.body.find("build:"), std::string::npos);
 
   const obs::http_result traces =

@@ -249,6 +249,21 @@ TEST(NetFrame, HeaderVerdictsAreTyped) {
   EXPECT_EQ(net::decode_header(bytes, out), net::header_verdict::bad_type);
 }
 
+/// Decodes a request payload as the server does: the fixed prefix first,
+/// then the rows copied into the storage request_rows shapes for them.
+net::request_info decode_payload(std::span<const std::uint8_t> payload,
+                                 data::trace_dataset& traces) {
+  const net::request_info info =
+      net::decode_request_prefix(payload.data(), payload.size());
+  const std::span<std::uint8_t> rows =
+      net::request_rows(info, info.shots, traces);
+  if (!rows.empty()) {
+    std::memcpy(rows.data(), payload.data() + net::kRequestPayloadHeaderSize,
+                rows.size());
+  }
+  return info;
+}
+
 TEST(NetFrame, RequestRoundTripIsLossless) {
   auto& f = fixture();
   const data::trace_dataset block = f.small_block(6);
@@ -261,7 +276,7 @@ TEST(NetFrame, RequestRoundTripIsLossless) {
   EXPECT_EQ(header.lane, serve::lane_class::feedback);
   EXPECT_EQ(header.request_id, 99u);
   data::trace_dataset decoded;
-  const net::request_info out = net::decode_request(
+  const net::request_info out = decode_payload(
       std::span<const std::uint8_t>(frame.data() + net::kHeaderSize,
                                     header.payload_size),
       decoded);
@@ -284,37 +299,35 @@ TEST(NetFrame, RequestDecodeRejectsInconsistentPayloads) {
   const data::trace_dataset block = f.small_block(2);
   const std::vector<std::uint8_t> frame =
       net::encode_request(1, fixed_request(), serve::lane_class::bulk, block);
-  const std::span<const std::uint8_t> payload(
-      frame.data() + net::kHeaderSize, frame.size() - net::kHeaderSize);
-  data::trace_dataset sink;
+  const std::uint8_t* payload = frame.data() + net::kHeaderSize;
+  const std::size_t payload_size = frame.size() - net::kHeaderSize;
+  ASSERT_NO_THROW(net::decode_request_prefix(payload, payload_size));
 
   // Truncated payload: size disagrees with shots × samples.
-  EXPECT_THROW(net::decode_request(payload.subspan(0, payload.size() - 4),
-                                   sink),
+  EXPECT_THROW(net::decode_request_prefix(payload, payload_size - 4),
                invalid_argument_error);
   // Shorter than even the fixed prefix.
-  EXPECT_THROW(net::decode_request(payload.subspan(0, 8), sink),
-               invalid_argument_error);
+  EXPECT_THROW(net::decode_request_prefix(payload, 8), invalid_argument_error);
 
-  std::vector<std::uint8_t> bad(payload.begin(), payload.end());
+  std::vector<std::uint8_t> bad(payload, payload + payload_size);
   bad[4] = 7;  // unknown engine
-  EXPECT_THROW(net::decode_request(bad, sink), invalid_argument_error);
+  EXPECT_THROW(net::decode_request_prefix(bad.data(), bad.size()),
+               invalid_argument_error);
   bad[4] = 0;
   bad[5] = 1;  // reserved byte must be zero
-  EXPECT_THROW(net::decode_request(bad, sink), invalid_argument_error);
+  EXPECT_THROW(net::decode_request_prefix(bad.data(), bad.size()),
+               invalid_argument_error);
 
   // shots × samples × 8 = 2^64: the product wraps to an empty row section,
   // which must not pass for the 24-byte prefix-only payload it mimics.
-  std::vector<std::uint8_t> wrapped(payload.begin(),
-                                    payload.begin() +
-                                        net::kRequestPayloadHeaderSize);
+  std::vector<std::uint8_t> wrapped(payload,
+                                    payload + net::kRequestPayloadHeaderSize);
   const std::uint32_t samples = 1u << 30;
   const std::uint32_t shots = 1u << 31;
   std::memcpy(wrapped.data() + 16, &samples, sizeof(samples));
   std::memcpy(wrapped.data() + 20, &shots, sizeof(shots));
   EXPECT_THROW(net::decode_request_prefix(wrapped.data(), wrapped.size()),
                invalid_argument_error);
-  EXPECT_THROW(net::decode_request(wrapped, sink), invalid_argument_error);
 }
 
 TEST(NetFrame, ResponseRoundTripFixedAndFloat) {
@@ -768,6 +781,17 @@ TEST(NetAdmission, ConnectionCapShedsAtAccept) {
   ASSERT_EQ(frame->header.type, net::frame_type::busy);
   EXPECT_EQ(net::decode_busy(frame->payload), net::busy_reason::server_busy);
   EXPECT_FALSE(second.read_frame(1.0).has_value());  // then closed
+
+  // A client that writes before it reads still gets its busy frame, not a
+  // reset, however its ping and the shed race.
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    net::client eager("127.0.0.1", front.port());
+    eager.send_ping(100 + i);
+    const auto shed = eager.read_frame();
+    ASSERT_TRUE(shed.has_value()) << "client " << i;
+    ASSERT_EQ(shed->header.type, net::frame_type::busy) << "client " << i;
+    EXPECT_EQ(net::decode_busy(shed->payload), net::busy_reason::server_busy);
+  }
 
   // The registered client keeps serving.
   first.send_ping(2);
@@ -1342,7 +1366,7 @@ TEST(NetShutdown, GracefulDrainAnswersGoodbyeAndReconciles) {
   EXPECT_EQ(server.wait(t).status, serve::request_status::ok);
 }
 
-// --- protocol v2: flags byte, trace context, version negotiation ------------
+// --- flags byte, trace context, protocol version ---------------------------
 
 TEST(NetFrame, UnknownFlagBitsAndNonRequestFlagsAreRejected) {
   net::frame_header header;
@@ -1361,15 +1385,18 @@ TEST(NetFrame, UnknownFlagBitsAndNonRequestFlagsAreRejected) {
   net::encode_header(header, bytes);
   EXPECT_EQ(net::decode_header(bytes, out), net::header_verdict::bad_type);
 
-  // A v1 frame must keep the reserved byte zero.
+  // A version-1 frame is rejected for its version, flags or not.
   header.type = net::frame_type::ping;
   header.flags = 0;
-  net::encode_header(header, bytes);
-  bytes[4] = 1;
-  bytes[7] = net::kTraceFlag;
-  const std::uint32_t crc = net::crc32(bytes, 20);
-  std::memcpy(bytes + 20, &crc, 4);
-  EXPECT_EQ(net::decode_header(bytes, out), net::header_verdict::bad_type);
+  for (const std::uint8_t flags : {std::uint8_t{0}, net::kTraceFlag}) {
+    net::encode_header(header, bytes);
+    bytes[4] = 1;
+    bytes[7] = flags;
+    const std::uint32_t crc = net::crc32(bytes, 20);
+    std::memcpy(bytes + 20, &crc, 4);
+    EXPECT_EQ(net::decode_header(bytes, out),
+              net::header_verdict::bad_version);
+  }
 }
 
 TEST(NetFrame, RequestTraceContextRoundTrip) {
@@ -1388,7 +1415,7 @@ TEST(NetFrame, RequestTraceContextRoundTrip) {
   EXPECT_EQ(decoded.parent_span, tctx.parent_span);
   // What follows the context is the unchanged request payload.
   data::trace_dataset sink;
-  const net::request_info info = net::decode_request(
+  const net::request_info info = decode_payload(
       std::span<const std::uint8_t>(
           frame.data() + net::kHeaderSize + net::kTraceContextSize,
           header.payload_size - net::kTraceContextSize),
@@ -1406,40 +1433,45 @@ TEST(NetFrame, RequestTraceContextRoundTrip) {
   EXPECT_EQ(plain.size() + net::kTraceContextSize, frame.size());
 }
 
-TEST(NetCompat, V1ClientIsServedAndAnsweredInV1) {
+TEST(NetHostile, V1FrameIsRejectedWithBadVersion) {
   auto& f = fixture();
   serve::readout_server server(f.engines());
   net::tcp_front_end front(server);
-  net::client cli("127.0.0.1", front.port());
+  net::client old("127.0.0.1", front.port());
   const data::trace_dataset block = f.small_block(8);
 
-  // Re-stamp an encoded request as protocol v1 with a valid CRC — the bytes
-  // a pre-v2 client would put on the wire (byte 7 is already zero).
+  // Re-stamp an encoded request as protocol version 1 with a valid CRC —
+  // the bytes a version-1 client would put on the wire.
   std::vector<std::uint8_t> bytes =
       net::encode_request(1, fixed_request(), serve::lane_class::bulk, block);
-  ASSERT_EQ(bytes[7], 0u);
   bytes[4] = 1;
   const std::uint32_t crc = net::crc32(bytes.data(), 20);
   std::memcpy(bytes.data() + 20, &crc, 4);
-  cli.send_bytes(bytes);
+  old.send_bytes(bytes);
 
-  const auto reply = cli.read_reply(1);
+  const auto error = old.read_frame();
+  ASSERT_TRUE(error.has_value());
+  ASSERT_EQ(error->header.type, net::frame_type::error);
+  EXPECT_EQ(error->header.request_id, 1u);
+  EXPECT_EQ(net::decode_error(error->payload).code,
+            net::error_code::bad_version);
+  const auto goodbye = old.read_frame();
+  ASSERT_TRUE(goodbye.has_value());
+  EXPECT_EQ(goodbye->header.type, net::frame_type::goodbye);
+  EXPECT_FALSE(old.read_frame(1.0).has_value());  // then closed
+
+  // A current client on another connection is served bit-exact.
+  net::client cli("127.0.0.1", front.port());
+  const std::uint64_t id = cli.send_request(fixed_request(), block);
+  const auto reply = cli.read_reply(id);
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->header.type, net::frame_type::response);
-  // The server answers in the connection's negotiated version.
-  EXPECT_EQ(reply->header.version, 1u);
+  EXPECT_EQ(reply->header.version, net::kProtocolVersion);
   expect_fixed_response(net::decode_response(reply->payload), block);
-  const std::vector<net::connection_info> conns = front.connections();
-  ASSERT_EQ(conns.size(), 1u);
-  EXPECT_EQ(conns[0].protocol_version, 1u);
-  EXPECT_EQ(conns[0].admitted_bulk, 1u);
-
-  // A v2 client on the same server is answered in v2.
-  net::client cli2("127.0.0.1", front.port());
-  const std::uint64_t id = cli2.send_request(fixed_request(), block);
-  const auto reply2 = cli2.read_reply(id);
-  ASSERT_TRUE(reply2.has_value());
-  EXPECT_EQ(reply2->header.version, net::kProtocolVersion);
+  const net::front_end_stats stats = front.stats();
+  EXPECT_EQ(stats.requests_admitted, 1u);
+  EXPECT_EQ(stats.malformed_frames, 1u);
+  stats.validate();
 }
 
 TEST(NetHostile, TraceFlaggedRequestShorterThanContextIsRejected) {

@@ -637,7 +637,7 @@ TEST(ThreadPool, OnWorkerFlagVisibleInsideTasks) {
 // --- telemetry -------------------------------------------------------------
 
 TEST(Telemetry, HistogramQuantilesLandInTheRightBin) {
-  serve::latency_histogram histogram;
+  obs::log_histogram histogram;
   EXPECT_EQ(histogram.quantile(0.5), 0.0);  // empty
   for (int i = 0; i < 90; ++i) histogram.record(1e-3);
   for (int i = 0; i < 10; ++i) histogram.record(1.0);
@@ -652,13 +652,13 @@ TEST(Telemetry, HistogramQuantilesLandInTheRightBin) {
 }
 
 TEST(Telemetry, HistogramHandlesExtremes) {
-  serve::latency_histogram histogram;
+  obs::log_histogram histogram;
   histogram.record(0.0);      // underflow bin
   histogram.record(1e-12);    // below floor
   histogram.record(1e6);      // overflow bin
   EXPECT_EQ(histogram.count(), 3u);
   EXPECT_GT(histogram.quantile(1.0), 10.0);   // max lands in overflow
-  EXPECT_LE(histogram.quantile(0.0), serve::latency_histogram::kMinSeconds);
+  EXPECT_LE(histogram.quantile(0.0), obs::log_histogram::kMinValue);
 }
 
 // --- failure model: config, deadlines, cancellation ------------------------
