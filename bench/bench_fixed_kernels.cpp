@@ -14,10 +14,14 @@
 // kernel runs its scalar remainder loop; the row kernel vectorizes along
 // the 201 inputs at any shot count.
 //
+// BM_PrefixSum_* time the AVG stage's scan over one 1000-register row (a
+// 2N row at N = 500) per tier, in registers/sec.
+//
 // BM_FrontendRow_* time the whole Q16.16 front end for one N = 500 shot at
 // G = 15 (FNN-A) and G = 100 (FNN-B), in shots/sec: the fixed<I,F>
 // reference (quantize_trace + extract) and fixed_frontend::extract_trace
-// with its quantize+MF sweep pinned to each tier.
+// with its quantize+MF sweep pinned to each tier (the scan, group sums and
+// AVG/NORM pass run the dispatched tier).
 //
 // Machine-readable snapshot:
 //   bench_fixed_kernels --benchmark_out=BENCH_fixed.json
@@ -195,6 +199,23 @@ void BM_QuantizeBlockKernel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
+// --- prefix_sum: the AVG scan over one 1000-register row ---------------------
+
+template <auto PrefixSum>
+void BM_PrefixSumKernel(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  xoshiro256 rng(9);
+  std::vector<std::int32_t> row(n);
+  for (auto& v : row) v = static_cast<std::int32_t>(rng.uniform(-1e9, 1e9));
+  std::vector<std::int64_t> prefix(n + 1);
+  for (auto _ : state) {
+    PrefixSum(row.data(), n, prefix.data());
+    benchmark::DoNotOptimize(prefix.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
 // --- the front end: one N = 500 shot, quantize + AVG + MF + NORM -----------
 
 constexpr std::size_t kFrontendSamples = 500;
@@ -305,6 +326,14 @@ KLINQ_SPLIT_BENCHES(avx512);
       ->Name("BM_QuantizeBlock_avx512_" tag)->Arg(1000)
 
 KLINQ_KERNEL_BENCHES(q16_16, "q16.16");
+// The scan is format-free (int32 registers in, int64 sums out): one set of
+// rows, beside the Q16.16 quantize rows.
+BENCHMARK(BM_PrefixSumKernel<kernels::scalar64::prefix_sum>)
+    ->Name("BM_PrefixSum_scalar64")->Arg(1000);
+BENCHMARK(BM_PrefixSumKernel<kernels::avx2::prefix_sum>)
+    ->Name("BM_PrefixSum_avx2")->Arg(1000);
+BENCHMARK(BM_PrefixSumKernel<kernels::avx512::prefix_sum>)
+    ->Name("BM_PrefixSum_avx512")->Arg(1000);
 KLINQ_KERNEL_BENCHES(q8_8, "q8.8");
 
 }  // namespace

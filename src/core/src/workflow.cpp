@@ -10,11 +10,15 @@ std::string teacher_cache_key(const qsim::dataset_spec& spec,
                               std::size_t qubit,
                               const kd::teacher_config& config) {
   std::ostringstream canonical;
-  canonical << "v1|seed=" << spec.seed
+  // Round-trip precision: any change to a float or double field shows.
+  canonical.precision(17);
+  canonical << "v2|seed=" << spec.seed
             << "|train=" << spec.shots_per_permutation_train
             << "|dur=" << spec.device.trace_duration_ns << "|qubit=" << qubit
             << "|epochs=" << config.epochs << "|batch=" << config.batch_size
-            << "|lr=" << config.learning_rate << "|tseed=" << config.seed
+            << "|lr=" << config.learning_rate << "|wd=" << config.weight_decay
+            << "|aug=" << config.augment_noise_sigma
+            << "|lrdecay=" << config.lr_decay << "|tseed=" << config.seed
             << "|hidden=";
   for (const auto h : config.hidden) canonical << h << ",";
   canonical << "|device=";

@@ -137,7 +137,44 @@ constexpr std::int64_t clamp_raw(std::int64_t value, std::int64_t raw_min,
 //                  mac_row(weights, out, n, 0) (saturated once). The
 //                  AVX-512 body fuses the two loops; the other tiers call
 //                  quantize_block then mac_row.
+//
+//   prefix_sum     the AVG stage's scan: out[0] = 0 and out[i + 1] =
+//                  out[i] + values[i] for i < n (n + 1 outputs), exact in
+//                  int64 for any n < 2^32. Any run's sum is then
+//                  out[end] - out[begin], one subtraction whatever its
+//                  length. The vector tiers scan 8 (AVX-512) or 4 (AVX2)
+//                  widened lanes in registers and carry the running total.
+//
+//   group_sums     the AVG group sums from prefix_sum's output over a
+//                  2n-sample row [I | Q]: for g < groups,
+//                    sums[g] = prefix[bounds[g + 1]] - prefix[bounds[g]]
+//                    sums[groups + g] =
+//                        prefix[n + bounds[g + 1]] - prefix[n + bounds[g]]
+//                  with bounds ascending, bounds[groups] <= n < 2^31. The
+//                  vector tiers gather the prefix sums at the bounds and
+//                  take adjacent differences.
+//
+//   scale_norm_row the front end's per-feature back half, over a contiguous
+//                  row of `count` exact int64 sums. Feature c is
+//                    avg = round_shift_clamp(clamp(sums[c]) * scale[c], F)
+//                    x   = clamp(avg - offset[c])
+//                    out[c * out_stride] =
+//                          clamp(round_shift_clamp(x, right[c]) << left[c])
+//                  i.e. the AVG reciprocal through the DSP post-scaler
+//                  (fixed_accumulator::result, then fixed::operator*) and
+//                  NORM (fixed::shifted_right / shifted_left). A scale of
+//                  2^F passes a register through the AVG step unchanged (the
+//                  MF feature). Requires 0 <= scale[c] <= 2^F,
+//                  0 <= right[c] <= 62 and 0 <= left[c] <= 32.
 // ---------------------------------------------------------------------------
+
+/// Per-feature constants of scale_norm_row: `count` entries each.
+struct feature_norm {
+  const std::int64_t* scale = nullptr;
+  const std::int64_t* offset = nullptr;
+  const std::int64_t* right = nullptr;
+  const std::int64_t* left = nullptr;
+};
 
 /// Branchless int64 scalar tier — every host runs this.
 namespace scalar64 {
@@ -158,6 +195,17 @@ void quantize_block(const float* values, std::size_t n, std::int32_t* out,
 std::int64_t quantize_mac_row(const float* values,
                               const std::int32_t* weights, std::size_t n,
                               std::int32_t* out, const mac_spec& spec) noexcept;
+
+void prefix_sum(const std::int32_t* values, std::size_t n,
+                std::int64_t* out) noexcept;
+
+void group_sums(const std::int64_t* prefix, std::size_t n,
+                const std::uint32_t* bounds, std::size_t groups,
+                std::int64_t* sums) noexcept;
+
+void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
+                    std::size_t count, std::int32_t* out,
+                    std::size_t out_stride, const mac_spec& spec) noexcept;
 
 }  // namespace scalar64
 
@@ -185,6 +233,17 @@ std::int64_t quantize_mac_row(const float* values,
                               const std::int32_t* weights, std::size_t n,
                               std::int32_t* out, const mac_spec& spec) noexcept;
 
+void prefix_sum(const std::int32_t* values, std::size_t n,
+                std::int64_t* out) noexcept;
+
+void group_sums(const std::int64_t* prefix, std::size_t n,
+                const std::uint32_t* bounds, std::size_t groups,
+                std::int64_t* sums) noexcept;
+
+void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
+                    std::size_t count, std::int32_t* out,
+                    std::size_t out_stride, const mac_spec& spec) noexcept;
+
 }  // namespace avx2
 
 /// AVX-512 tier (8 x int64 lanes, F+BW+DQ subsets). Same linkage contract as
@@ -209,6 +268,17 @@ void quantize_block(const float* values, std::size_t n, std::int32_t* out,
 std::int64_t quantize_mac_row(const float* values,
                               const std::int32_t* weights, std::size_t n,
                               std::int32_t* out, const mac_spec& spec) noexcept;
+
+void prefix_sum(const std::int32_t* values, std::size_t n,
+                std::int64_t* out) noexcept;
+
+void group_sums(const std::int64_t* prefix, std::size_t n,
+                const std::uint32_t* bounds, std::size_t groups,
+                std::int64_t* sums) noexcept;
+
+void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
+                    std::size_t count, std::int32_t* out,
+                    std::size_t out_stride, const mac_spec& spec) noexcept;
 
 }  // namespace avx512
 
@@ -237,5 +307,16 @@ void quantize_block(const float* values, std::size_t n, std::int32_t* out,
 std::int64_t quantize_mac_row(const float* values,
                               const std::int32_t* weights, std::size_t n,
                               std::int32_t* out, const mac_spec& spec) noexcept;
+
+void prefix_sum(const std::int32_t* values, std::size_t n,
+                std::int64_t* out) noexcept;
+
+void group_sums(const std::int64_t* prefix, std::size_t n,
+                const std::uint32_t* bounds, std::size_t groups,
+                std::int64_t* sums) noexcept;
+
+void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
+                    std::size_t count, std::int32_t* out,
+                    std::size_t out_stride, const mac_spec& spec) noexcept;
 
 }  // namespace klinq::fx::kernels

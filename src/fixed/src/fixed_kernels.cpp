@@ -1,5 +1,7 @@
 #include "klinq/fixed/fixed_kernels.hpp"
 
+#include <algorithm>
+
 #if KLINQ_HAVE_X86_SIMD
 #include <immintrin.h>
 #endif
@@ -86,6 +88,48 @@ std::int64_t quantize_mac_row(const float* values,
   return scalar64::mac_row(weights, out, n, 0, spec);
 }
 
+void prefix_sum(const std::int32_t* values, std::size_t n,
+                std::int64_t* out) noexcept {
+  std::int64_t sum = 0;
+  out[0] = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum += values[i];
+    out[i + 1] = sum;
+  }
+}
+
+void group_sums(const std::int64_t* prefix, std::size_t n,
+                const std::uint32_t* bounds, std::size_t groups,
+                std::int64_t* sums) noexcept {
+  // Group g ends where group g + 1 begins: one new pair of loads per group.
+  std::int64_t begin_i = prefix[bounds[0]];
+  std::int64_t begin_q = prefix[n + bounds[0]];
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::int64_t end_i = prefix[bounds[g + 1]];
+    const std::int64_t end_q = prefix[n + bounds[g + 1]];
+    sums[g] = end_i - begin_i;
+    sums[groups + g] = end_q - begin_q;
+    begin_i = end_i;
+    begin_q = end_q;
+  }
+}
+
+void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
+                    std::size_t count, std::int32_t* out,
+                    std::size_t out_stride, const mac_spec& spec) noexcept {
+  for (std::size_t c = 0; c < count; ++c) {
+    const std::int64_t avg = round_shift_clamp(
+        clamp_raw(sums[c], spec.raw_min, spec.raw_max) * norm.scale[c],
+        spec.frac_bits, spec.raw_min, spec.raw_max);
+    const std::int64_t x =
+        clamp_raw(avg - norm.offset[c], spec.raw_min, spec.raw_max);
+    const std::int64_t rounded = round_shift_clamp(
+        x, static_cast<int>(norm.right[c]), spec.raw_min, spec.raw_max);
+    out[c * out_stride] = static_cast<std::int32_t>(
+        clamp_raw(rounded << norm.left[c], spec.raw_min, spec.raw_max));
+  }
+}
+
 }  // namespace scalar64
 
 // ---------------------------------------------------------------------------
@@ -132,6 +176,12 @@ __attribute__((target("avx2"))) inline __m256i load_lanes(
     const std::int32_t* p) {
   return _mm256_cvtepi32_epi64(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+/// 4 int64 lanes from memory.
+__attribute__((target("avx2"))) inline __m256i load_i64x4(
+    const std::int64_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
 
 /// Narrow 4 rail-clamped int64 lanes back to 4 packed int32 registers.
@@ -299,6 +349,134 @@ __attribute__((target("avx2"))) void quantize_block_avx2(
                      _mm256_cvtpd_epi32(rounded));
   }
   if (i < n) scalar64::quantize_block(values + i, n - i, out + i, spec);
+}
+
+__attribute__((target("avx2"))) void prefix_sum_avx2(
+    const std::int32_t* values, std::size_t n, std::int64_t* out) noexcept {
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i carry = zero;  // the running total, in every lane
+  out[0] = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    // In-register scan: add the lanes shifted up by one, then by two.
+    __m256i x = load_lanes(values + i);
+    x = _mm256_add_epi64(
+        x, _mm256_blend_epi32(
+               _mm256_permute4x64_epi64(x, _MM_SHUFFLE(2, 1, 0, 0)), zero,
+               0x03));
+    x = _mm256_add_epi64(x, _mm256_permute2x128_si256(x, x, 0x08));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 1),
+                        _mm256_add_epi64(x, carry));
+    carry = _mm256_add_epi64(
+        carry, _mm256_permute4x64_epi64(x, _MM_SHUFFLE(3, 3, 3, 3)));
+  }
+  std::int64_t sum = out[i];
+  for (; i < n; ++i) {
+    sum += values[i];
+    out[i + 1] = sum;
+  }
+}
+
+/// [before[3], x[0], x[1], x[2]]: x's lanes shifted up by one, the last
+/// lane of the block before shifted in.
+__attribute__((target("avx2"))) inline __m256i shift_in_lanes(__m256i x,
+                                                              __m256i before) {
+  return _mm256_blend_epi32(
+      _mm256_permute4x64_epi64(x, _MM_SHUFFLE(2, 1, 0, 3)),
+      _mm256_permute4x64_epi64(before, _MM_SHUFFLE(3, 3, 3, 3)), 0x03);
+}
+
+__attribute__((target("avx2"))) void group_sums_avx2(
+    const std::int64_t* prefix, std::size_t n, const std::uint32_t* bounds,
+    std::size_t groups, std::int64_t* sums) noexcept {
+  const auto* base_i = reinterpret_cast<const long long*>(prefix);
+  const auto* base_q = reinterpret_cast<const long long*>(prefix + n);
+  __m256i begin_i = _mm256_set1_epi64x(prefix[bounds[0]]);
+  __m256i begin_q = _mm256_set1_epi64x(prefix[n + bounds[0]]);
+  std::size_t g = 0;
+  for (; g + 4 <= groups; g += 4) {
+    // Each group begins where the one before it ends: the begins are the
+    // ends shifted up one lane, the first from the block before.
+    const __m128i index =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bounds + g + 1));
+    const __m256i end_i = _mm256_i32gather_epi64(base_i, index, 8);
+    const __m256i end_q = _mm256_i32gather_epi64(base_q, index, 8);
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(sums + g),
+        _mm256_sub_epi64(end_i, shift_in_lanes(end_i, begin_i)));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(sums + groups + g),
+        _mm256_sub_epi64(end_q, shift_in_lanes(end_q, begin_q)));
+    begin_i = end_i;
+    begin_q = end_q;
+  }
+  for (; g < groups; ++g) {
+    sums[g] = prefix[bounds[g + 1]] - prefix[bounds[g]];
+    sums[groups + g] = prefix[n + bounds[g + 1]] - prefix[n + bounds[g]];
+  }
+}
+
+/// The features [first, count) of a row, for a vector tier's remainder.
+void scale_norm_tail(const std::int64_t* sums, const feature_norm& norm,
+                     std::size_t first, std::size_t count, std::int32_t* out,
+                     std::size_t out_stride, const mac_spec& spec) noexcept {
+  if (first == count) return;
+  scalar64::scale_norm_row(
+      sums + first,
+      feature_norm{norm.scale + first, norm.offset + first,
+                   norm.right + first, norm.left + first},
+      count - first, out + first * out_stride, out_stride, spec);
+}
+
+__attribute__((target("avx2"))) void scale_norm_row_avx2(
+    const std::int64_t* sums, const feature_norm& norm, std::size_t count,
+    std::int32_t* out, std::size_t out_stride, const mac_spec& spec) noexcept {
+  // _mm256_mul_epi32 multiplies int32 halves: every clamped sum fits, and
+  // so does a scale of at most 2^F for F <= 30.
+  if (spec.frac_bits == 0 || spec.frac_bits > 30) {
+    scalar64::scale_norm_row(sums, norm, count, out, out_stride, spec);
+    return;
+  }
+  const __m256i half = _mm256_set1_epi64x(std::int64_t{1}
+                                          << (spec.frac_bits - 1));
+  const __m128i shift = _mm_cvtsi32_si128(spec.frac_bits);
+  const __m256i rail_min = _mm256_set1_epi64x(spec.raw_min);
+  const __m256i rail_max = _mm256_set1_epi64x(spec.raw_max);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i one = _mm256_set1_epi64x(1);
+  std::size_t c = 0;
+  for (; c + 4 <= count; c += 4) {
+    const __m256i sum = clamp_lanes(load_i64x4(sums + c), rail_min, rail_max);
+    const __m256i avg = round_shift_clamp_lanes(
+        _mm256_mul_epi32(sum, load_i64x4(norm.scale + c)), half, shift,
+        rail_min, rail_max);
+    const __m256i x =
+        clamp_lanes(_mm256_sub_epi64(avg, load_i64x4(norm.offset + c)),
+                    rail_min, rail_max);
+    // NORM's rounding right shift on the magnitude, per lane (no 64-bit
+    // arithmetic shift here): |x| + half, a logical shift, then the sign.
+    const __m256i right = load_i64x4(norm.right + c);
+    const __m256i right_half =
+        _mm256_srli_epi64(_mm256_sllv_epi64(one, right), 1);
+    const __m256i sign = _mm256_cmpgt_epi64(zero, x);
+    __m256i magnitude = _mm256_sub_epi64(_mm256_xor_si256(x, sign), sign);
+    magnitude = _mm256_srlv_epi64(_mm256_add_epi64(magnitude, right_half),
+                                  right);
+    const __m256i rounded = clamp_lanes(
+        _mm256_sub_epi64(_mm256_xor_si256(magnitude, sign), sign), rail_min,
+        rail_max);
+    const __m128i value = narrow_lanes(
+        clamp_lanes(_mm256_sllv_epi64(rounded, load_i64x4(norm.left + c)),
+                    rail_min, rail_max));
+    if (out_stride == 1) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + c), value);
+    } else {
+      alignas(16) std::int32_t lanes[4];
+      _mm_store_si128(reinterpret_cast<__m128i*>(lanes), value);
+      for (std::size_t j = 0; j < 4; ++j) out[(c + j) * out_stride] = lanes[j];
+    }
+  }
+  scale_norm_tail(sums, norm, c, count, out, out_stride, spec);
 }
 
 // ---------------------------------------------------------------------------
@@ -577,6 +755,121 @@ quantize_mac_row_avx512(const float* values, const std::int32_t* weights,
   return clamp_raw(_mm512_reduce_add_epi64(acc), spec.raw_min, spec.raw_max);
 }
 
+__attribute__((target("avx512f,avx512bw,avx512dq"))) void prefix_sum_avx512(
+    const std::int32_t* values, std::size_t n, std::int64_t* out) noexcept {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i last = _mm512_set1_epi64(7);
+  __m512i carry = zero;  // the running total, in every lane
+  out[0] = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // In-register scan: add the lanes shifted up by one, two, then four.
+    // The carry chain is one add per block; the broadcast of the block's
+    // total is off it.
+    __m512i x = load_lanes512(values + i);
+    x = _mm512_add_epi64(x, _mm512_alignr_epi64(x, zero, 7));
+    x = _mm512_add_epi64(x, _mm512_alignr_epi64(x, zero, 6));
+    x = _mm512_add_epi64(x, _mm512_alignr_epi64(x, zero, 4));
+    _mm512_storeu_si512(out + i + 1, _mm512_add_epi64(x, carry));
+    carry = _mm512_add_epi64(carry, _mm512_permutexvar_epi64(last, x));
+  }
+  std::int64_t sum = out[i];
+  for (; i < n; ++i) {
+    sum += values[i];
+    out[i + 1] = sum;
+  }
+}
+
+__attribute__((target("avx512f,avx512bw,avx512dq"))) void group_sums_avx512(
+    const std::int64_t* prefix, std::size_t n, const std::uint32_t* bounds,
+    std::size_t groups, std::int64_t* sums) noexcept {
+  const auto* base_i = reinterpret_cast<const long long*>(prefix);
+  const auto* base_q = reinterpret_cast<const long long*>(prefix + n);
+  __m512i begin_i = _mm512_set1_epi64(prefix[bounds[0]]);
+  __m512i begin_q = _mm512_set1_epi64(prefix[n + bounds[0]]);
+  std::size_t g = 0;
+  for (; g + 8 <= groups; g += 8) {
+    // Each group begins where the one before it ends: the begins are the
+    // ends shifted up one lane, the first from the block before.
+    const __m256i index =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bounds + g + 1));
+    const __m512i end_i = _mm512_i32gather_epi64(index, base_i, 8);
+    const __m512i end_q = _mm512_i32gather_epi64(index, base_q, 8);
+    _mm512_storeu_si512(
+        sums + g,
+        _mm512_sub_epi64(end_i, _mm512_alignr_epi64(end_i, begin_i, 7)));
+    _mm512_storeu_si512(
+        sums + groups + g,
+        _mm512_sub_epi64(end_q, _mm512_alignr_epi64(end_q, begin_q, 7)));
+    begin_i = end_i;
+    begin_q = end_q;
+  }
+  for (; g < groups; ++g) {
+    sums[g] = prefix[bounds[g + 1]] - prefix[bounds[g]];
+    sums[groups + g] = prefix[n + bounds[g + 1]] - prefix[n + bounds[g]];
+  }
+}
+
+/// scale_norm_row's arithmetic on 8 features. _mm512_mul_epi32 multiplies
+/// int32 halves: every clamped sum fits, and so does a scale of at most 2^F
+/// for F <= 30. The post-scale and the NORM right shift skip their clamps:
+/// with 0 <= scale <= 2^F and a clamped input, neither can leave the rails.
+__attribute__((target("avx512f,avx512bw,avx512dq"))) inline __m512i
+scale_norm_lanes512(__m512i sum, __m512i scale, __m512i offset, __m512i right,
+                    __m512i left, const post_scaler512& k) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i product = _mm512_mul_epi32(
+      clamp_lanes512(sum, k.rail_min, k.rail_max), scale);
+  const __m512i avg = _mm512_sra_epi64(
+      _mm512_add_epi64(_mm512_add_epi64(product, k.half),
+                       _mm512_srai_epi64(product, 63)),
+      k.shift);
+  const __m512i x =
+      clamp_lanes512(_mm512_sub_epi64(avg, offset), k.rail_min, k.rail_max);
+  // NORM's rounding right shift: add half, less one for a negative value
+  // when there is a shift, then shift arithmetically.
+  const __m512i right_half =
+      _mm512_srli_epi64(_mm512_sllv_epi64(_mm512_set1_epi64(1), right), 1);
+  const __m512i down = _mm512_maskz_srai_epi64(
+      _mm512_cmpgt_epi64_mask(right, zero), x, 63);
+  const __m512i rounded = _mm512_srav_epi64(
+      _mm512_add_epi64(_mm512_add_epi64(x, right_half), down), right);
+  return clamp_lanes512(_mm512_sllv_epi64(rounded, left), k.rail_min,
+                        k.rail_max);
+}
+
+__attribute__((target("avx512f,avx512bw,avx512dq"))) void
+scale_norm_row_avx512(const std::int64_t* sums, const feature_norm& norm,
+                      std::size_t count, std::int32_t* out,
+                      std::size_t out_stride, const mac_spec& spec) noexcept {
+  if (spec.frac_bits == 0 || spec.frac_bits > 30) {
+    scalar64::scale_norm_row(sums, norm, count, out, out_stride, spec);
+    return;
+  }
+  const post_scaler512 k = make_post_scaler512(spec);
+  for (std::size_t c = 0; c < count; c += 8) {
+    // A masked tail: inactive lanes load zeros and are not stored.
+    const std::size_t lanes = std::min<std::size_t>(8, count - c);
+    const auto active = static_cast<__mmask8>((1u << lanes) - 1);
+    const __m512i value = scale_norm_lanes512(
+        _mm512_maskz_loadu_epi64(active, sums + c),
+        _mm512_maskz_loadu_epi64(active, norm.scale + c),
+        _mm512_maskz_loadu_epi64(active, norm.offset + c),
+        _mm512_maskz_loadu_epi64(active, norm.right + c),
+        _mm512_maskz_loadu_epi64(active, norm.left + c), k);
+    if (out_stride == 1) {
+      _mm512_mask_cvtepi64_storeu_epi32(out + c, active, value);
+    } else {
+      alignas(32) std::int32_t narrow[8];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(narrow),
+                         _mm512_cvtepi64_epi32(value));
+      for (std::size_t j = 0; j < lanes; ++j) {
+        out[(c + j) * out_stride] = narrow[j];
+      }
+    }
+  }
+}
+
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -613,6 +906,23 @@ std::int64_t quantize_mac_row(const float* values,
   return mac_row_avx2(weights, out, n, 0, spec);
 }
 
+void prefix_sum(const std::int32_t* values, std::size_t n,
+                std::int64_t* out) noexcept {
+  prefix_sum_avx2(values, n, out);
+}
+
+void group_sums(const std::int64_t* prefix, std::size_t n,
+                const std::uint32_t* bounds, std::size_t groups,
+                std::int64_t* sums) noexcept {
+  group_sums_avx2(prefix, n, bounds, groups, sums);
+}
+
+void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
+                    std::size_t count, std::int32_t* out,
+                    std::size_t out_stride, const mac_spec& spec) noexcept {
+  scale_norm_row_avx2(sums, norm, count, out, out_stride, spec);
+}
+
 }  // namespace avx2
 
 namespace avx512 {
@@ -642,6 +952,23 @@ std::int64_t quantize_mac_row(const float* values,
                               std::int32_t* out,
                               const mac_spec& spec) noexcept {
   return quantize_mac_row_avx512(values, weights, n, out, spec);
+}
+
+void prefix_sum(const std::int32_t* values, std::size_t n,
+                std::int64_t* out) noexcept {
+  prefix_sum_avx512(values, n, out);
+}
+
+void group_sums(const std::int64_t* prefix, std::size_t n,
+                const std::uint32_t* bounds, std::size_t groups,
+                std::int64_t* sums) noexcept {
+  group_sums_avx512(prefix, n, bounds, groups, sums);
+}
+
+void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
+                    std::size_t count, std::int32_t* out,
+                    std::size_t out_stride, const mac_spec& spec) noexcept {
+  scale_norm_row_avx512(sums, norm, count, out, out_stride, spec);
 }
 
 }  // namespace avx512
@@ -680,6 +1007,23 @@ std::int64_t quantize_mac_row(const float* values,
   return scalar64::quantize_mac_row(values, weights, n, out, spec);
 }
 
+void prefix_sum(const std::int32_t* values, std::size_t n,
+                std::int64_t* out) noexcept {
+  scalar64::prefix_sum(values, n, out);
+}
+
+void group_sums(const std::int64_t* prefix, std::size_t n,
+                const std::uint32_t* bounds, std::size_t groups,
+                std::int64_t* sums) noexcept {
+  scalar64::group_sums(prefix, n, bounds, groups, sums);
+}
+
+void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
+                    std::size_t count, std::int32_t* out,
+                    std::size_t out_stride, const mac_spec& spec) noexcept {
+  scalar64::scale_norm_row(sums, norm, count, out, out_stride, spec);
+}
+
 }  // namespace avx2
 
 namespace avx512 {
@@ -711,6 +1055,23 @@ std::int64_t quantize_mac_row(const float* values,
   return scalar64::quantize_mac_row(values, weights, n, out, spec);
 }
 
+void prefix_sum(const std::int32_t* values, std::size_t n,
+                std::int64_t* out) noexcept {
+  scalar64::prefix_sum(values, n, out);
+}
+
+void group_sums(const std::int64_t* prefix, std::size_t n,
+                const std::uint32_t* bounds, std::size_t groups,
+                std::int64_t* sums) noexcept {
+  scalar64::group_sums(prefix, n, bounds, groups, sums);
+}
+
+void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
+                    std::size_t count, std::int32_t* out,
+                    std::size_t out_stride, const mac_spec& spec) noexcept {
+  scalar64::scale_norm_row(sums, norm, count, out, out_stride, spec);
+}
+
 }  // namespace avx512
 
 #endif  // KLINQ_HAVE_X86_SIMD
@@ -740,6 +1101,13 @@ struct kernel_table {
   std::int64_t (*quantize_mac_row)(const float*, const std::int32_t*,
                                    std::size_t, std::int32_t*,
                                    const mac_spec&) noexcept;
+  void (*prefix_sum)(const std::int32_t*, std::size_t,
+                     std::int64_t*) noexcept;
+  void (*group_sums)(const std::int64_t*, std::size_t, const std::uint32_t*,
+                     std::size_t, std::int64_t*) noexcept;
+  void (*scale_norm_row)(const std::int64_t*, const feature_norm&,
+                         std::size_t, std::int32_t*, std::size_t,
+                         const mac_spec&) noexcept;
 };
 
 const kernel_table& active_table() noexcept {
@@ -747,15 +1115,21 @@ const kernel_table& active_table() noexcept {
     switch (active_simd_tier()) {
       case simd_tier::avx512:
         return kernel_table{avx512::mac_row, avx512::mac_tile,
-                            avx512::quantize_block, avx512::quantize_mac_row};
+                            avx512::quantize_block, avx512::quantize_mac_row,
+                            avx512::prefix_sum, avx512::group_sums,
+                            avx512::scale_norm_row};
       case simd_tier::avx2:
         return kernel_table{avx2::mac_row, avx2::mac_tile,
-                            avx2::quantize_block, avx2::quantize_mac_row};
+                            avx2::quantize_block, avx2::quantize_mac_row,
+                            avx2::prefix_sum, avx2::group_sums,
+                            avx2::scale_norm_row};
       case simd_tier::scalar64:
         break;
     }
     return kernel_table{scalar64::mac_row, scalar64::mac_tile,
-                        scalar64::quantize_block, scalar64::quantize_mac_row};
+                        scalar64::quantize_block, scalar64::quantize_mac_row,
+                        scalar64::prefix_sum, scalar64::group_sums,
+                        scalar64::scale_norm_row};
   }();
   return table;
 }
@@ -787,6 +1161,23 @@ std::int64_t quantize_mac_row(const float* values,
                               std::int32_t* out,
                               const mac_spec& spec) noexcept {
   return active_table().quantize_mac_row(values, weights, n, out, spec);
+}
+
+void prefix_sum(const std::int32_t* values, std::size_t n,
+                std::int64_t* out) noexcept {
+  active_table().prefix_sum(values, n, out);
+}
+
+void group_sums(const std::int64_t* prefix, std::size_t n,
+                const std::uint32_t* bounds, std::size_t groups,
+                std::int64_t* sums) noexcept {
+  active_table().group_sums(prefix, n, bounds, groups, sums);
+}
+
+void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
+                    std::size_t count, std::int32_t* out,
+                    std::size_t out_stride, const mac_spec& spec) noexcept {
+  active_table().scale_norm_row(sums, norm, count, out, out_stride, spec);
 }
 
 }  // namespace klinq::fx::kernels

@@ -1,7 +1,7 @@
 // Fixed-point data pre-processing front-end (paper §IV, Fig. 3).
 //
 // Mirrors the PL pipeline ahead of the fully connected layers:
-//   AVG   — per-group adder tree, then multiply by a precomputed reciprocal
+//   AVG   — per-group sum, then multiply by a precomputed reciprocal
 //           (a configuration constant; the datapath never divides),
 //   NORM  — subtract the calibrated x_min, arithmetic-shift by the
 //           power-of-two σ exponent (the paper's division-free normalizer),
@@ -20,10 +20,13 @@
 // formats, extract_trace() is the hot path and, like the RTL, reads each
 // ADC sample once: one dispatched sweep (fx::kernels::quantize_mac_row)
 // quantizes the trace into an L1-resident register row and accumulates
-// the MF MAC in the same loop (without MF, quantize_block alone); the AVG
-// adder trees then re-read that row, and the AVG post-scale and NORM run
-// over contiguous feature rows, through the kernels' scalar post-scaler
-// (round_shift_clamp), before each feature is written once into the
+// the MF MAC in the same loop (without MF, quantize_block alone). A
+// dispatched scan (fx::kernels::prefix_sum) then turns the row into exact
+// int64 prefix sums, so each AVG group sum is one subtraction,
+// P[end] - P[begin], and the stage costs the same at any G. The group sums
+// and the MF register form one contiguous feature row, and the AVG
+// post-scale and NORM run over it as one vector pass
+// (fx::kernels::scale_norm_row) that writes each feature once into the
 // caller's (feature-major) plane. extract_raw() is the same back half over
 // a row quantize_trace_raw() produced, for timing the stages apart.
 #pragma once
@@ -42,23 +45,26 @@
 namespace klinq::hw {
 
 /// The AVG stage's configuration for one trace duration N and G groups:
-/// group g covers samples [bounds[g], bounds[g + 1]) of each quadrature, and
-/// its mean is the clamped sum times reciprocal[g] (the raw register of
-/// 1 / length) through the post-scaler.
+/// group g covers samples [bounds[g], bounds[g + 1]) of each quadrature.
+/// `scale` is the feature row's AVG multiplier for scale_norm_row: the raw
+/// register of 1 / length for group g of I (entry g) and of Q (entry
+/// G + g), then 2^F, which passes the MF register through unchanged.
 struct avg_plan {
   std::size_t samples_per_quadrature = 0;  ///< 0: not built
   std::size_t groups = 0;
   std::vector<std::uint32_t> bounds;
-  std::vector<std::int64_t> reciprocal;
+  std::vector<std::int64_t> scale;
 };
 
 /// Per-thread buffers of fixed_frontend::extract_trace: the 2N-register row
-/// the sweep writes and the AVG trees read back, and an AVG plan for a
-/// front end without one (only without MF, whose envelope pins N at
-/// construction). The plan is keyed by duration and G, so one scratch
-/// serves the front ends of every qubit.
+/// the sweep writes, its 2N + 1 prefix sums, the feature row of group sums
+/// and MF, and an AVG plan for a front end without one (only without MF,
+/// whose envelope pins N at construction). The plan is keyed by duration
+/// and G, so one scratch serves the front ends of every qubit.
 struct frontend_scratch {
   aligned_vector<std::int32_t> row;
+  aligned_vector<std::int64_t> prefix;
+  aligned_vector<std::int64_t> sums;
   avg_plan plan;
 };
 
@@ -103,9 +109,15 @@ class fixed_frontend {
                   norm.shift_exponents().end());
     if constexpr (kernel_fast_path) {
       if (use_mf_) build_plan(mf_envelope_.size() / 2, plan_);
+      // NORM split by the exponent's sign into a rounding right shift or a
+      // left shift that the final clamp saturates. A right shift past 62
+      // leaves 0 of any register and a left shift past 32 saturates any
+      // nonzero one, as the int128 reference does; the caps keep the int64
+      // shifts defined.
       for (std::size_t c = 0; c < shift_.size(); ++c) {
-        norm_.push_back({x_min_[c].raw(), std::clamp(shift_[c], 0, 62),
-                         std::clamp(-shift_[c], 0, 32)});
+        norm_offset_.push_back(x_min_[c].raw());
+        norm_right_.push_back(std::clamp(shift_[c], 0, 62));
+        norm_left_.push_back(std::clamp(-shift_[c], 0, 32));
       }
     }
   }
@@ -219,8 +231,8 @@ class fixed_frontend {
       fx::kernels::quantize_block(trace.data(), trace.size(),
                                   scratch.row.data(), kSpec);
     }
-    finish_features(scratch.row.data(), mf, plan_for(n, scratch.plan), out,
-                    out_stride);
+    finish_features(scratch.row.data(), mf, plan_for(n, scratch.plan),
+                    scratch, out, out_stride);
   }
 
   /// extract_trace's back half over an already quantized register row (from
@@ -240,24 +252,14 @@ class fixed_frontend {
                 : 0;
     // Without MF, this thread's plan is rebuilt only when the duration or G
     // changes.
-    thread_local avg_plan spare;
-    finish_features(trace.data(), mf, plan_for(n, spare), out, out_stride);
+    thread_local frontend_scratch spare;
+    finish_features(trace.data(), mf, plan_for(n, spare.plan), spare, out,
+                    out_stride);
   }
 
  private:
   static constexpr fx::kernels::mac_spec kSpec =
       fx::kernels::spec_or_default<Fixed>();
-
-  /// One feature's NORM, (x - offset) >> shift, split by the exponent's
-  /// sign into a rounding right shift or a left shift that the final clamp
-  /// saturates. A right shift past 62 leaves 0 of any register and a left
-  /// shift past 32 saturates any nonzero one, as the int128 reference does;
-  /// the caps keep the int64 shifts defined.
-  struct norm_shift {
-    std::int64_t offset = 0;
-    int right = 0;
-    int left = 0;
-  };
 
   void require_duration(std::size_t width, std::size_t n) const {
     KLINQ_REQUIRE(width == 2 * n, "fixed_frontend: trace width != 2N");
@@ -274,16 +276,18 @@ class fixed_frontend {
     plan.samples_per_quadrature = n;
     plan.groups = groups_;
     plan.bounds.resize(groups_ + 1);
-    plan.reciprocal.resize(groups_);
+    plan.scale.resize(2 * groups_ + 1);
     for (std::size_t g = 0; g <= groups_; ++g) {
       plan.bounds[g] = static_cast<std::uint32_t>(g * n / groups_);
     }
     for (std::size_t g = 0; g < groups_; ++g) {
-      plan.reciprocal[g] =
+      plan.scale[g] =
           Fixed::from_double(
               1.0 / static_cast<double>(plan.bounds[g + 1] - plan.bounds[g]))
               .raw();
+      plan.scale[groups_ + g] = plan.scale[g];
     }
+    plan.scale[2 * groups_] = std::int64_t{1} << Fixed::frac_bits;
   }
 
   /// The plan built at construction when it fits this duration, else
@@ -296,71 +300,29 @@ class fixed_frontend {
     return spare;
   }
 
-  /// AVG adder trees over the register row, then the AVG post-scale and
-  /// NORM over contiguous feature rows, then one write per feature into
-  /// `out`. Group g of I and of Q share bounds and reciprocal, so one loop
-  /// builds both trees. Each step is the kernel arithmetic of
-  /// fixed_kernels.hpp, so each feature is bit-identical to the fixed<I,F>
-  /// reference: an exact int64 sum saturated once (fixed_accumulator), the
-  /// reciprocal multiply through the post-scaler (fixed::operator*), and
-  /// the NORM shift (shifted_right / shifted_left), split per feature into
-  /// a rounding right shift and a saturating left shift.
+  /// The AVG sums from the row's prefix sums, then the AVG post-scale and
+  /// NORM over the contiguous feature row, one write per feature into
+  /// `out`. Each step is the kernel arithmetic of fixed_kernels.hpp, so each
+  /// feature is bit-identical to the fixed<I,F> reference: an exact int64
+  /// group sum saturated once (fixed_accumulator), the reciprocal multiply
+  /// through the post-scaler (fixed::operator*), and the NORM shift
+  /// (shifted_right / shifted_left).
   void finish_features(const std::int32_t* row, std::int64_t mf_raw,
-                       const avg_plan& plan, std::int32_t* out,
-                       std::size_t out_stride) const {
-    constexpr std::size_t kChunk = 32;
+                       const avg_plan& plan, frontend_scratch& scratch,
+                       std::int32_t* out, std::size_t out_stride) const {
     const std::size_t n = plan.samples_per_quadrature;
-    std::int64_t feature[2][kChunk];
-    for (std::size_t first = 0; first < groups_; first += kChunk) {
-      const std::size_t count = std::min(kChunk, groups_ - first);
-      const std::uint32_t* bounds = plan.bounds.data() + first;
-      const std::int64_t* reciprocal = plan.reciprocal.data() + first;
-      for (std::size_t k = 0; k < count; ++k) {
-        std::int64_t sum_i = 0;
-        std::int64_t sum_q = 0;
-        for (std::uint32_t s = bounds[k]; s < bounds[k + 1]; ++s) {
-          sum_i += row[s];
-          sum_q += row[n + s];
-        }
-        feature[0][k] = post_scale(clamp(sum_i) * reciprocal[k]);
-        feature[1][k] = post_scale(clamp(sum_q) * reciprocal[k]);
-      }
-      for (std::size_t quadrature = 0; quadrature < 2; ++quadrature) {
-        const std::size_t c = quadrature * groups_ + first;
-        normalize(feature[quadrature], count, norm_.data() + c);
-        for (std::size_t k = 0; k < count; ++k) {
-          out[(c + k) * out_stride] =
-              static_cast<std::int32_t>(feature[quadrature][k]);
-        }
-      }
-    }
-    if (use_mf_) {
-      const std::size_t c = 2 * groups_;
-      normalize(&mf_raw, 1, norm_.data() + c);
-      out[c * out_stride] = static_cast<std::int32_t>(mf_raw);
-    }
-  }
-
-  /// NORM in place: (x - offset) saturated, then the feature's shift. The
-  /// right shift rounds ties away from zero like the post-scaler.
-  static void normalize(std::int64_t* feature, std::size_t count,
-                        const norm_shift* norm) noexcept {
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::int64_t rounded = fx::kernels::round_shift_clamp(
-          clamp(feature[k] - norm[k].offset), norm[k].right, Fixed::raw_min,
-          Fixed::raw_max);
-      feature[k] = clamp(rounded << norm[k].left);
-    }
-  }
-
-  /// The DSP post-scaler (fixed::operator*) by Fixed::frac_bits.
-  static constexpr std::int64_t post_scale(std::int64_t product) noexcept {
-    return fx::kernels::round_shift_clamp(product, Fixed::frac_bits,
-                                          Fixed::raw_min, Fixed::raw_max);
-  }
-
-  static constexpr std::int64_t clamp(std::int64_t value) noexcept {
-    return fx::kernels::clamp_raw(value, Fixed::raw_min, Fixed::raw_max);
+    scratch.prefix.resize(2 * n + 1);
+    scratch.sums.resize(output_width());
+    std::int64_t* sums = scratch.sums.data();
+    fx::kernels::prefix_sum(row, 2 * n, scratch.prefix.data());
+    fx::kernels::group_sums(scratch.prefix.data(), n, plan.bounds.data(),
+                            groups_, sums);
+    if (use_mf_) sums[2 * groups_] = mf_raw;
+    fx::kernels::scale_norm_row(
+        sums,
+        {plan.scale.data(), norm_offset_.data(), norm_right_.data(),
+         norm_left_.data()},
+        output_width(), out, out_stride, kSpec);
   }
 
   std::size_t groups_ = 0;
@@ -370,10 +332,12 @@ class fixed_frontend {
   std::vector<int> shift_;
   // Fast-path configuration constants, built once like the parameter BRAM:
   // the raw envelope, the AVG plan for the duration the envelope pins (no
-  // plan without MF), and each feature's NORM.
+  // plan without MF), and each feature's NORM offset and shifts.
   aligned_vector<std::int32_t> mf_envelope_raw_;
   avg_plan plan_;
-  std::vector<norm_shift> norm_;
+  std::vector<std::int64_t> norm_offset_;
+  std::vector<std::int64_t> norm_right_;
+  std::vector<std::int64_t> norm_left_;
 };
 
 }  // namespace klinq::hw

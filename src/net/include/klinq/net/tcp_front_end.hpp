@@ -32,6 +32,12 @@
 //   4. flush: finished tickets rung in by the doorbell become responses,
 //      every write queue is flushed, and the idle/stall deadlines are
 //      enforced.
+// A connection's write queue is one contiguous byte buffer: each reply
+// frame is appended to it, and a flush sends every pending byte with one
+// send() (a turn that answers many requests on a connection makes one
+// system call, not one per frame). The sent head is dropped when the buffer
+// drains or passes half of it. A queue over max_write_queue_bytes takes no
+// more frames, and its connection is evicted at the end of that turn.
 // No other thread touches a socket.
 //
 // Locking: one mutex, `state_mutex`, guards connections and the ticket map.

@@ -25,8 +25,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -203,6 +203,10 @@ thread_local inline_completion* t_inline_completion = nullptr;
 /// is read straight into its trace buffer.
 constexpr std::size_t kReadBufferBytes = std::size_t{64} << 10;
 
+/// A drained write buffer whose capacity grew past this (a reader that
+/// stalled, then caught up) is freed rather than kept for the next reply.
+constexpr std::size_t kWriteBufferKeepBytes = std::size_t{1} << 20;
+
 /// Answered requests' trace buffers kept for reuse: at most this many, of at
 /// most this much sample storage in all; a buffer beyond either is freed when
 /// its request is answered.
@@ -281,9 +285,10 @@ struct tcp_front_end::impl {
     std::size_t read_end = 0;
     /// The request whose prefix is parsed and whose rows are still arriving.
     std::optional<request_frame> body;
-    std::deque<std::vector<std::uint8_t>> write_queue;
-    std::size_t write_queue_bytes = 0;
-    std::size_t write_offset = 0;  // sent bytes of write_queue.front()
+    /// Queued reply bytes are write_buffer[write_head, end): queue_frame
+    /// appends each frame, and flush_writes sends all of them in one send().
+    std::vector<std::uint8_t> write_buffer;
+    std::size_t write_head = 0;
     std::size_t inflight = 0;
     std::size_t inflight_bytes = 0;
     /// request_id → ticket id (a duplicate request_id overwrites; cancel
@@ -299,6 +304,10 @@ struct tcp_front_end::impl {
     bool closing = false;
     /// closing was an eviction/violation (for the evicted counter).
     bool evict = false;
+    /// The write queue passed max_write_queue_bytes: nothing more is
+    /// queued, and the turn's reap closes the connection without waiting
+    /// for the queue to drain.
+    bool overflowed = false;
     // --- wire tracing (sampled requests only) ----------------------------
     /// trace_clock_us() when the current socket-read batch started — the
     /// start of the net.read span for any traced request it completes.
@@ -314,6 +323,10 @@ struct tcp_front_end::impl {
       std::uint64_t target = 0;  // queued_bytes_total to reach
     };
     std::vector<write_span> write_spans;  // dropped on close, unemitted
+
+    std::size_t write_queue_bytes() const noexcept {
+      return write_buffer.size() - write_head;
+    }
   };
 
   /// One admitted network request: who to answer, and the decoded trace
@@ -603,7 +616,7 @@ struct tcp_front_end::impl {
       pfd_conns.clear();
       for (auto& [id, conn] : conns) {
         short events = conn->closing ? 0 : POLLIN;
-        if (!conn->write_queue.empty()) events |= POLLOUT;
+        if (conn->write_queue_bytes() > 0) events |= POLLOUT;
         if (events == 0) events = POLLERR;  // still watch for hangup
         pfds.push_back({conn->fd, events, 0});
         pfd_conns.push_back(conn.get());
@@ -629,7 +642,7 @@ struct tcp_front_end::impl {
         } else if (revents & POLLIN) {
           // The replies answered in this turn go out before the next
           // connection is read.
-          if (handle_readable(conn) && !conn.write_queue.empty() &&
+          if (handle_readable(conn) && conn.write_queue_bytes() > 0 &&
               !flush_writes(conn)) {
             conn.evict = true;
             close_connection(conn);
@@ -1146,24 +1159,28 @@ struct tcp_front_end::impl {
     conn.evict = true;
   }
 
-  void queue_frame(connection& conn, std::vector<std::uint8_t> bytes) {
-    if (conn.write_queue.empty()) {
+  void queue_frame(connection& conn, std::span<const std::uint8_t> bytes) {
+    if (conn.overflowed) return;
+    if (conn.write_queue_bytes() == 0) {
       conn.last_write_progress_at = clock.seconds();
     }
-    conn.write_queue_bytes += bytes.size();
+    conn.write_buffer.insert(conn.write_buffer.end(), bytes.begin(),
+                             bytes.end());
     conn.queued_bytes_total += bytes.size();
-    conn.write_queue.push_back(std::move(bytes));
     frames_out_cell->inc();
-    if (conn.write_queue_bytes > config.max_write_queue_bytes) {
+    if (conn.write_queue_bytes() > config.max_write_queue_bytes) {
       // The client is not draining responses; its queue must not grow the
-      // server. Evict — reconciliation happens at close.
+      // server. Evict at this turn's reap, not after a drain that may never
+      // come — reconciliation happens at close.
+      conn.overflowed = true;
       conn.closing = true;
       conn.evict = true;
     }
   }
 
-  /// Writes as much of the queue as the socket accepts. Returns false when
-  /// the connection must be evicted (write error / injected fault).
+  /// Sends every queued byte the socket accepts, all frames in one send().
+  /// Returns false when the connection must be evicted (write error /
+  /// injected fault).
   bool flush_writes(connection& conn) {
     try {
       if (fault::trigger("net.write") == fault::action::drop) {
@@ -1172,31 +1189,42 @@ struct tcp_front_end::impl {
     } catch (const std::exception&) {
       return false;
     }
-    while (!conn.write_queue.empty()) {
-      const std::vector<std::uint8_t>& front = conn.write_queue.front();
-      const std::size_t remaining = front.size() - conn.write_offset;
-      const ssize_t n = ::send(conn.fd, front.data() + conn.write_offset,
-                               remaining, MSG_NOSIGNAL);
+    while (conn.write_queue_bytes() > 0) {
+      const ssize_t n =
+          ::send(conn.fd, conn.write_buffer.data() + conn.write_head,
+                 conn.write_queue_bytes(), MSG_NOSIGNAL);
       if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          complete_write_spans(conn);  // earlier frames may be out
-          return true;
-        }
+        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         if (errno == EINTR) continue;
         return false;
       }
       bytes_out_cell->inc(static_cast<std::uint64_t>(n));
-      conn.write_queue_bytes -= static_cast<std::size_t>(n);
       conn.flushed_bytes_total += static_cast<std::uint64_t>(n);
-      conn.write_offset += static_cast<std::size_t>(n);
+      conn.write_head += static_cast<std::size_t>(n);
       conn.last_write_progress_at = clock.seconds();
-      if (conn.write_offset == front.size()) {
-        conn.write_queue.pop_front();
-        conn.write_offset = 0;
-      }
     }
-    complete_write_spans(conn);
+    compact_write_buffer(conn);
+    complete_write_spans(conn);  // earlier frames may be out
     return true;
+  }
+
+  /// Drops the sent bytes once the buffer drains, or once they are more than
+  /// half of it, so appends stay amortized O(1) and a reader that falls
+  /// behind does not pin what it already read.
+  static void compact_write_buffer(connection& conn) {
+    std::vector<std::uint8_t>& buffer = conn.write_buffer;
+    if (conn.write_head == buffer.size()) {
+      buffer.clear();
+      if (buffer.capacity() > kWriteBufferKeepBytes) {
+        std::vector<std::uint8_t>().swap(buffer);
+      }
+    } else if (conn.write_head > buffer.size() / 2) {
+      const auto sent = static_cast<std::ptrdiff_t>(conn.write_head);
+      buffer.erase(buffer.begin(), buffer.begin() + sent);
+    } else {
+      return;
+    }
+    conn.write_head = 0;
   }
 
   /// Emits net.write spans whose response bytes have fully left the socket
@@ -1217,21 +1245,23 @@ struct tcp_front_end::impl {
   }
 
   /// The tail of each iteration: flushes every write queue, then closes what
-  /// must go — write failures and expired deadlines (evicted), and closing
-  /// connections whose queue has drained.
+  /// must go — write failures, queues over their bound and expired
+  /// deadlines (evicted), and closing connections whose queue has drained.
   void flush_and_reap() {
     const double now = clock.seconds();
     std::vector<connection*> done;
     for (auto& [id, conn] : conns) {
-      if (!conn->write_queue.empty() && !flush_writes(*conn)) {
+      if (conn->overflowed) {
+        // evicted: the reader stopped reading (see queue_frame)
+      } else if (conn->write_queue_bytes() > 0 && !flush_writes(*conn)) {
         conn->evict = true;  // write error or injected fault
       } else if (conn->closing) {
-        if (!conn->write_queue.empty()) continue;  // still flushing
+        if (conn->write_queue_bytes() > 0) continue;  // still flushing
       } else if (config.read_idle_seconds > 0.0 &&
                  now - conn->last_read_at > config.read_idle_seconds) {
         conn->evict = true;  // slow loris: trickling or silent
       } else if (config.write_stall_seconds > 0.0 &&
-                 !conn->write_queue.empty() &&
+                 conn->write_queue_bytes() > 0 &&
                  now - conn->last_write_progress_at >
                      config.write_stall_seconds) {
         conn->evict = true;  // reader stopped reading
@@ -1311,7 +1341,7 @@ struct tcp_front_end::impl {
     responses_cell->inc();
     if (write_start_us != 0) {
       // The net.write span runs from response-queued to the flush that
-      // drains it off the write queue (completed in flush_writes).
+      // sends its last byte (completed in flush_writes).
       conn.write_spans.push_back({entry.trace_id, entry.trace_parent,
                                   write_start_us, conn.queued_bytes_total});
     }
@@ -1360,7 +1390,7 @@ struct tcp_front_end::impl {
       {
         const std::lock_guard lock(state_mutex);
         for (const auto& [id, conn] : conns) {
-          if (!conn->write_queue.empty()) flushed = false;
+          if (conn->write_queue_bytes() > 0) flushed = false;
         }
       }
       if (flushed || clock.seconds() >= flush_deadline) break;
@@ -1418,7 +1448,7 @@ struct tcp_front_end::impl {
       info.id = id;
       info.inflight = conn->inflight;
       info.inflight_bytes = conn->inflight_bytes;
-      info.write_queue_bytes = conn->write_queue_bytes;
+      info.write_queue_bytes = conn->write_queue_bytes();
       info.admitted_bulk = conn->lane_admitted[0];
       info.admitted_feedback = conn->lane_admitted[1];
       info.age_seconds = now - conn->accepted_at;

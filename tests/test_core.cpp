@@ -4,7 +4,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "klinq/core/cache.hpp"
@@ -106,6 +110,64 @@ TEST(Cache, TeacherCacheKeyDependsOnConfig) {
   EXPECT_NE(base, core::teacher_cache_key(spec, 0, teacher2));
   // And it is deterministic.
   EXPECT_EQ(base, core::teacher_cache_key(spec, 0, teacher));
+}
+
+// Every input that shapes a trained teacher is in its key, so a changed
+// value retrains instead of loading a stale cached teacher. The test split
+// is not a training input: its size leaves the key alone.
+TEST(Cache, TeacherCacheKeyCoversEveryTrainingInput) {
+  qsim::dataset_spec spec;
+  spec.device = qsim::lienhard5q_preset();
+  const kd::teacher_config teacher;
+  const std::string base = core::teacher_cache_key(spec, 1, teacher);
+  using spec_edit = std::function<void(qsim::dataset_spec&)>;
+  using teacher_edit = std::function<void(kd::teacher_config&)>;
+  const std::vector<std::pair<std::string, spec_edit>> spec_edits = {
+      {"seed", [](auto& s) { s.seed += 1; }},
+      {"train shots", [](auto& s) { s.shots_per_permutation_train += 1; }},
+      {"duration", [](auto& s) { s.device.trace_duration_ns *= 0.5; }},
+      {"ground.i", [](auto& s) { s.device.qubits[1].ground.i += 0.01; }},
+      {"ground.q", [](auto& s) { s.device.qubits[1].ground.q += 0.01; }},
+      {"excited.i", [](auto& s) { s.device.qubits[1].excited.i += 0.01; }},
+      {"excited.q", [](auto& s) { s.device.qubits[1].excited.q += 0.01; }},
+      {"tau_ring", [](auto& s) { s.device.qubits[1].tau_ring_ns += 1.0; }},
+      {"noise", [](auto& s) { s.device.qubits[1].noise_sigma *= 1.001; }},
+      {"t1", [](auto& s) { s.device.qubits[1].t1_ns += 1.0; }},
+      {"prep_error", [](auto& s) { s.device.qubits[1].prep_error += 1e-4; }},
+      {"gain_jitter", [](auto& s) { s.device.qubits[1].gain_jitter += 1e-4; }},
+      {"phase_jitter",
+       [](auto& s) { s.device.qubits[1].phase_jitter += 1e-4; }},
+      {"neighbour", [](auto& s) { s.device.qubits[0].noise_sigma *= 2.0; }},
+      {"crosstalk", [](auto& s) { s.device.crosstalk(1, 0) += 1e-3; }},
+  };
+  const std::vector<std::pair<std::string, teacher_edit>> teacher_edits = {
+      {"hidden", [](auto& t) { t.hidden.back() += 1; }},
+      {"depth", [](auto& t) { t.hidden.push_back(8); }},
+      {"epochs", [](auto& t) { t.epochs += 1; }},
+      {"batch", [](auto& t) { t.batch_size += 1; }},
+      {"learning_rate", [](auto& t) { t.learning_rate *= 1.001f; }},
+      {"weight_decay", [](auto& t) { t.weight_decay *= 1.001f; }},
+      {"augment_noise_sigma", [](auto& t) { t.augment_noise_sigma *= 1.001f; }},
+      {"lr_decay", [](auto& t) { t.lr_decay *= 1.001f; }},
+      {"seed", [](auto& t) { t.seed += 1; }},
+  };
+  std::set<std::string> keys = {base,
+                                core::teacher_cache_key(spec, 0, teacher)};
+  for (const auto& [name, edit] : spec_edits) {
+    auto edited = spec;
+    edit(edited);
+    const std::string key = core::teacher_cache_key(edited, 1, teacher);
+    EXPECT_TRUE(keys.insert(key).second) << "spec field " << name;
+  }
+  for (const auto& [name, edit] : teacher_edits) {
+    auto edited = teacher;
+    edit(edited);
+    const std::string key = core::teacher_cache_key(spec, 1, edited);
+    EXPECT_TRUE(keys.insert(key).second) << "teacher field " << name;
+  }
+  auto test_split = spec;
+  test_split.shots_per_permutation_test += 1;
+  EXPECT_EQ(core::teacher_cache_key(test_split, 1, teacher), base);
 }
 
 // Shared tiny end-to-end fixture: a 2-qubit device so that arch assignment

@@ -11,6 +11,7 @@
 // has the tier; the scalar comparisons run everywhere.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -451,6 +452,188 @@ TYPED_TEST(FixedKernelTest, QuantizeMacRowTiersMatchQuantizeThenMacRow) {
           << name << " quantize_block wrote past the row, n=" << n;
       quantized.pop_back();
       EXPECT_EQ(quantized, expected) << name << " quantize_block n=" << n;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The front end's AVG/NORM kernels: prefix_sum, group_sums, scale_norm_row
+// ---------------------------------------------------------------------------
+
+/// Register rows that drive the AVG sums to their extremes: every sample on
+/// one rail (prefix sums reach +-2^31 * n), alternating rails, and
+/// rail-heavy random registers.
+template <class Fixed>
+std::vector<std::vector<std::int32_t>> adversarial_rows(std::size_t n,
+                                                        std::uint64_t seed) {
+  xoshiro256 rng(seed);
+  std::vector<std::int32_t> alternating(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    alternating[i] =
+        static_cast<std::int32_t>(i % 2 == 0 ? Fixed::raw_max : Fixed::raw_min);
+  }
+  return {std::vector<std::int32_t>(n, Fixed::raw_max),
+          std::vector<std::int32_t>(n, Fixed::raw_min), alternating,
+          random_raws<Fixed>(rng, n, true)};
+}
+
+TYPED_TEST(FixedKernelTest, PrefixSumTiersMatchScalar64) {
+  using Fixed = TypeParam;
+  using scan = void (*)(const std::int32_t*, std::size_t,
+                        std::int64_t*) noexcept;
+  std::vector<std::pair<const char*, scan>> tiers = {
+      {"dispatched", kernels::prefix_sum}};
+  if (kernels::avx2_available()) {
+    tiers.emplace_back("avx2", kernels::avx2::prefix_sum);
+  }
+  if (kernels::avx512_available()) {
+    tiers.emplace_back("avx512", kernels::avx512::prefix_sum);
+  }
+  for (std::size_t n = 0; n < 1100; n += n < 40 ? 1 : 97) {
+    for (const auto& row : adversarial_rows<Fixed>(n, 40 + n)) {
+      // scalar64 against the plain running sum, with a guard entry.
+      std::vector<std::int64_t> expected(n + 2, -7);
+      kernels::scalar64::prefix_sum(row.data(), n, expected.data());
+      ASSERT_EQ(expected[n + 1], -7) << "scalar64 wrote past, n=" << n;
+      std::int64_t sum = 0;
+      ASSERT_EQ(expected[0], 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        sum += row[i];
+        ASSERT_EQ(expected[i + 1], sum) << "scalar64 n=" << n << " i=" << i;
+      }
+      for (const auto& [name, tier] : tiers) {
+        std::vector<std::int64_t> actual(n + 2, -7);
+        tier(row.data(), n, actual.data());
+        ASSERT_EQ(actual, expected) << name << " n=" << n;
+      }
+    }
+  }
+}
+
+TYPED_TEST(FixedKernelTest, GroupSumsTiersMatchDirectSums) {
+  using Fixed = TypeParam;
+  using sums_kernel = void (*)(const std::int64_t*, std::size_t,
+                               const std::uint32_t*, std::size_t,
+                               std::int64_t*) noexcept;
+  std::vector<std::pair<const char*, sums_kernel>> tiers = {
+      {"scalar64", kernels::scalar64::group_sums},
+      {"dispatched", kernels::group_sums}};
+  if (kernels::avx2_available()) {
+    tiers.emplace_back("avx2", kernels::avx2::group_sums);
+  }
+  if (kernels::avx512_available()) {
+    tiers.emplace_back("avx512", kernels::avx512::group_sums);
+  }
+  // N % G != 0 for most pairs; G = N makes every group one sample long.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{9}, std::size_t{500},
+                              std::size_t{503}}) {
+    for (const std::size_t groups : {std::size_t{1}, std::size_t{7},
+                                     std::size_t{15}, std::size_t{100}, n}) {
+      if (groups > n) continue;
+      std::vector<std::uint32_t> bounds(groups + 1);
+      for (std::size_t g = 0; g <= groups; ++g) {
+        bounds[g] = static_cast<std::uint32_t>(g * n / groups);
+      }
+      for (const auto& row : adversarial_rows<Fixed>(2 * n, n + groups)) {
+        std::vector<std::int64_t> prefix(2 * n + 1);
+        kernels::scalar64::prefix_sum(row.data(), 2 * n, prefix.data());
+        std::vector<std::int64_t> expected(2 * groups);
+        for (std::size_t q = 0; q < 2; ++q) {
+          for (std::size_t g = 0; g < groups; ++g) {
+            for (std::uint32_t s = bounds[g]; s < bounds[g + 1]; ++s) {
+              expected[q * groups + g] += row[q * n + s];
+            }
+          }
+        }
+        for (const auto& [name, tier] : tiers) {
+          std::vector<std::int64_t> actual(2 * groups + 1, -7);  // + guard
+          tier(prefix.data(), n, bounds.data(), groups, actual.data());
+          ASSERT_EQ(actual.back(), -7)
+              << name << " wrote past, n=" << n << " G=" << groups;
+          actual.pop_back();
+          ASSERT_EQ(actual, expected) << name << " n=" << n << " G=" << groups;
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(FixedKernelTest, ScaleNormRowTiersMatchInt128Reference) {
+  using Fixed = TypeParam;
+  using norm_kernel = void (*)(const std::int64_t*,
+                               const kernels::feature_norm&, std::size_t,
+                               std::int32_t*, std::size_t,
+                               const kernels::mac_spec&) noexcept;
+  const auto spec = kernels::spec_of<Fixed>();
+  std::vector<std::pair<const char*, norm_kernel>> tiers = {
+      {"scalar64", kernels::scalar64::scale_norm_row},
+      {"dispatched", kernels::scale_norm_row}};
+  if (kernels::avx2_available()) {
+    tiers.emplace_back("avx2", kernels::avx2::scale_norm_row);
+  }
+  if (kernels::avx512_available()) {
+    tiers.emplace_back("avx512", kernels::avx512::scale_norm_row);
+  }
+  xoshiro256 rng(77);
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::int64_t>(
+        std::floor(rng.uniform(static_cast<double>(lo),
+                               static_cast<double>(hi) + 1.0)));
+  };
+  for (const std::size_t count :
+       {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{31},
+        std::size_t{201}, std::size_t{1001}}) {
+    std::vector<std::int64_t> sums(count), scale(count), offset(count),
+        right(count), left(count);
+    for (std::size_t c = 0; c < count; ++c) {
+      // Group sums up to 2^40 of either sign, and values on the rails.
+      constexpr std::int64_t kWide = std::int64_t{1} << 40;
+      if (c % 4 == 0) {
+        sums[c] = pick(-kWide, kWide);
+      } else if (c % 4 == 1) {
+        sums[c] = c % 8 == 1 ? Fixed::raw_max : Fixed::raw_min;
+      } else {
+        sums[c] = pick(Fixed::raw_min, Fixed::raw_max);
+      }
+      // A group's reciprocal register, or 2^F (the MF pass-through).
+      const std::int64_t length = pick(1, 600);
+      scale[c] =
+          c % 5 == 0
+              ? std::int64_t{1} << Fixed::frac_bits
+              : Fixed::from_double(1.0 / static_cast<double>(length)).raw();
+      offset[c] = c % 6 == 0 ? (c % 12 == 0 ? Fixed::raw_max : Fixed::raw_min)
+                             : pick(Fixed::raw_min, Fixed::raw_max);
+      // One of the two shifts, over their whole range; both 0 sometimes.
+      const std::int64_t k = pick(-32, 62);
+      right[c] = std::max<std::int64_t>(k, 0);
+      left[c] = std::max<std::int64_t>(-k, 0);
+    }
+    std::vector<std::int32_t> expected(count);
+    for (std::size_t c = 0; c < count; ++c) {
+      const Fixed avg = Fixed::from_raw(sums[c]) * Fixed::from_raw(scale[c]);
+      const int k = right[c] > 0 ? static_cast<int>(right[c])
+                                 : -static_cast<int>(left[c]);
+      expected[c] = static_cast<std::int32_t>(
+          (avg - Fixed::from_raw(offset[c])).shifted_right(k).raw());
+    }
+    const kernels::feature_norm norm{scale.data(), offset.data(), right.data(),
+                                     left.data()};
+    for (const auto& [name, tier] : tiers) {
+      for (const std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
+        std::vector<std::int32_t> out(count * stride + 1, -7);  // + guard
+        tier(sums.data(), norm, count, out.data(), stride, spec);
+        ASSERT_EQ(out.back(), -7) << name << " wrote past, count=" << count;
+        for (std::size_t c = 0; c < count; ++c) {
+          ASSERT_EQ(out[c * stride], expected[c])
+              << name << " count=" << count << " stride=" << stride
+              << " feature " << c << " sum=" << sums[c] << " scale="
+              << scale[c] << " offset=" << offset[c] << " right=" << right[c]
+              << " left=" << left[c];
+          if (stride > 1) {
+            ASSERT_EQ(out[c * stride + 1], -7) << name << " wrote between";
+          }
+        }
+      }
     }
   }
 }

@@ -266,6 +266,46 @@ TEST(FixedFrontend, ExtractTraceMatchesReferenceOnNormTiesAndRails) {
   }
 }
 
+// The prefix-sum AVG on rows that push it to its extremes: every sample on
+// one rail (the prefix sums reach +-2^31 * 2N), alternating rails, and
+// noise, at G in {1, 7, 15, 100, N} over a prime N (N % G != 0, and groups
+// of one sample at G = 100 and G = N), with and without MF.
+TEST(FixedFrontend, PrefixSumAvgMatchesReferenceOnAdversarialRows) {
+  constexpr std::size_t n = 103;
+  data::trace_dataset train(64, n);
+  xoshiro256 rng(5);
+  std::vector<float> trace(2 * n);
+  for (std::size_t r = 0; r < 64; ++r) {
+    for (float& value : trace) {
+      value = static_cast<float>((r % 2 == 0 ? 0.02 : -0.02) +
+                                 rng.uniform(-0.05, 0.05));
+    }
+    train.append(trace, r % 2 == 0);
+  }
+  std::vector<std::pair<std::string, std::vector<float>>> rows;
+  rows.emplace_back("raw_max", std::vector<float>(2 * n, 1e9f));
+  rows.emplace_back("raw_min", std::vector<float>(2 * n, -1e9f));
+  std::vector<float> alternating(2 * n);
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    alternating[i] = i % 2 == 0 ? 1e9f : -1e9f;
+  }
+  rows.emplace_back("alternating", alternating);
+  rows.emplace_back("noise", std::vector<float>(train.trace(1).begin(),
+                                                train.trace(1).end()));
+  for (const bool mf : {true, false}) {
+    for (const std::size_t groups : {std::size_t{1}, std::size_t{7},
+                                     std::size_t{15}, std::size_t{100}, n}) {
+      const hw::fixed_frontend<q16_16> frontend(dsp::feature_pipeline::fit(
+          train, {.groups_per_quadrature = groups, .use_matched_filter = mf}));
+      for (const auto& [name, row] : rows) {
+        expect_fast_paths_match_reference(
+            frontend, row, n,
+            name + " G=" + std::to_string(groups) + (mf ? " MF" : " no MF"));
+      }
+    }
+  }
+}
+
 // Without MF no envelope pins the duration, so the AVG plan lives in the
 // caller's scratch (extract_trace) or the thread (extract_raw). One scratch
 // shared by front ends of different G, at two durations, must still

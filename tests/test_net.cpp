@@ -13,10 +13,12 @@
 #include <netinet/in.h>
 #include <sched.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -174,6 +176,66 @@ std::size_t resident_bytes() {
   std::size_t resident = 0;
   statm >> pages >> resident;
   return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/// A loopback connection to `port` whose receive buffer is shrunk before
+/// connect, so a reply stream backs up into the server's write buffer. Reads
+/// time out after 5 s.
+int small_window_socket(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int rcvbuf = 2048;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Shrinks the send buffer of the front end's end of `client_fd`'s
+/// connection (found among this process's fds by its peer address), so a
+/// flush of more than a few KiB stops part-way through a frame. False until
+/// the loop has accepted the connection.
+bool shrink_server_send_buffer(int client_fd) {
+  sockaddr_in local{};
+  socklen_t local_len = sizeof(local);
+  ::getsockname(client_fd, reinterpret_cast<sockaddr*>(&local), &local_len);
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    const int fd = std::stoi(entry.path().filename().string());
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof(peer);
+    if (fd == client_fd ||
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) !=
+            0 ||
+        peer_len != sizeof(peer) || peer.sin_family != AF_INET ||
+        peer.sin_port != local.sin_port) {
+      continue;
+    }
+    const int sndbuf = 4096;
+    return ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                        sizeof(sndbuf)) == 0;
+  }
+  return false;
+}
+
+/// Sends all of `bytes`; false when the peer closed or reset.
+bool send_all(int fd, const std::vector<std::uint8_t>& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 // --- frame codec (no sockets) ----------------------------------------------
@@ -994,6 +1056,130 @@ TEST(NetHostile, SlowLorisConnectionIsEvicted) {
   ASSERT_TRUE(
       wait_until([&] { return front.stats().connections_evicted >= 1; }));
   front.stats().validate();
+}
+
+// --- write path --------------------------------------------------------------
+
+TEST(NetWrite, SmallWindowReaderGetsEveryQueuedReplyByteExactInOrder) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::tcp_front_end front(server);
+  const int fd = small_window_socket(front.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(wait_until([&] { return shrink_server_send_buffer(fd); }));
+  // Feedback requests run inline and are answered in frame order, pings
+  // too: the reply stream's order is the request stream's. Its ~35 KiB far
+  // exceed both socket buffers, so the flushes stop mid-frame.
+  constexpr std::size_t kRequests = 240;
+  constexpr std::size_t kShots = 16;
+  constexpr std::uint64_t kPingBase = 1000000;
+  std::vector<std::uint8_t> requests;
+  std::vector<std::uint64_t> expected_ids;  // replies in order
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const std::vector<std::uint8_t> frame = net::encode_request(
+        i, fixed_request(), serve::lane_class::feedback,
+        test_rows((i * 7) % (f.data.test.size() - kShots), kShots));
+    requests.insert(requests.end(), frame.begin(), frame.end());
+    expected_ids.push_back(i);
+    if (i % 10 == 9) {
+      const std::vector<std::uint8_t> ping =
+          net::encode_control(net::frame_type::ping, kPingBase + i);
+      requests.insert(requests.end(), ping.begin(), ping.end());
+      expected_ids.push_back(kPingBase + i);
+    }
+  }
+  ASSERT_TRUE(send_all(fd, requests));
+  // Let the replies back up, then read them 7 bytes at a time.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::vector<std::uint8_t> received;
+  std::size_t parsed = 0;
+  std::size_t next = 0;
+  while (next < expected_ids.size()) {
+    std::uint8_t piece[7];
+    const ssize_t n = ::recv(fd, piece, sizeof(piece), 0);
+    ASSERT_GT(n, 0) << "stream ended after " << next << " replies";
+    received.insert(received.end(), piece, piece + n);
+    while (received.size() - parsed >= net::kHeaderSize) {
+      net::frame_header header;
+      ASSERT_EQ(net::decode_header(received.data() + parsed, header),
+                net::header_verdict::ok);
+      const std::size_t size = net::kHeaderSize + header.payload_size;
+      if (received.size() - parsed < size) break;
+      const std::span<const std::uint8_t> frame(received.data() + parsed,
+                                                size);
+      const std::uint64_t id = expected_ids[next];
+      ASSERT_EQ(header.request_id, id) << "reply " << next;
+      std::vector<std::uint8_t> expected;
+      if (id >= kPingBase) {
+        expected = net::encode_control(net::frame_type::pong, id);
+      } else {
+        ASSERT_EQ(header.type, net::frame_type::response);
+        const net::response_view view =
+            net::decode_response(frame.subspan(net::kHeaderSize));
+        expect_fixed_response(
+            view, test_rows((id * 7) % (f.data.test.size() - kShots), kShots));
+        // Re-encoding the decoded fields reproduces every byte.
+        serve::readout_result result;
+        result.engine = view.engine;
+        result.status = view.status;
+        result.model_version = view.model_version;
+        result.latency_seconds = view.latency_seconds;
+        result.states = view.states;
+        for (const std::int32_t raw : view.registers) {
+          result.registers.push_back(q16_16::from_raw(raw));
+        }
+        expected = net::encode_response(id, result);
+      }
+      ASSERT_TRUE(std::equal(frame.begin(), frame.end(), expected.begin(),
+                             expected.end()))
+          << "reply " << next;
+      parsed += size;
+      ++next;
+    }
+  }
+  EXPECT_EQ(parsed, received.size());
+  ::close(fd);
+  ASSERT_TRUE(wait_until([&] { return front.stats().open_connections == 0; }));
+  const net::front_end_stats stats = front.stats();
+  stats.validate();
+  EXPECT_EQ(stats.responses_sent, kRequests);
+  EXPECT_EQ(stats.pongs_sent, kRequests / 10);
+  EXPECT_EQ(stats.bytes_sent, received.size());
+}
+
+TEST(NetWrite, ReaderThatStopsReadingIsEvictedAtTheQueueBound) {
+  auto& f = fixture();
+  serve::readout_server server(f.engines());
+  net::front_end_config cfg;
+  cfg.max_write_queue_bytes = 64 << 10;
+  net::tcp_front_end front(server, cfg);
+  const int fd = small_window_socket(front.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(wait_until([&] { return shrink_server_send_buffer(fd); }));
+  // Pings whose pongs are never read: once the socket buffers are full the
+  // pongs pile up in the write buffer until it passes the bound.
+  std::vector<std::uint8_t> pings;
+  for (std::uint64_t i = 0; i < 512; ++i) {
+    const std::vector<std::uint8_t> ping =
+        net::encode_control(net::frame_type::ping, i);
+    pings.insert(pings.end(), ping.begin(), ping.end());
+  }
+  const std::size_t batches_to_bound =
+      cfg.max_write_queue_bytes / pings.size() + 1;
+  bool evicted = false;
+  for (std::size_t batch = 0; batch < 16 * batches_to_bound && !evicted;
+       ++batch) {
+    if (!send_all(fd, pings)) break;  // the server closed the connection
+    evicted = front.stats().connections_evicted > 0;
+  }
+  ASSERT_TRUE(
+      wait_until([&] { return front.stats().connections_evicted == 1; }));
+  ASSERT_TRUE(wait_until([&] { return front.stats().open_connections == 0; }));
+  ::close(fd);
+  const net::front_end_stats stats = front.stats();
+  stats.validate();
+  // Evicted by the bound, not after everything was written.
+  EXPECT_LT(stats.bytes_sent, stats.pongs_sent * net::kHeaderSize);
 }
 
 // --- disconnect reconciliation ---------------------------------------------
