@@ -15,13 +15,15 @@
 // the 201 inputs at any shot count.
 //
 // BM_PrefixSum_* time the AVG stage's scan over one 1000-register row (a
-// 2N row at N = 500) per tier, in registers/sec.
+// 2N row at N = 500) at scalar64 and AVX-512, in registers/sec (the AVX2
+// tier runs scalar64's loop).
 //
 // BM_FrontendRow_* time the whole Q16.16 front end for one N = 500 shot at
 // G = 15 (FNN-A) and G = 100 (FNN-B), in shots/sec: the fixed<I,F>
 // reference (quantize_trace + extract) and fixed_frontend::extract_trace
 // with its quantize+MF sweep pinned to each tier (the scan, group sums and
-// AVG/NORM pass run the dispatched tier).
+// AVG/NORM pass run the dispatched tier: KLINQ_SIMD=scalar or avx2 pins
+// them, to time each tier's share of a row).
 //
 // Machine-readable snapshot:
 //   bench_fixed_kernels --benchmark_out=BENCH_fixed.json
@@ -330,8 +332,6 @@ KLINQ_KERNEL_BENCHES(q16_16, "q16.16");
 // rows, beside the Q16.16 quantize rows.
 BENCHMARK(BM_PrefixSumKernel<kernels::scalar64::prefix_sum>)
     ->Name("BM_PrefixSum_scalar64")->Arg(1000);
-BENCHMARK(BM_PrefixSumKernel<kernels::avx2::prefix_sum>)
-    ->Name("BM_PrefixSum_avx2")->Arg(1000);
 BENCHMARK(BM_PrefixSumKernel<kernels::avx512::prefix_sum>)
     ->Name("BM_PrefixSum_avx512")->Arg(1000);
 KLINQ_KERNEL_BENCHES(q8_8, "q8.8");

@@ -142,17 +142,19 @@ constexpr std::int64_t clamp_raw(std::int64_t value, std::int64_t raw_min,
 //                  out[i] + values[i] for i < n (n + 1 outputs), exact in
 //                  int64 for any n < 2^32. Any run's sum is then
 //                  out[end] - out[begin], one subtraction whatever its
-//                  length. The vector tiers scan 8 (AVX-512) or 4 (AVX2)
-//                  widened lanes in registers and carry the running total.
+//                  length. The AVX-512 tier scans 8 widened lanes in
+//                  registers and carries the running total. The AVX2 tier
+//                  runs scalar64's loop: a 4-lane scan measured no faster.
 //
 //   group_sums     the AVG group sums from prefix_sum's output over a
 //                  2n-sample row [I | Q]: for g < groups,
 //                    sums[g] = prefix[bounds[g + 1]] - prefix[bounds[g]]
 //                    sums[groups + g] =
 //                        prefix[n + bounds[g + 1]] - prefix[n + bounds[g]]
-//                  with bounds ascending, bounds[groups] <= n < 2^31. The
-//                  vector tiers gather the prefix sums at the bounds and
-//                  take adjacent differences.
+//                  with bounds ascending, bounds[groups] <= n < 2^31. One
+//                  scalar body, not dispatched: gathering the bounds in
+//                  vector lanes measured no faster on a whole front-end
+//                  row (two loads and a subtraction per group).
 //
 //   scale_norm_row the front end's per-feature back half, over a contiguous
 //                  row of `count` exact int64 sums. Feature c is
@@ -199,10 +201,6 @@ std::int64_t quantize_mac_row(const float* values,
 void prefix_sum(const std::int32_t* values, std::size_t n,
                 std::int64_t* out) noexcept;
 
-void group_sums(const std::int64_t* prefix, std::size_t n,
-                const std::uint32_t* bounds, std::size_t groups,
-                std::int64_t* sums) noexcept;
-
 void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
                     std::size_t count, std::int32_t* out,
                     std::size_t out_stride, const mac_spec& spec) noexcept;
@@ -232,13 +230,6 @@ void quantize_block(const float* values, std::size_t n, std::int32_t* out,
 std::int64_t quantize_mac_row(const float* values,
                               const std::int32_t* weights, std::size_t n,
                               std::int32_t* out, const mac_spec& spec) noexcept;
-
-void prefix_sum(const std::int32_t* values, std::size_t n,
-                std::int64_t* out) noexcept;
-
-void group_sums(const std::int64_t* prefix, std::size_t n,
-                const std::uint32_t* bounds, std::size_t groups,
-                std::int64_t* sums) noexcept;
 
 void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
                     std::size_t count, std::int32_t* out,
@@ -271,10 +262,6 @@ std::int64_t quantize_mac_row(const float* values,
 
 void prefix_sum(const std::int32_t* values, std::size_t n,
                 std::int64_t* out) noexcept;
-
-void group_sums(const std::int64_t* prefix, std::size_t n,
-                const std::uint32_t* bounds, std::size_t groups,
-                std::int64_t* sums) noexcept;
 
 void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
                     std::size_t count, std::int32_t* out,
@@ -311,6 +298,7 @@ std::int64_t quantize_mac_row(const float* values,
 void prefix_sum(const std::int32_t* values, std::size_t n,
                 std::int64_t* out) noexcept;
 
+/// One body on every tier (not dispatched).
 void group_sums(const std::int64_t* prefix, std::size_t n,
                 const std::uint32_t* bounds, std::size_t groups,
                 std::int64_t* sums) noexcept;

@@ -98,22 +98,6 @@ void prefix_sum(const std::int32_t* values, std::size_t n,
   }
 }
 
-void group_sums(const std::int64_t* prefix, std::size_t n,
-                const std::uint32_t* bounds, std::size_t groups,
-                std::int64_t* sums) noexcept {
-  // Group g ends where group g + 1 begins: one new pair of loads per group.
-  std::int64_t begin_i = prefix[bounds[0]];
-  std::int64_t begin_q = prefix[n + bounds[0]];
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::int64_t end_i = prefix[bounds[g + 1]];
-    const std::int64_t end_q = prefix[n + bounds[g + 1]];
-    sums[g] = end_i - begin_i;
-    sums[groups + g] = end_q - begin_q;
-    begin_i = end_i;
-    begin_q = end_q;
-  }
-}
-
 void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
                     std::size_t count, std::int32_t* out,
                     std::size_t out_stride, const mac_spec& spec) noexcept {
@@ -144,14 +128,15 @@ namespace {
 // without -mavx2 while the runtime dispatcher guards execution via cpuid.
 
 /// 4-lane round_shift_clamp: magnitude, biased shift, sign restore, rails.
+/// `shift` and `half` (2^(shift - 1), or 0 for no shift) are per lane.
 __attribute__((target("avx2"))) inline __m256i round_shift_clamp_lanes(
-    __m256i product, __m256i half, __m128i shift, __m256i rail_min,
+    __m256i product, __m256i half, __m256i shift, __m256i rail_min,
     __m256i rail_max) {
   const __m256i zero = _mm256_setzero_si256();
   const __m256i sign = _mm256_cmpgt_epi64(zero, product);  // -1 where negative
   __m256i magnitude =
       _mm256_sub_epi64(_mm256_xor_si256(product, sign), sign);
-  magnitude = _mm256_srl_epi64(_mm256_add_epi64(magnitude, half), shift);
+  magnitude = _mm256_srlv_epi64(_mm256_add_epi64(magnitude, half), shift);
   __m256i value = _mm256_sub_epi64(_mm256_xor_si256(magnitude, sign), sign);
   value = _mm256_blendv_epi8(value, rail_max,
                              _mm256_cmpgt_epi64(value, rail_max));
@@ -195,7 +180,7 @@ __attribute__((target("avx2"))) std::int64_t mac_row_avx2(
     std::int64_t bias_raw, const mac_spec& spec) noexcept {
   const __m256i half = _mm256_set1_epi64x(
       spec.frac_bits > 0 ? std::int64_t{1} << (spec.frac_bits - 1) : 0);
-  const __m128i shift = _mm_cvtsi32_si128(spec.frac_bits);
+  const __m256i shift = _mm256_set1_epi64x(spec.frac_bits);
   const __m256i rail_min = _mm256_set1_epi64x(spec.raw_min);
   const __m256i rail_max = _mm256_set1_epi64x(spec.raw_max);
   // Two accumulators break the add-latency chain on long rows (the 2N-wide
@@ -241,7 +226,7 @@ __attribute__((target("avx2"))) void mac_tile_avx2(
     const mac_spec& spec) noexcept {
   const __m256i half = _mm256_set1_epi64x(
       spec.frac_bits > 0 ? std::int64_t{1} << (spec.frac_bits - 1) : 0);
-  const __m128i shift = _mm_cvtsi32_si128(spec.frac_bits);
+  const __m256i shift = _mm256_set1_epi64x(spec.frac_bits);
   const __m256i rail_min = _mm256_set1_epi64x(spec.raw_min);
   const __m256i rail_max = _mm256_set1_epi64x(spec.raw_max);
   const __m256i zero = _mm256_setzero_si256();
@@ -351,71 +336,6 @@ __attribute__((target("avx2"))) void quantize_block_avx2(
   if (i < n) scalar64::quantize_block(values + i, n - i, out + i, spec);
 }
 
-__attribute__((target("avx2"))) void prefix_sum_avx2(
-    const std::int32_t* values, std::size_t n, std::int64_t* out) noexcept {
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i carry = zero;  // the running total, in every lane
-  out[0] = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // In-register scan: add the lanes shifted up by one, then by two.
-    __m256i x = load_lanes(values + i);
-    x = _mm256_add_epi64(
-        x, _mm256_blend_epi32(
-               _mm256_permute4x64_epi64(x, _MM_SHUFFLE(2, 1, 0, 0)), zero,
-               0x03));
-    x = _mm256_add_epi64(x, _mm256_permute2x128_si256(x, x, 0x08));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 1),
-                        _mm256_add_epi64(x, carry));
-    carry = _mm256_add_epi64(
-        carry, _mm256_permute4x64_epi64(x, _MM_SHUFFLE(3, 3, 3, 3)));
-  }
-  std::int64_t sum = out[i];
-  for (; i < n; ++i) {
-    sum += values[i];
-    out[i + 1] = sum;
-  }
-}
-
-/// [before[3], x[0], x[1], x[2]]: x's lanes shifted up by one, the last
-/// lane of the block before shifted in.
-__attribute__((target("avx2"))) inline __m256i shift_in_lanes(__m256i x,
-                                                              __m256i before) {
-  return _mm256_blend_epi32(
-      _mm256_permute4x64_epi64(x, _MM_SHUFFLE(2, 1, 0, 3)),
-      _mm256_permute4x64_epi64(before, _MM_SHUFFLE(3, 3, 3, 3)), 0x03);
-}
-
-__attribute__((target("avx2"))) void group_sums_avx2(
-    const std::int64_t* prefix, std::size_t n, const std::uint32_t* bounds,
-    std::size_t groups, std::int64_t* sums) noexcept {
-  const auto* base_i = reinterpret_cast<const long long*>(prefix);
-  const auto* base_q = reinterpret_cast<const long long*>(prefix + n);
-  __m256i begin_i = _mm256_set1_epi64x(prefix[bounds[0]]);
-  __m256i begin_q = _mm256_set1_epi64x(prefix[n + bounds[0]]);
-  std::size_t g = 0;
-  for (; g + 4 <= groups; g += 4) {
-    // Each group begins where the one before it ends: the begins are the
-    // ends shifted up one lane, the first from the block before.
-    const __m128i index =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bounds + g + 1));
-    const __m256i end_i = _mm256_i32gather_epi64(base_i, index, 8);
-    const __m256i end_q = _mm256_i32gather_epi64(base_q, index, 8);
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(sums + g),
-        _mm256_sub_epi64(end_i, shift_in_lanes(end_i, begin_i)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(sums + groups + g),
-        _mm256_sub_epi64(end_q, shift_in_lanes(end_q, begin_q)));
-    begin_i = end_i;
-    begin_q = end_q;
-  }
-  for (; g < groups; ++g) {
-    sums[g] = prefix[bounds[g + 1]] - prefix[bounds[g]];
-    sums[groups + g] = prefix[n + bounds[g + 1]] - prefix[n + bounds[g]];
-  }
-}
-
 /// The features [first, count) of a row, for a vector tier's remainder.
 void scale_norm_tail(const std::int64_t* sums, const feature_norm& norm,
                      std::size_t first, std::size_t count, std::int32_t* out,
@@ -439,10 +359,9 @@ __attribute__((target("avx2"))) void scale_norm_row_avx2(
   }
   const __m256i half = _mm256_set1_epi64x(std::int64_t{1}
                                           << (spec.frac_bits - 1));
-  const __m128i shift = _mm_cvtsi32_si128(spec.frac_bits);
+  const __m256i shift = _mm256_set1_epi64x(spec.frac_bits);
   const __m256i rail_min = _mm256_set1_epi64x(spec.raw_min);
   const __m256i rail_max = _mm256_set1_epi64x(spec.raw_max);
-  const __m256i zero = _mm256_setzero_si256();
   const __m256i one = _mm256_set1_epi64x(1);
   std::size_t c = 0;
   for (; c + 4 <= count; c += 4) {
@@ -453,18 +372,11 @@ __attribute__((target("avx2"))) void scale_norm_row_avx2(
     const __m256i x =
         clamp_lanes(_mm256_sub_epi64(avg, load_i64x4(norm.offset + c)),
                     rail_min, rail_max);
-    // NORM's rounding right shift on the magnitude, per lane (no 64-bit
-    // arithmetic shift here): |x| + half, a logical shift, then the sign.
+    // NORM's rounding right shift, by a per-feature amount.
     const __m256i right = load_i64x4(norm.right + c);
-    const __m256i right_half =
-        _mm256_srli_epi64(_mm256_sllv_epi64(one, right), 1);
-    const __m256i sign = _mm256_cmpgt_epi64(zero, x);
-    __m256i magnitude = _mm256_sub_epi64(_mm256_xor_si256(x, sign), sign);
-    magnitude = _mm256_srlv_epi64(_mm256_add_epi64(magnitude, right_half),
-                                  right);
-    const __m256i rounded = clamp_lanes(
-        _mm256_sub_epi64(_mm256_xor_si256(magnitude, sign), sign), rail_min,
-        rail_max);
+    const __m256i rounded = round_shift_clamp_lanes(
+        x, _mm256_srli_epi64(_mm256_sllv_epi64(one, right), 1), right,
+        rail_min, rail_max);
     const __m128i value = narrow_lanes(
         clamp_lanes(_mm256_sllv_epi64(rounded, load_i64x4(norm.left + c)),
                     rail_min, rail_max));
@@ -780,36 +692,6 @@ __attribute__((target("avx512f,avx512bw,avx512dq"))) void prefix_sum_avx512(
   }
 }
 
-__attribute__((target("avx512f,avx512bw,avx512dq"))) void group_sums_avx512(
-    const std::int64_t* prefix, std::size_t n, const std::uint32_t* bounds,
-    std::size_t groups, std::int64_t* sums) noexcept {
-  const auto* base_i = reinterpret_cast<const long long*>(prefix);
-  const auto* base_q = reinterpret_cast<const long long*>(prefix + n);
-  __m512i begin_i = _mm512_set1_epi64(prefix[bounds[0]]);
-  __m512i begin_q = _mm512_set1_epi64(prefix[n + bounds[0]]);
-  std::size_t g = 0;
-  for (; g + 8 <= groups; g += 8) {
-    // Each group begins where the one before it ends: the begins are the
-    // ends shifted up one lane, the first from the block before.
-    const __m256i index =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bounds + g + 1));
-    const __m512i end_i = _mm512_i32gather_epi64(index, base_i, 8);
-    const __m512i end_q = _mm512_i32gather_epi64(index, base_q, 8);
-    _mm512_storeu_si512(
-        sums + g,
-        _mm512_sub_epi64(end_i, _mm512_alignr_epi64(end_i, begin_i, 7)));
-    _mm512_storeu_si512(
-        sums + groups + g,
-        _mm512_sub_epi64(end_q, _mm512_alignr_epi64(end_q, begin_q, 7)));
-    begin_i = end_i;
-    begin_q = end_q;
-  }
-  for (; g < groups; ++g) {
-    sums[g] = prefix[bounds[g + 1]] - prefix[bounds[g]];
-    sums[groups + g] = prefix[n + bounds[g + 1]] - prefix[n + bounds[g]];
-  }
-}
-
 /// scale_norm_row's arithmetic on 8 features. _mm512_mul_epi32 multiplies
 /// int32 halves: every clamped sum fits, and so does a scale of at most 2^F
 /// for F <= 30. The post-scale and the NORM right shift skip their clamps:
@@ -906,17 +788,6 @@ std::int64_t quantize_mac_row(const float* values,
   return mac_row_avx2(weights, out, n, 0, spec);
 }
 
-void prefix_sum(const std::int32_t* values, std::size_t n,
-                std::int64_t* out) noexcept {
-  prefix_sum_avx2(values, n, out);
-}
-
-void group_sums(const std::int64_t* prefix, std::size_t n,
-                const std::uint32_t* bounds, std::size_t groups,
-                std::int64_t* sums) noexcept {
-  group_sums_avx2(prefix, n, bounds, groups, sums);
-}
-
 void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
                     std::size_t count, std::int32_t* out,
                     std::size_t out_stride, const mac_spec& spec) noexcept {
@@ -957,12 +828,6 @@ std::int64_t quantize_mac_row(const float* values,
 void prefix_sum(const std::int32_t* values, std::size_t n,
                 std::int64_t* out) noexcept {
   prefix_sum_avx512(values, n, out);
-}
-
-void group_sums(const std::int64_t* prefix, std::size_t n,
-                const std::uint32_t* bounds, std::size_t groups,
-                std::int64_t* sums) noexcept {
-  group_sums_avx512(prefix, n, bounds, groups, sums);
 }
 
 void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
@@ -1007,17 +872,6 @@ std::int64_t quantize_mac_row(const float* values,
   return scalar64::quantize_mac_row(values, weights, n, out, spec);
 }
 
-void prefix_sum(const std::int32_t* values, std::size_t n,
-                std::int64_t* out) noexcept {
-  scalar64::prefix_sum(values, n, out);
-}
-
-void group_sums(const std::int64_t* prefix, std::size_t n,
-                const std::uint32_t* bounds, std::size_t groups,
-                std::int64_t* sums) noexcept {
-  scalar64::group_sums(prefix, n, bounds, groups, sums);
-}
-
 void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
                     std::size_t count, std::int32_t* out,
                     std::size_t out_stride, const mac_spec& spec) noexcept {
@@ -1060,12 +914,6 @@ void prefix_sum(const std::int32_t* values, std::size_t n,
   scalar64::prefix_sum(values, n, out);
 }
 
-void group_sums(const std::int64_t* prefix, std::size_t n,
-                const std::uint32_t* bounds, std::size_t groups,
-                std::int64_t* sums) noexcept {
-  scalar64::group_sums(prefix, n, bounds, groups, sums);
-}
-
 void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,
                     std::size_t count, std::int32_t* out,
                     std::size_t out_stride, const mac_spec& spec) noexcept {
@@ -1103,8 +951,6 @@ struct kernel_table {
                                    const mac_spec&) noexcept;
   void (*prefix_sum)(const std::int32_t*, std::size_t,
                      std::int64_t*) noexcept;
-  void (*group_sums)(const std::int64_t*, std::size_t, const std::uint32_t*,
-                     std::size_t, std::int64_t*) noexcept;
   void (*scale_norm_row)(const std::int64_t*, const feature_norm&,
                          std::size_t, std::int32_t*, std::size_t,
                          const mac_spec&) noexcept;
@@ -1116,20 +962,17 @@ const kernel_table& active_table() noexcept {
       case simd_tier::avx512:
         return kernel_table{avx512::mac_row, avx512::mac_tile,
                             avx512::quantize_block, avx512::quantize_mac_row,
-                            avx512::prefix_sum, avx512::group_sums,
-                            avx512::scale_norm_row};
+                            avx512::prefix_sum, avx512::scale_norm_row};
       case simd_tier::avx2:
         return kernel_table{avx2::mac_row, avx2::mac_tile,
                             avx2::quantize_block, avx2::quantize_mac_row,
-                            avx2::prefix_sum, avx2::group_sums,
-                            avx2::scale_norm_row};
+                            scalar64::prefix_sum, avx2::scale_norm_row};
       case simd_tier::scalar64:
         break;
     }
     return kernel_table{scalar64::mac_row, scalar64::mac_tile,
                         scalar64::quantize_block, scalar64::quantize_mac_row,
-                        scalar64::prefix_sum, scalar64::group_sums,
-                        scalar64::scale_norm_row};
+                        scalar64::prefix_sum, scalar64::scale_norm_row};
   }();
   return table;
 }
@@ -1171,7 +1014,17 @@ void prefix_sum(const std::int32_t* values, std::size_t n,
 void group_sums(const std::int64_t* prefix, std::size_t n,
                 const std::uint32_t* bounds, std::size_t groups,
                 std::int64_t* sums) noexcept {
-  active_table().group_sums(prefix, n, bounds, groups, sums);
+  // Group g ends where group g + 1 begins: one new pair of loads per group.
+  std::int64_t begin_i = prefix[bounds[0]];
+  std::int64_t begin_q = prefix[n + bounds[0]];
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::int64_t end_i = prefix[bounds[g + 1]];
+    const std::int64_t end_q = prefix[n + bounds[g + 1]];
+    sums[g] = end_i - begin_i;
+    sums[groups + g] = end_q - begin_q;
+    begin_i = end_i;
+    begin_q = end_q;
+  }
 }
 
 void scale_norm_row(const std::int64_t* sums, const feature_norm& norm,

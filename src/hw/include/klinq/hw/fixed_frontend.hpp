@@ -23,7 +23,7 @@
 // the MF MAC in the same loop (without MF, quantize_block alone). A
 // dispatched scan (fx::kernels::prefix_sum) then turns the row into exact
 // int64 prefix sums, so each AVG group sum is one subtraction,
-// P[end] - P[begin], and the stage costs the same at any G. The group sums
+// P[end] - P[begin], whatever the group's length. The group sums
 // and the MF register form one contiguous feature row, and the AVG
 // post-scale and NORM run over it as one vector pass
 // (fx::kernels::scale_norm_row) that writes each feature once into the

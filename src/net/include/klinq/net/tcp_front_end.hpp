@@ -36,8 +36,10 @@
 // frame is appended to it, and a flush sends every pending byte with one
 // send() (a turn that answers many requests on a connection makes one
 // system call, not one per frame). The sent head is dropped when the buffer
-// drains or passes half of it. A queue over max_write_queue_bytes takes no
-// more frames, and its connection is evicted at the end of that turn.
+// drains or passes half of it. A frame that would take the queue over
+// max_write_queue_bytes is refused, with every later one, and the connection
+// is evicted at the end of that turn; a refused response counts as a
+// dropped result, not a sent one.
 // No other thread touches a socket.
 //
 // Locking: one mutex, `state_mutex`, guards connections and the ticket map.
@@ -170,7 +172,8 @@ struct front_end_stats {
   std::uint64_t responses_sent = 0;
   std::uint64_t busy_rejections = 0;
   std::uint64_t malformed_frames = 0;
-  std::uint64_t results_dropped = 0;  // completions for departed clients
+  // completions for departed clients, or refused at the write-queue bound
+  std::uint64_t results_dropped = 0;
   std::uint64_t cancels_received = 0;
   std::uint64_t pings_received = 0;
   std::uint64_t pongs_sent = 0;

@@ -103,9 +103,10 @@ void front_end_stats::validate() const {
                 "front_end_stats: cancel frames exceed frames received");
   KLINQ_REQUIRE(pings_received <= frames_received,
                 "front_end_stats: ping frames exceed frames received");
-  // Every received ping queues exactly one pong (even on a connection that
-  // is already flushing toward close).
-  KLINQ_REQUIRE(pongs_sent == pings_received,
+  // Every received ping queues one pong (even on a connection that is
+  // already flushing toward close), unless the connection's write queue is
+  // at its bound: that pong is refused and the connection evicted.
+  KLINQ_REQUIRE(pongs_sent <= pings_received,
                 "front_end_stats: pongs sent disagree with pings received");
 }
 
@@ -988,8 +989,10 @@ struct tcp_front_end::impl {
       }
       case frame_type::ping:
         pings_cell->inc();
-        queue_frame(conn, encode_control(frame_type::pong, header.request_id));
-        pongs_cell->inc();
+        if (queue_frame(conn,
+                        encode_control(frame_type::pong, header.request_id))) {
+          pongs_cell->inc();
+        }
         return;
       case frame_type::goodbye:
         conn.closing = true;  // orderly: flush what is queued, then close
@@ -1159,8 +1162,20 @@ struct tcp_front_end::impl {
     conn.evict = true;
   }
 
-  void queue_frame(connection& conn, std::span<const std::uint8_t> bytes) {
-    if (conn.overflowed) return;
+  /// Appends a frame to the connection's write buffer. False when the frame
+  /// is refused: the connection is past its write-queue bound.
+  bool queue_frame(connection& conn, std::span<const std::uint8_t> bytes) {
+    if (conn.overflowed) return false;
+    if (conn.write_queue_bytes() + bytes.size() >
+        config.max_write_queue_bytes) {
+      // The client is not draining responses; its queue must not grow the
+      // server. Refuse this frame and every later one, and evict at this
+      // turn's reap, not after a drain that may never come.
+      conn.overflowed = true;
+      conn.closing = true;
+      conn.evict = true;
+      return false;
+    }
     if (conn.write_queue_bytes() == 0) {
       conn.last_write_progress_at = clock.seconds();
     }
@@ -1168,14 +1183,7 @@ struct tcp_front_end::impl {
                              bytes.end());
     conn.queued_bytes_total += bytes.size();
     frames_out_cell->inc();
-    if (conn.write_queue_bytes() > config.max_write_queue_bytes) {
-      // The client is not draining responses; its queue must not grow the
-      // server. Evict at this turn's reap, not after a drain that may never
-      // come — reconciliation happens at close.
-      conn.overflowed = true;
-      conn.closing = true;
-      conn.evict = true;
-    }
+    return true;
   }
 
   /// Sends every queued byte the socket accepts, all frames in one send().
@@ -1337,7 +1345,10 @@ struct tcp_front_end::impl {
     const std::uint64_t write_start_us =
         entry.trace_id != 0 && trace_sink() != nullptr ? obs::trace_clock_us()
                                                        : 0;
-    queue_frame(conn, encode_response(entry.request_id, result));
+    if (!queue_frame(conn, encode_response(entry.request_id, result))) {
+      dropped_cell->inc();  // refused at the write-queue bound: never sent
+      return;
+    }
     responses_cell->inc();
     if (write_start_us != 0) {
       // The net.write span runs from response-queued to the flush that

@@ -483,9 +483,6 @@ TYPED_TEST(FixedKernelTest, PrefixSumTiersMatchScalar64) {
                         std::int64_t*) noexcept;
   std::vector<std::pair<const char*, scan>> tiers = {
       {"dispatched", kernels::prefix_sum}};
-  if (kernels::avx2_available()) {
-    tiers.emplace_back("avx2", kernels::avx2::prefix_sum);
-  }
   if (kernels::avx512_available()) {
     tiers.emplace_back("avx512", kernels::avx512::prefix_sum);
   }
@@ -510,20 +507,8 @@ TYPED_TEST(FixedKernelTest, PrefixSumTiersMatchScalar64) {
   }
 }
 
-TYPED_TEST(FixedKernelTest, GroupSumsTiersMatchDirectSums) {
+TYPED_TEST(FixedKernelTest, GroupSumsMatchDirectSums) {
   using Fixed = TypeParam;
-  using sums_kernel = void (*)(const std::int64_t*, std::size_t,
-                               const std::uint32_t*, std::size_t,
-                               std::int64_t*) noexcept;
-  std::vector<std::pair<const char*, sums_kernel>> tiers = {
-      {"scalar64", kernels::scalar64::group_sums},
-      {"dispatched", kernels::group_sums}};
-  if (kernels::avx2_available()) {
-    tiers.emplace_back("avx2", kernels::avx2::group_sums);
-  }
-  if (kernels::avx512_available()) {
-    tiers.emplace_back("avx512", kernels::avx512::group_sums);
-  }
   // N % G != 0 for most pairs; G = N makes every group one sample long.
   for (const std::size_t n : {std::size_t{1}, std::size_t{9}, std::size_t{500},
                               std::size_t{503}}) {
@@ -545,14 +530,13 @@ TYPED_TEST(FixedKernelTest, GroupSumsTiersMatchDirectSums) {
             }
           }
         }
-        for (const auto& [name, tier] : tiers) {
-          std::vector<std::int64_t> actual(2 * groups + 1, -7);  // + guard
-          tier(prefix.data(), n, bounds.data(), groups, actual.data());
-          ASSERT_EQ(actual.back(), -7)
-              << name << " wrote past, n=" << n << " G=" << groups;
-          actual.pop_back();
-          ASSERT_EQ(actual, expected) << name << " n=" << n << " G=" << groups;
-        }
+        std::vector<std::int64_t> actual(2 * groups + 1, -7);  // + guard
+        kernels::group_sums(prefix.data(), n, bounds.data(), groups,
+                            actual.data());
+        ASSERT_EQ(actual.back(), -7) << "wrote past, n=" << n
+                                     << " G=" << groups;
+        actual.pop_back();
+        ASSERT_EQ(actual, expected) << "n=" << n << " G=" << groups;
       }
     }
   }

@@ -510,6 +510,10 @@ TEST(NetConfig, StatsValidateCatchesInconsistentCounters) {
     s.responses_sent = 1;  // one ticket unaccounted for
   });
   rejects([](auto& s) { s.cancels_received = 1; });  // with no frames at all
+  rejects([](auto& s) {
+    s.frames_received = 1;
+    s.pongs_sent = 1;  // a pong with no ping
+  });
 }
 
 TEST(NetConfig, FromEnvAppliesAndRejectsOverrides) {
@@ -1151,26 +1155,28 @@ TEST(NetWrite, ReaderThatStopsReadingIsEvictedAtTheQueueBound) {
   auto& f = fixture();
   serve::readout_server server(f.engines());
   net::front_end_config cfg;
-  cfg.max_write_queue_bytes = 64 << 10;
+  cfg.max_write_queue_bytes = 16 << 10;
   net::tcp_front_end front(server, cfg);
   const int fd = small_window_socket(front.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(wait_until([&] { return shrink_server_send_buffer(fd); }));
-  // Pings whose pongs are never read: once the socket buffers are full the
-  // pongs pile up in the write buffer until it passes the bound.
-  std::vector<std::uint8_t> pings;
-  for (std::uint64_t i = 0; i < 512; ++i) {
+  // Feedback requests (answered inline, in the turn that reads them) and
+  // pings whose replies are never read: once the socket buffers are full
+  // the replies pile up in the write buffer until one would pass the bound.
+  constexpr std::size_t kShots = 16;
+  std::vector<std::uint8_t> batch;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    const std::vector<std::uint8_t> frame = net::encode_request(
+        i, fixed_request(), serve::lane_class::feedback,
+        test_rows(i * kShots, kShots));
+    batch.insert(batch.end(), frame.begin(), frame.end());
     const std::vector<std::uint8_t> ping =
-        net::encode_control(net::frame_type::ping, i);
-    pings.insert(pings.end(), ping.begin(), ping.end());
+        net::encode_control(net::frame_type::ping, 1000 + i);
+    batch.insert(batch.end(), ping.begin(), ping.end());
   }
-  const std::size_t batches_to_bound =
-      cfg.max_write_queue_bytes / pings.size() + 1;
-  bool evicted = false;
-  for (std::size_t batch = 0; batch < 16 * batches_to_bound && !evicted;
-       ++batch) {
-    if (!send_all(fd, pings)) break;  // the server closed the connection
-    evicted = front.stats().connections_evicted > 0;
+  for (std::size_t sent = 0;
+       sent < 200 && front.stats().connections_evicted == 0; ++sent) {
+    if (!send_all(fd, batch)) break;  // the server closed the connection
   }
   ASSERT_TRUE(
       wait_until([&] { return front.stats().connections_evicted == 1; }));
@@ -1178,8 +1184,19 @@ TEST(NetWrite, ReaderThatStopsReadingIsEvictedAtTheQueueBound) {
   ::close(fd);
   const net::front_end_stats stats = front.stats();
   stats.validate();
+  EXPECT_EQ(stats.inflight, 0u);
+  EXPECT_EQ(stats.busy_rejections, 0u);
+  // Every reply counted as sent was queued as a frame, and exactly one was
+  // refused: the one that would have passed the bound (parsing stops with
+  // it). A refused response is a dropped result, a refused pong no pong.
+  EXPECT_EQ(stats.frames_sent, stats.responses_sent + stats.pongs_sent);
+  EXPECT_EQ(stats.results_dropped + (stats.pings_received - stats.pongs_sent),
+            1u);
+  EXPECT_EQ(stats.requests_admitted,
+            stats.responses_sent + stats.results_dropped);
   // Evicted by the bound, not after everything was written.
-  EXPECT_LT(stats.bytes_sent, stats.pongs_sent * net::kHeaderSize);
+  EXPECT_LT(stats.bytes_sent, stats.frames_sent * net::kHeaderSize +
+                                  stats.responses_sent * kShots * 4);
 }
 
 // --- disconnect reconciliation ---------------------------------------------
