@@ -286,7 +286,7 @@ int main(int argc, char** argv) {
     // the static engine lookup. Should land within noise of sharded-server.
     // The churn variant additionally toggles the active version between two
     // identical snapshots from a publisher thread — the registry's write
-    // path contending with acquisition at a realistic recalibration rate.
+    // path contending with acquisition at a realistic retraining rate.
     // Its activation and switch counts are summed over the repetitions.
     std::uint64_t churn_activations = 0;
     std::uint64_t churn_switches_observed = 0;

@@ -45,10 +45,4 @@ void log_warn(Args&&... args) {
     log_message(log_level::warn, detail::concat_log(std::forward<Args>(args)...));
 }
 
-template <class... Args>
-void log_error(Args&&... args) {
-  if (get_log_level() <= log_level::error)
-    log_message(log_level::error, detail::concat_log(std::forward<Args>(args)...));
-}
-
 }  // namespace klinq

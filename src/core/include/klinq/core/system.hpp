@@ -58,8 +58,8 @@ class klinq_system {
   /// Builds a versioned model registry seeded with a copy of every qubit's
   /// current student as version 1 ("initial"). The registry owns its
   /// snapshots, so it may outlive this system; build a hot-swappable server
-  /// with serve::readout_server(*registry) and publish recalibrated
-  /// versions while it runs.
+  /// with serve::readout_server(*registry) and publish retrained versions
+  /// while it runs.
   std::unique_ptr<registry::model_registry> make_registry(
       registry::registry_config config = {}) const;
 

@@ -1,24 +1,13 @@
-// Binary dataset persistence (artifact cache + external tooling).
-//
-// Format (little-endian):
-//   magic "KLNQDAT1" | u64 n_traces | u64 samples_per_quadrature |
-//   f32 features[n × 2N] | f32 labels[n] | u8 permutations[n]
+// File helpers for the model registry's on-disk store: versioned snapshot
+// filenames, and durable writes (fsync, then an atomic rename).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
-#include "klinq/data/trace_dataset.hpp"
-
 namespace klinq::data {
-
-void save_dataset(const trace_dataset& ds, std::ostream& out);
-void save_dataset_file(const trace_dataset& ds, const std::string& path);
-
-trace_dataset load_dataset(std::istream& in);
-trace_dataset load_dataset_file(const std::string& path);
 
 /// Canonical on-disk name of one versioned per-qubit model snapshot:
 /// "qubit<q>_v<version>.snap". Versions are written unpadded (they are

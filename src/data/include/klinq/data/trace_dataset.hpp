@@ -97,9 +97,6 @@ class trace_dataset {
   /// Indices of traces with the given prepared label.
   std::vector<std::size_t> rows_with_label(bool state) const;
 
-  /// Sanity invariant used by tests and after deserialization.
-  void validate() const;
-
  private:
   std::size_t samples_ = 0;
   la::matrix_f features_;

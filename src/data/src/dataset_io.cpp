@@ -1,12 +1,9 @@
 #include "klinq/data/dataset_io.hpp"
 
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -16,84 +13,6 @@
 #include "klinq/common/error.hpp"
 
 namespace klinq::data {
-
-namespace {
-
-constexpr std::array<char, 8> kMagic = {'K', 'L', 'N', 'Q',
-                                        'D', 'A', 'T', '1'};
-
-void write_u64(std::ostream& out, std::uint64_t value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  std::uint64_t value = 0;
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  if (!in) throw io_error("dataset deserialize: truncated stream");
-  return value;
-}
-
-}  // namespace
-
-void save_dataset(const trace_dataset& ds, std::ostream& out) {
-  out.write(kMagic.data(), kMagic.size());
-  write_u64(out, ds.size());
-  write_u64(out, ds.samples_per_quadrature());
-  const auto flat = ds.features().flat();
-  out.write(reinterpret_cast<const char*>(flat.data()),
-            static_cast<std::streamsize>(flat.size() * sizeof(float)));
-  const auto labels = ds.labels();
-  out.write(reinterpret_cast<const char*>(labels.data()),
-            static_cast<std::streamsize>(labels.size() * sizeof(float)));
-  const auto perms = ds.permutations();
-  out.write(reinterpret_cast<const char*>(perms.data()),
-            static_cast<std::streamsize>(perms.size()));
-  if (!out) throw io_error("dataset serialize: stream write failed");
-}
-
-void save_dataset_file(const trace_dataset& ds, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw io_error("cannot open for writing: " + path);
-  save_dataset(ds, out);
-}
-
-trace_dataset load_dataset(std::istream& in) {
-  std::array<char, 8> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic) {
-    throw io_error("dataset deserialize: bad magic header");
-  }
-  const std::uint64_t count = read_u64(in);
-  const std::uint64_t samples = read_u64(in);
-  KLINQ_REQUIRE(samples > 0 && samples < (1u << 22),
-                "dataset deserialize: implausible sample count");
-  KLINQ_REQUIRE(count < (1u << 28), "dataset deserialize: implausible size");
-
-  trace_dataset ds(count, samples);
-  ds.resize_traces(count);
-  const auto flat = ds.features().flat();
-  in.read(reinterpret_cast<char*>(flat.data()),
-          static_cast<std::streamsize>(flat.size() * sizeof(float)));
-  std::vector<float> labels(count);
-  in.read(reinterpret_cast<char*>(labels.data()),
-          static_cast<std::streamsize>(labels.size() * sizeof(float)));
-  std::vector<std::uint8_t> perms(count);
-  in.read(reinterpret_cast<char*>(perms.data()),
-          static_cast<std::streamsize>(perms.size()));
-  if (!in) throw io_error("dataset deserialize: truncated payload");
-
-  for (std::size_t r = 0; r < count; ++r) {
-    ds.set_trace(r, ds.features().row(r), labels[r] >= 0.5f, perms[r]);
-  }
-  ds.validate();
-  return ds;
-}
-
-trace_dataset load_dataset_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw io_error("cannot open for reading: " + path);
-  return load_dataset(in);
-}
 
 std::string versioned_snapshot_filename(std::size_t qubit,
                                         std::uint64_t version) {

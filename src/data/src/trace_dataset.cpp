@@ -105,17 +105,4 @@ std::vector<std::size_t> trace_dataset::rows_with_label(bool state) const {
   return rows;
 }
 
-void trace_dataset::validate() const {
-  KLINQ_REQUIRE(features_.cols() == 2 * samples_,
-                "trace_dataset: feature width != 2 * samples");
-  KLINQ_REQUIRE(labels_.size() == features_.rows(),
-                "trace_dataset: label count != trace count");
-  KLINQ_REQUIRE(permutations_.size() == features_.rows(),
-                "trace_dataset: permutation tag count != trace count");
-  for (const float label : labels_) {
-    KLINQ_REQUIRE(label == 0.0f || label == 1.0f,
-                  "trace_dataset: labels must be 0 or 1");
-  }
-}
-
 }  // namespace klinq::data

@@ -1,8 +1,8 @@
 // klinq::fault — deterministic fault injection for the serving stack.
 //
 // Production hardening is only testable if failures can be produced on
-// demand: a throwing shard, a torn snapshot on disk, a hung retrain, a slow
-// engine. This module compiles *named fault points* into those hot paths;
+// demand: a throwing shard, a torn snapshot on disk, a dropped socket read,
+// a slow engine. This module compiles *named fault points* into those hot paths;
 // each point is a single call that is near-free while nothing is armed (one
 // relaxed atomic load and a predicted branch) and becomes an injected
 // failure when armed:
@@ -40,9 +40,6 @@
 //                           kill-before-rename crash
 //   registry.load.snapshot  snapshot bytes as read back (corrupt_bytes
 //                           => quarantine path), or the read (throw)
-//   recal.retrain           entry of a recalibration cycle (throw => retry
-//                           path, delay => watchdog path)
-//   recal.publish           between training and publish (throw)
 //   net.accept              a freshly accepted connection (throw => the fd
 //                           is closed before registration — a flaky accept)
 //   net.read                bytes read off a client socket (drop => the read

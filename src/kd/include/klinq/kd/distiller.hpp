@@ -37,13 +37,6 @@ struct student_config {
   float weight_decay = 1e-4f;
   float lr_decay = 0.97f;
   std::uint64_t seed = 7;
-  /// Warm start (borrowed, may be null): initialize training from this
-  /// network's weights instead of a fresh He-normal draw. The topology must
-  /// match the config's. Used by the registry's background recalibration —
-  /// readout drift moves the feature distribution gradually, so the
-  /// pre-drift weights are a far better starting point than noise and
-  /// converge in fewer epochs on the fresh calibration shots.
-  const nn::network* warm_start = nullptr;
 };
 
 /// Reusable buffers for student_model::predict_batch: the network's panel +

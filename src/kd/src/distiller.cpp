@@ -132,20 +132,8 @@ student_model distill_student(const data::trace_dataset& train,
   const la::matrix_f features = pipeline.extract_all(train);
 
   nn::network net = nn::make_mlp(pipeline.output_width(), config.hidden);
-  if (config.warm_start != nullptr) {
-    KLINQ_REQUIRE(config.warm_start->input_dim() == net.input_dim() &&
-                      config.warm_start->layer_count() == net.layer_count(),
-                  "distill_student: warm-start network topology mismatch");
-    for (std::size_t l = 0; l < net.layer_count(); ++l) {
-      KLINQ_REQUIRE(
-          config.warm_start->layer(l).out_dim() == net.layer(l).out_dim(),
-          "distill_student: warm-start network topology mismatch");
-    }
-    net = *config.warm_start;
-  } else {
-    xoshiro256 rng(config.seed);
-    net.initialize(nn::weight_init::he_normal, rng);
-  }
+  xoshiro256 rng(config.seed);
+  net.initialize(nn::weight_init::he_normal, rng);
 
   // Loss selection: composite distillation when soft labels are available,
   // plain BCE otherwise (ablation path; equivalent to alpha = 1).

@@ -29,7 +29,8 @@ struct http_config {
   std::size_t max_connections = 16;     // accept() beyond this: 503 + close
   std::size_t max_request_bytes = 8192; // header bytes before 431 + close
   /// A connection still open this long after accept is evicted, whether it
-  /// is still sending its request or not reading its response.
+  /// is still sending its request or not reading its response. Must be
+  /// finite and positive.
   double read_timeout_seconds = 5.0;
   /// Parses KLINQ_HTTP ("host:port" or bare "port"); empty bind_address
   /// (variable unset) means "do not serve".

@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -131,6 +132,12 @@ http_server::http_server(http_config config)
                 "http_server: bind address must be non-empty");
   KLINQ_REQUIRE(config.max_connections > 0 && config.max_request_bytes > 0,
                 "http_server: limits must be positive");
+  // A NaN deadline never expires (a silent client keeps its slot) and a
+  // non-positive one evicts every connection on its first turn.
+  KLINQ_REQUIRE(std::isfinite(config.read_timeout_seconds) &&
+                    config.read_timeout_seconds > 0.0,
+                "http_server: read_timeout_seconds must be finite and "
+                "positive");
   parse_bind(config.bind_address, impl_->host, impl_->port);
 
   impl_->listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -18,9 +18,8 @@
 //     a floor derived from the baseline's mean margin.
 //
 // Each qubit compares a rolling observation window against a baseline
-// captured at calibration time (set_baseline / rebaseline). status() flags
-// a qubit when any proxy crosses its configured threshold; the background
-// recalibrator polls drifted_qubits() and closes the loop.
+// captured at calibration time (set_baseline). status() flags a qubit when
+// any proxy crosses its configured threshold.
 //
 // Thread-safety: all entry points are safe to call concurrently; state is
 // per-qubit mutex-guarded (observation happens on serving worker threads).
@@ -108,18 +107,9 @@ class drift_monitor {
   /// call once representative post-calibration traffic has flowed.
   void set_baseline(std::size_t qubit);
 
-  /// Replaces the baseline directly from labeled calibration output (the
-  /// recalibrator evaluates the freshly published model on its calibration
-  /// set) and clears the window.
-  void rebaseline(std::size_t qubit, std::span<const std::uint8_t> states,
-                  std::span<const float> margins);
-
   void reset_window(std::size_t qubit);
 
   drift_status status(std::size_t qubit) const;
-
-  /// Qubits whose status().drifted is set, ascending.
-  std::vector<std::size_t> drifted_qubits() const;
 
   /// Publishes per-qubit gauges into `metrics`, refreshed at snapshot time
   /// through a collector: klinq_drift_window_shots, klinq_drift_class_balance,

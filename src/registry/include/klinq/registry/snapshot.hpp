@@ -36,8 +36,8 @@ struct calibration_info {
   /// Registry-assigned at publish (0 = not yet published).
   std::uint64_t version = 0;
   /// Free-form provenance tag; the library uses "initial" (built from a
-  /// trained system), "recalibration" (background retrain) and "import"
-  /// (loaded from disk without a manifest entry).
+  /// trained system). A snapshot read back from disk keeps the tag it was
+  /// saved with.
   std::string source = "initial";
   /// Wall-clock build time (seconds since the Unix epoch; 0 = unknown).
   double created_unix_seconds = 0.0;

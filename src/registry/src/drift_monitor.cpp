@@ -117,20 +117,6 @@ void drift_monitor::set_baseline(std::size_t qubit) {
   slot.window.clear();
 }
 
-void drift_monitor::rebaseline(std::size_t qubit,
-                               std::span<const std::uint8_t> states,
-                               std::span<const float> margins) {
-  KLINQ_REQUIRE(states.size() == margins.size() && !states.empty(),
-                "drift_monitor: rebaseline needs one margin per state");
-  qubit_slot& slot = slot_checked(qubit);
-  const std::lock_guard lock(slot.mutex);
-  slot.baseline.clear();
-  fold(slot.baseline, states,
-       [margins](std::size_t r) { return static_cast<double>(margins[r]); },
-       0.0);
-  slot.window.clear();
-}
-
 void drift_monitor::reset_window(std::size_t qubit) {
   qubit_slot& slot = slot_checked(qubit);
   const std::lock_guard lock(slot.mutex);
@@ -198,14 +184,6 @@ drift_status drift_monitor::status(std::size_t qubit) const {
   const qubit_slot& slot = slot_checked(qubit);
   const std::lock_guard lock(slot.mutex);
   return status_locked(slot);
-}
-
-std::vector<std::size_t> drift_monitor::drifted_qubits() const {
-  std::vector<std::size_t> drifted;
-  for (std::size_t q = 0; q < slots_.size(); ++q) {
-    if (status(q).drifted) drifted.push_back(q);
-  }
-  return drifted;
 }
 
 drift_monitor::~drift_monitor() { unbind_metrics(); }

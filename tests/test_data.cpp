@@ -1,9 +1,6 @@
-// Tests for trace_dataset container semantics and binary IO.
+// Tests for trace_dataset container semantics.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "klinq/data/dataset_io.hpp"
 #include "klinq/data/trace_dataset.hpp"
 
 namespace {
@@ -50,7 +47,9 @@ TEST(Dataset, AppendGrowsAndValidates) {
   EXPECT_EQ(ds.size(), 2u);
   EXPECT_TRUE(ds.label_state(0));
   EXPECT_EQ(ds.permutations()[0], 7);
-  ds.validate();
+  EXPECT_EQ(ds.labels().size(), 2u);
+  EXPECT_EQ(ds.permutations().size(), 2u);
+  EXPECT_EQ(ds.feature_width(), 4u);
   const std::vector<float> wrong{1, 2, 3};
   EXPECT_THROW(ds.append(wrong, true), invalid_argument_error);
 }
@@ -108,37 +107,6 @@ TEST(Dataset, SetTraceBoundsChecked) {
   auto ds = small_dataset();
   const std::vector<float> t(8, 0.0f);
   EXPECT_THROW(ds.set_trace(3, t, false), invalid_argument_error);
-}
-
-TEST(DatasetIo, RoundTripPreservesEverything) {
-  const auto ds = small_dataset();
-  std::stringstream stream;
-  data::save_dataset(ds, stream);
-  const auto restored = data::load_dataset(stream);
-  ASSERT_EQ(restored.size(), ds.size());
-  ASSERT_EQ(restored.samples_per_quadrature(), ds.samples_per_quadrature());
-  for (std::size_t r = 0; r < ds.size(); ++r) {
-    EXPECT_EQ(restored.label_state(r), ds.label_state(r));
-    EXPECT_EQ(restored.permutations()[r], ds.permutations()[r]);
-    for (std::size_t c = 0; c < ds.feature_width(); ++c) {
-      EXPECT_FLOAT_EQ(restored.trace(r)[c], ds.trace(r)[c]);
-    }
-  }
-}
-
-TEST(DatasetIo, RejectsBadMagic) {
-  std::stringstream stream;
-  stream << "NOTADATASET";
-  EXPECT_THROW(data::load_dataset(stream), io_error);
-}
-
-TEST(DatasetIo, RejectsTruncated) {
-  const auto ds = small_dataset();
-  std::stringstream stream;
-  data::save_dataset(ds, stream);
-  const std::string full = stream.str();
-  std::stringstream cut(full.substr(0, full.size() - 10));
-  EXPECT_THROW(data::load_dataset(cut), io_error);
 }
 
 }  // namespace

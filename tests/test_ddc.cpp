@@ -137,8 +137,10 @@ TEST(Ddc, ConvertAllPreservesLabels) {
   ASSERT_EQ(channels.size(), feedline.train.size());
   for (std::size_t r = 0; r < channels.size(); ++r) {
     EXPECT_EQ(channels.label_state(r), feedline.train.label_state(r));
+    EXPECT_EQ(channels.permutations()[r], feedline.train.permutations()[r]);
   }
-  channels.validate();
+  EXPECT_EQ(channels.labels().size(), channels.size());
+  EXPECT_EQ(channels.permutations().size(), channels.size());
 }
 
 TEST(Ddc, ValidatesConfig) {

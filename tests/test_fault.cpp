@@ -13,9 +13,7 @@
 //   * self-healing: persistent injected shard failures trip the server's
 //     failure threshold, the registry auto-rolls back to last-known-good
 //     and flags the qubit degraded, and fidelity recovers once the fault
-//     is disarmed;
-//   * recalibrator robustness: retry with backoff, the publish gate, and
-//     the hung-retrain watchdog.
+//     is disarmed.
 //
 // The first test only checks KLINQ_FAULT environment arming (it skips when
 // the variable is unset); every other test calls fault::disarm_all() up
@@ -23,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -38,9 +35,7 @@
 #include "klinq/fault/fault.hpp"
 #include "klinq/kd/distiller.hpp"
 #include "klinq/qsim/dataset_builder.hpp"
-#include "klinq/registry/drift_monitor.hpp"
 #include "klinq/registry/model_registry.hpp"
-#include "klinq/registry/recalibrator.hpp"
 #include "klinq/registry/snapshot.hpp"
 #include "klinq/serve/readout_server.hpp"
 
@@ -565,176 +560,6 @@ TEST(ServeChaos, PersistentShardFailuresAutoRollBackAndRecover) {
   EXPECT_TRUE(reg.degraded(0));
   reg.activate(0, 1);
   EXPECT_FALSE(reg.degraded(0));
-}
-
-// --- recalibrator robustness ------------------------------------------------
-
-/// Flags qubit 0 as drifted via direct monitor feeds (the DriftMonitor
-/// suite's recipe): balanced healthy baseline, then a skewed low-margin
-/// window.
-void force_drift(registry::drift_monitor& monitor) {
-  std::vector<std::uint8_t> states(400);
-  std::vector<float> margins(400);
-  for (std::size_t r = 0; r < states.size(); ++r) {
-    states[r] = r % 2;
-    margins[r] = states[r] ? 2.0f : -2.0f;
-  }
-  monitor.rebaseline(0, states, margins);
-  for (std::size_t r = 0; r < states.size(); ++r) {
-    states[r] = r % 10 == 0 ? 0 : 1;
-    margins[r] = states[r] ? 0.2f : -0.2f;
-  }
-  monitor.observe(0, states, margins);
-  ASSERT_TRUE(monitor.status(0).drifted);
-}
-
-TEST(RecalibratorRobustness, ConfigRejectsBadRobustnessFields) {
-  auto& f = fixture();
-  registry::model_registry reg(1);
-  reg.publish(0, registry::model_snapshot(f.student0_a));
-  registry::drift_monitor monitor(1);
-  const auto source = [&f](std::size_t) { return f.data0.train; };
-  registry::recalibration_config bad;
-  bad.retry_backoff_seconds = -1.0;
-  EXPECT_THROW(registry::recalibrator(reg, monitor, source, bad),
-               invalid_argument_error);
-  bad = {};
-  bad.publish_regression_tolerance = -0.1;
-  EXPECT_THROW(registry::recalibrator(reg, monitor, source, bad),
-               invalid_argument_error);
-  bad = {};
-  bad.watchdog_seconds = -2.0;
-  EXPECT_THROW(registry::recalibrator(reg, monitor, source, bad),
-               invalid_argument_error);
-}
-
-TEST(RecalibratorRobustness, PublishGateRejectsRegressingCandidate) {
-  fault::disarm_all();
-  auto& f = fixture();
-  registry::model_registry reg(1);
-  reg.publish(0, registry::model_snapshot(f.student0_a));
-
-  registry::drift_monitor monitor(1);
-  registry::recalibration_config config;
-  // Candidate sabotage: no warm start and zero epochs leaves the random
-  // He-normal initialization — deterministically far below the trained
-  // serving model on the same calibration shots.
-  config.warm_start = false;
-  config.student.epochs = 0;
-  config.publish_regression_tolerance = 0.02;
-  registry::recalibrator recal(
-      reg, monitor, [&f](std::size_t) { return f.data0.train; }, config);
-
-  EXPECT_THROW(recal.recalibrate(0), registry::recalibration_rejected);
-  const registry::recalibration_stats stats = recal.stats();
-  EXPECT_EQ(stats.publish_rejections, 1u);
-  EXPECT_EQ(stats.failures, 0u);  // the gate is not a pipeline failure
-  EXPECT_EQ(stats.recalibrations, 0u);
-  // The regressing candidate never reached the registry.
-  EXPECT_EQ(reg.active_version(0), 1u);
-  EXPECT_EQ(reg.list(0).size(), 1u);
-}
-
-TEST(RecalibratorRobustness, WorkerRetriesTransientFailuresWithBackoff) {
-  fault::disarm_all();
-  auto& f = fixture();
-  registry::model_registry reg(1);
-  reg.publish(0, registry::model_snapshot(f.student0_a));
-  registry::drift_monitor monitor(1);
-  force_drift(monitor);
-
-  // The calibration link flaps: the first two fetches fail, the third
-  // works — a transient the retry loop must ride out within one scan.
-  std::atomic<int> calls{0};
-  registry::recalibration_config config;
-  config.student.epochs = 2;
-  config.poll_interval_seconds = 0.002;
-  config.max_retries = 2;
-  config.retry_backoff_seconds = 0.001;
-  registry::recalibrator recal(
-      reg, monitor,
-      [&](std::size_t) {
-        if (calls.fetch_add(1) < 2) {
-          throw io_error("calibration link down");
-        }
-        return f.data0.train;
-      },
-      config);
-  recal.start();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (recal.stats().recalibrations == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  recal.stop();
-
-  const registry::recalibration_stats stats = recal.stats();
-  ASSERT_GE(stats.recalibrations, 1u);
-  EXPECT_GE(stats.retries, 2u);
-  EXPECT_GE(stats.failures, 2u);
-  EXPECT_EQ(reg.active_version(0), 2u);  // the third attempt published
-}
-
-TEST(RecalibratorRobustness, WatchdogFlagsHungRetrainAndStopDrainsIt) {
-  fault::disarm_all();
-  auto& f = fixture();
-  registry::model_registry reg(1);
-  reg.publish(0, registry::model_snapshot(f.student0_a));
-  registry::drift_monitor monitor(1);
-  force_drift(monitor);
-
-  // The first fetch hangs far past the watchdog; later fetches are fine.
-  std::atomic<int> calls{0};
-  registry::recalibration_config config;
-  config.student.epochs = 2;
-  config.poll_interval_seconds = 0.002;
-  config.max_retries = 0;
-  config.watchdog_seconds = 0.02;
-  registry::recalibrator recal(
-      reg, monitor,
-      [&](std::size_t) {
-        if (calls.fetch_add(1) == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        }
-        return f.data0.train;
-      },
-      config);
-  recal.start();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (recal.stats().hung_retrains == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  // stop() must join the detached attempt, not abandon a thread that
-  // borrows the registry (destruction order would otherwise be a UAF).
-  recal.stop();
-  EXPECT_GE(recal.stats().hung_retrains, 1u);
-  EXPECT_GE(calls.load(), 1);
-}
-
-TEST(RecalibratorRobustness, RetrainFaultPointFeedsTheRetryPath) {
-  fault::disarm_all();
-  auto& f = fixture();
-  registry::model_registry reg(1);
-  reg.publish(0, registry::model_snapshot(f.student0_a));
-  registry::drift_monitor monitor(1);
-  registry::recalibrator recal(
-      reg, monitor, [&f](std::size_t) { return f.data0.train; });
-
-  fault::fault_spec always_throw;
-  always_throw.mode = fault::fault_mode::throw_error;
-  fault::arm("recal.retrain", always_throw);
-  EXPECT_THROW(recal.recalibrate(0), fault::injected_fault);
-  EXPECT_EQ(recal.stats().failures, 1u);
-
-  fault::arm("recal.publish", always_throw);
-  fault::disarm("recal.retrain");
-  EXPECT_THROW(recal.recalibrate(0), fault::injected_fault);
-  EXPECT_EQ(recal.stats().failures, 2u);
-  EXPECT_EQ(reg.list(0).size(), 1u);  // nothing was published either way
-  fault::disarm_all();
 }
 
 }  // namespace

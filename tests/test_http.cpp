@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -237,6 +238,19 @@ TEST(HttpServer, SlowReaderIsEvictedOnTheDeadline) {
   EXPECT_EQ(next.status, 200);
   EXPECT_EQ(next.body, "ok\n");
   ::close(reader);
+}
+
+TEST(HttpServer, ConfigRejectsNonFiniteOrNonPositiveReadTimeout) {
+  // NaN would never expire a deadline; a non-positive timeout would evict
+  // every connection on its first turn.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0,
+                           0.0}) {
+    obs::http_config config;
+    config.read_timeout_seconds = bad;
+    EXPECT_THROW(obs::http_server server(config), invalid_argument_error)
+        << "read_timeout_seconds = " << bad;
+  }
 }
 
 TEST(HttpServer, EnvironmentWiring) {

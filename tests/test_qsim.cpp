@@ -240,8 +240,14 @@ TEST(DatasetBuilder, ShapesAndBalance) {
   // Exactly half the permutations have qubit 2 excited.
   const auto ones = qd.train.rows_with_label(true);
   EXPECT_EQ(ones.size(), qd.train.size() / 2);
-  qd.train.validate();
-  qd.test.validate();
+  for (const auto* ds : {&qd.train, &qd.test}) {
+    EXPECT_EQ(ds->feature_width(), 2u * 500u);
+    EXPECT_EQ(ds->labels().size(), ds->size());
+    EXPECT_EQ(ds->permutations().size(), ds->size());
+    for (const float label : ds->labels()) {
+      EXPECT_TRUE(label == 0.0f || label == 1.0f);
+    }
+  }
 }
 
 TEST(DatasetBuilder, LabelsFollowPermutationBit) {
@@ -400,6 +406,51 @@ TEST(DatasetBuilder, RejectsBadQubitIndex) {
   spec.shots_per_permutation_train = 1;
   spec.shots_per_permutation_test = 1;
   EXPECT_THROW(qsim::build_qubit_dataset(spec, 9), invalid_argument_error);
+}
+
+TEST(MultichannelDataset, ConcatenatesChannelsInOrder) {
+  qsim::dataset_spec spec;
+  spec.device = qsim::lienhard5q_preset();
+  spec.shots_per_permutation_train = 1;
+  spec.shots_per_permutation_test = 1;
+  spec.seed = 60;
+  const std::vector<std::size_t> channels{1, 0, 2};
+  const auto multi = qsim::build_multichannel_dataset(spec, 1, channels);
+  EXPECT_EQ(multi.train.feature_width(), 3u * 1000u);
+
+  // Block c of row r must be bit for bit channel channels[c] of the same
+  // shot, i.e. the single-channel dataset's row r for that qubit.
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    const auto single = qsim::build_qubit_dataset(spec, channels[c]);
+    for (std::size_t r = 0; r < multi.train.size(); ++r) {
+      ASSERT_EQ(std::memcmp(multi.train.trace(r).data() + c * 1000,
+                            single.train.trace(r).data(), 1000 * sizeof(float)),
+                0)
+          << "block " << c << " row " << r;
+      EXPECT_EQ(multi.train.label_state(r),
+                ((multi.train.permutations()[r] >> 1) & 1u) != 0);
+    }
+  }
+
+  // A channel listed twice fills both blocks with the same samples.
+  const auto twice = qsim::build_multichannel_dataset(spec, 2, {2, 2});
+  for (std::size_t r = 0; r < twice.test.size(); ++r) {
+    ASSERT_EQ(std::memcmp(twice.test.trace(r).data(),
+                          twice.test.trace(r).data() + 1000,
+                          1000 * sizeof(float)),
+              0);
+  }
+}
+
+TEST(MultichannelDataset, ValidatesInputs) {
+  qsim::dataset_spec spec;
+  spec.device = qsim::lienhard5q_preset();
+  spec.shots_per_permutation_train = 1;
+  spec.shots_per_permutation_test = 1;
+  EXPECT_THROW(qsim::build_multichannel_dataset(spec, 0, {9}),
+               invalid_argument_error);
+  EXPECT_THROW(qsim::build_multichannel_dataset(spec, 0, {}),
+               invalid_argument_error);
 }
 
 }  // namespace

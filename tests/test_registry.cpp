@@ -1,5 +1,4 @@
-// klinq::registry — versioned per-qubit model store, drift monitoring and
-// background recalibration.
+// klinq::registry — versioned per-qubit model store and drift monitoring.
 //
 // Contracts under test:
 //   * snapshots round-trip through the versioned on-disk format and reject
@@ -10,9 +9,8 @@
 //     published and rolled back — every result is internally consistent
 //     with exactly the version it reports, and unswapped qubits stay
 //     bit-identical to a single-version run;
-//   * the closed loop: qsim-injected IQ drift is flagged by the monitor,
-//     recalibrated in the background, swapped in under live traffic, and
-//     assignment fidelity recovers to the pre-drift baseline.
+//   * drift monitoring: qsim-injected IQ drift in served traffic is flagged
+//     against the baseline that clean traffic set.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,7 +28,6 @@
 #include "klinq/qsim/dataset_builder.hpp"
 #include "klinq/registry/drift_monitor.hpp"
 #include "klinq/registry/model_registry.hpp"
-#include "klinq/registry/recalibrator.hpp"
 #include "klinq/registry/snapshot.hpp"
 #include "klinq/serve/readout_server.hpp"
 
@@ -454,8 +451,10 @@ TEST(DriftMonitor, FlagsBalanceShiftAndMarginCollapse) {
     states[r] = r % 2;
     margins[r] = states[r] ? 2.0f : -2.0f;
   }
-  monitor.rebaseline(0, states, margins);
-  monitor.rebaseline(1, states, margins);
+  for (const std::size_t q : {0u, 1u}) {
+    monitor.observe(q, states, margins);
+    monitor.set_baseline(q);
+  }
 
   // Healthy window on qubit 1: no flags.
   monitor.observe(1, states, margins);
@@ -475,9 +474,7 @@ TEST(DriftMonitor, FlagsBalanceShiftAndMarginCollapse) {
   EXPECT_TRUE(status.margin_collapsed);
   EXPECT_TRUE(status.confidence_collapsed);
   EXPECT_TRUE(status.drifted);
-  const auto drifted = monitor.drifted_qubits();
-  ASSERT_EQ(drifted.size(), 1u);
-  EXPECT_EQ(drifted[0], 0u);
+  EXPECT_FALSE(monitor.status(1).drifted);
 
   // reset_window clears the verdict (min_window_shots guard).
   monitor.reset_window(0);
@@ -490,8 +487,9 @@ TEST(DriftMonitor, BelowMinWindowNeverFlags) {
   registry::drift_monitor monitor(1, thresholds);
   std::vector<std::uint8_t> states(100, 1);
   std::vector<float> margins(100, 0.01f);
-  monitor.rebaseline(0, std::vector<std::uint8_t>(100, 0),
-                     std::vector<float>(100, -3.0f));
+  monitor.observe(0, std::vector<std::uint8_t>(100, 0),
+                  std::vector<float>(100, -3.0f));
+  monitor.set_baseline(0);
   monitor.observe(0, states, margins);
   EXPECT_FALSE(monitor.status(0).drifted);  // only 100 of 1000 shots seen
 }
@@ -513,69 +511,15 @@ TEST(DriftMonitor, FoldsServingTrafficThroughTheShardCallback) {
   EXPECT_EQ(monitor.status(0).window_shots, 0u);
 }
 
-// --- recalibration ----------------------------------------------------------
-
-TEST(Recalibrator, SynchronousRecalibrationPublishesAndRebaselines) {
-  auto& f = fixture();
-  const auto reg = make_two_qubit_registry();
-  registry::drift_monitor monitor(2);
-  registry::recalibration_config config;
-  config.student.epochs = 4;
-  registry::recalibrator recal(
-      *reg, monitor, [&f](std::size_t) { return f.data0.train; }, config);
-
-  const std::uint64_t version = recal.recalibrate(0);
-  EXPECT_EQ(version, 2u);
-  EXPECT_EQ(reg->active_version(0), 2u);
-  EXPECT_EQ(reg->at(0, 2)->info().source, "recalibration");
-  EXPECT_EQ(reg->at(0, 2)->info().calibration_shots, f.data0.train.size());
-  EXPECT_GT(reg->at(0, 2)->info().train_accuracy, 0.8);
-  // The monitor was rebaselined on the fresh model's calibration margins.
-  EXPECT_EQ(monitor.status(0).baseline_shots, f.data0.train.size());
-  EXPECT_EQ(recal.stats().recalibrations, 1u);
-}
-
-TEST(Recalibrator, WarmStartReusesActiveTopology) {
-  auto& f = fixture();
-  const auto reg = make_two_qubit_registry();
-  registry::drift_monitor monitor(2);
-  registry::recalibration_config config;
-  config.student.epochs = 2;
-  config.warm_start = true;
-  registry::recalibrator recal(
-      *reg, monitor, [&f](std::size_t) { return f.data0.train; }, config);
-  const std::uint64_t version = recal.recalibrate(0);
-  // Warm-started retraining keeps the deployable topology.
-  EXPECT_EQ(reg->at(0, version)->student().parameter_count(),
-            f.student0_a.parameter_count());
-}
-
-TEST(Recalibrator, FailureIsCountedAndRethrown) {
-  auto& f = fixture();
-  const auto reg = make_two_qubit_registry();
-  registry::drift_monitor monitor(2);
-  registry::recalibrator recal(
-      *reg, monitor, [](std::size_t) { return data::trace_dataset{}; });
-  EXPECT_THROW(recal.recalibrate(0), invalid_argument_error);
-  EXPECT_EQ(recal.stats().failures, 1u);
-  EXPECT_EQ(reg->active_version(0), 1u);  // nothing published
-  (void)f;
-}
-
-// --- the closed loop: drift → flag → background retrain → hot swap ----------
-
 // Injects readout drift mid-stream: the IQ response means rotate about
 // their midpoint and the operating point shifts, which misaligns the
-// matched filter and the learned boundary — margins collapse. The drift
-// monitor must flag it, the background recalibrator must retrain from
-// drifted labeled shots and publish, live traffic must swap onto the new
-// version without stopping, and assignment fidelity must recover to within
-// 1% of the pre-drift baseline. An unswapped qubit stays bit-identical
-// throughout.
-TEST(ClosedLoop, DriftIsFlaggedRecalibratedAndSwappedUnderTraffic) {
+// matched filter and the learned boundary, so margins collapse. After clean
+// traffic sets the baseline, drifted traffic served through the shard
+// callback must make the monitor flag the qubit.
+TEST(DriftMonitor, FlagsInjectedIqDriftInServedTraffic) {
   auto& f = fixture();
 
-  // Drifted device: rotate the |0⟩/|1⟩ responses ~75° about their midpoint
+  // Drifted device: rotate the |0⟩/|1⟩ responses 110° about their midpoint
   // and shift the operating point. Same separation and noise — the new
   // distribution is just as learnable, only different.
   qsim::dataset_spec drifted_spec;
@@ -599,24 +543,22 @@ TEST(ClosedLoop, DriftIsFlaggedRecalibratedAndSwappedUnderTraffic) {
   }
   const qsim::qubit_dataset drifted = qsim::build_qubit_dataset(drifted_spec, 0);
 
-  // Pre-drift baseline fidelity of the deployed model on clean data.
+  // The drift genuinely hurts the deployed model (otherwise this test would
+  // pass vacuously).
   const registry::model_snapshot initial(f.student0_a);
   const double baseline_accuracy = initial.hardware().accuracy(f.data0.test);
   ASSERT_GT(baseline_accuracy, 0.85);
-  // The drift genuinely hurts the stale model (otherwise this test would
-  // pass vacuously).
-  const double stale_accuracy = initial.hardware().accuracy(drifted.test);
-  ASSERT_LT(stale_accuracy, baseline_accuracy - 0.05);
+  ASSERT_LT(initial.hardware().accuracy(drifted.test),
+            baseline_accuracy - 0.05);
 
-  auto reg = make_two_qubit_registry();
+  const auto reg = make_two_qubit_registry();
   registry::drift_thresholds thresholds;
   thresholds.min_window_shots = 128;
   registry::drift_monitor monitor(2, thresholds);
   serve::readout_server server(
-      *reg, {.shard_shots = 64, .max_inflight = 16,
-             .on_shard = monitor.callback()});
+      *reg, {.shard_shots = 64, .on_shard = monitor.callback()});
 
-  // Phase 1: clean traffic establishes the baseline distribution.
+  // Clean traffic establishes the baseline distribution.
   serve::readout_result result;
   server.wait(
       server.submit({0, &f.data0.test, serve::engine_kind::fixed_q16}),
@@ -624,79 +566,14 @@ TEST(ClosedLoop, DriftIsFlaggedRecalibratedAndSwappedUnderTraffic) {
   monitor.set_baseline(0);
   EXPECT_FALSE(monitor.status(0).drifted);
 
-  // Unswapped-qubit reference: qubit 1 before any churn.
-  const auto expected1 =
-      expected_registers(registry::model_snapshot(f.student1), f.data1.test);
-
-  // Background recalibration: drifted labeled calibration shots (exactly
-  // what a calibration daemon would collect after the shift).
-  registry::recalibration_config recal_config;
-  recal_config.student.epochs = 6;
-  recal_config.poll_interval_seconds = 0.005;
-  registry::recalibrator recal(
-      *reg, monitor,
-      [&drifted](std::size_t qubit) {
-        KLINQ_REQUIRE(qubit == 0, "only qubit 0 drifts in this scenario");
-        return drifted.train;
-      },
-      recal_config);
-  recal.start();
-  EXPECT_TRUE(recal.running());
-
-  // Phase 2: drifted traffic flows while a concurrent submitter keeps
-  // hammering the unswapped qubit 1.
-  std::atomic<bool> stop_q1{false};
-  std::atomic<int> q1_failures{0};
-  std::thread q1_traffic([&] {
-    serve::readout_result r1;
-    while (!stop_q1.load(std::memory_order_acquire)) {
-      const serve::ticket t =
-          server.submit({1, &f.data1.test, serve::engine_kind::fixed_q16});
-      server.wait(t, r1);
-      if (r1.model_version != 1) ++q1_failures;
-      for (std::size_t r = 0; r < expected1.size(); ++r) {
-        if (r1.registers[r].raw() != expected1[r].raw()) ++q1_failures;
-      }
-    }
-  });
-
-  // Stream drifted blocks until the loop closes: monitor flags, the
-  // background worker retrains and publishes, new submits pick up v2.
-  std::uint64_t served_version = 1;
-  bool saw_drift_flag = false;
-  for (int round = 0; round < 400 && served_version < 2; ++round) {
-    const serve::ticket t =
-        server.submit({0, &drifted.test, serve::engine_kind::fixed_q16});
-    server.wait(t, result);
-    served_version = result.model_version;
-    saw_drift_flag = saw_drift_flag || monitor.status(0).drifted ||
-                     reg->active_version(0) > 1;
-  }
-  stop_q1.store(true, std::memory_order_release);
-  q1_traffic.join();
-  recal.stop();
-
-  EXPECT_TRUE(saw_drift_flag) << "drift monitor never flagged qubit 0";
-  ASSERT_EQ(served_version, 2u)
-      << "recalibrated version never reached live traffic";
-  EXPECT_GE(recal.stats().recalibrations, 1u);
-  EXPECT_EQ(reg->at(0, 2)->info().source, "recalibration");
-  EXPECT_EQ(q1_failures.load(), 0) << "unswapped qubit was disturbed";
-
-  // Post-swap fidelity on drifted data recovers to the pre-drift baseline.
-  const double recovered_accuracy =
-      reg->at(0, 2)->hardware().accuracy(drifted.test);
-  EXPECT_GE(recovered_accuracy, baseline_accuracy - 0.01)
-      << "recovered " << recovered_accuracy << " vs baseline "
-      << baseline_accuracy;
-
-  // And the monitor no longer sees drift after fresh traffic on the new
-  // model.
-  monitor.reset_window(0);
-  const serve::ticket t =
-      server.submit({0, &drifted.test, serve::engine_kind::fixed_q16});
-  server.wait(t, result);
-  EXPECT_FALSE(monitor.status(0).drifted);
+  // Drifted traffic on the same model: the window departs from baseline.
+  server.wait(
+      server.submit({0, &drifted.test, serve::engine_kind::fixed_q16}),
+      result);
+  const registry::drift_status status = monitor.status(0);
+  EXPECT_EQ(status.window_shots, drifted.test.size());
+  EXPECT_TRUE(status.drifted) << "drift monitor never flagged qubit 0";
+  EXPECT_FALSE(monitor.status(1).drifted);
 }
 
 }  // namespace

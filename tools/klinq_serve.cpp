@@ -177,6 +177,18 @@ struct smoke_checker {
   }
 };
 
+/// The serial per-qubit decision on the first shot of `ds` — what a served
+/// block's first state must equal on `engine`.
+bool serial_first_state(const hw::fixed_discriminator<fx::q16_16>& hardware,
+                        const kd::student_model& student,
+                        serve::engine_kind engine,
+                        const data::trace_dataset& ds) {
+  return engine == serve::engine_kind::fixed_q16
+             ? !hardware.logit(ds.trace(0), ds.samples_per_quadrature())
+                    .sign_bit()
+             : student.logit(ds.trace(0), ds.samples_per_quadrature()) >= 0.0f;
+}
+
 net::request_info make_request_info(std::size_t qubit,
                                     serve::engine_kind engine,
                                     const data::trace_dataset& block) {
@@ -245,14 +257,8 @@ int run_listen_stream(serve::readout_server& server,
     // Spot-check the first decision of every block against the serial
     // per-qubit path (ids are assigned round-robin over qubits).
     const std::size_t qubit = static_cast<std::size_t>(id - 1) % n_qubits;
-    const auto& ds = data[qubit].test;
-    const bool serial =
-        engine == serve::engine_kind::fixed_q16
-            ? !hardware[qubit]
-                   .logit(ds.trace(0), ds.samples_per_quadrature())
-                   .sign_bit()
-            : students[qubit].logit(ds.trace(0),
-                                    ds.samples_per_quadrature()) >= 0.0f;
+    const bool serial = serial_first_state(hardware[qubit], students[qubit],
+                                           engine, data[qubit].test);
     if ((view.states[0] != 0) != serial) ++mismatches;
   };
   for (std::size_t round = 0; round < rounds; ++round) {
@@ -756,30 +762,18 @@ int main(int argc, char** argv) {
       // nothing to spot-check.
       if (result.status != serve::request_status::ok) return;
       last_version_served = result.model_version;
-      if (use_registry) {
-        // Registry mode: check against whichever version served the block.
-        const auto snapshot = reg->at(result.qubit, result.model_version);
-        const auto& ds = data[result.qubit].test;
-        const bool serial =
-            engine == serve::engine_kind::fixed_q16
-                ? !snapshot->hardware()
-                       .logit(ds.trace(0), ds.samples_per_quadrature())
-                       .sign_bit()
-                : snapshot->student().logit(
-                      ds.trace(0), ds.samples_per_quadrature()) >= 0.0f;
-        if ((result.states[0] != 0) != serial) ++mismatches;
-        return;
-      }
       // Spot-check: the first decision of every block must match the serial
-      // per-qubit path.
+      // per-qubit path — in registry mode, of whichever version served it.
       const auto& ds = data[result.qubit].test;
-      const bool serial =
-          engine == serve::engine_kind::fixed_q16
-              ? !hardware[result.qubit]
-                     .logit(ds.trace(0), ds.samples_per_quadrature())
-                     .sign_bit()
-              : students[result.qubit].logit(
-                    ds.trace(0), ds.samples_per_quadrature()) >= 0.0f;
+      bool serial = false;
+      if (use_registry) {
+        const auto snapshot = reg->at(result.qubit, result.model_version);
+        serial = serial_first_state(snapshot->hardware(), snapshot->student(),
+                                    engine, ds);
+      } else {
+        serial = serial_first_state(hardware[result.qubit],
+                                    students[result.qubit], engine, ds);
+      }
       if ((result.states[0] != 0) != serial) ++mismatches;
     };
     std::vector<fault::site_report> chaos_report;
@@ -828,7 +822,7 @@ int main(int argc, char** argv) {
         config.epochs = 6;
         config.seed = 1007;
         registry::calibration_info info;
-        info.source = "recalibration";
+        info.source = "hot-swap";
         info.created_unix_seconds = registry::unix_now();
         info.calibration_shots = data[0].train.size();
         kd::student_model retrained =
