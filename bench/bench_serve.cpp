@@ -198,8 +198,7 @@ int main(int argc, char** argv) {
     // --- many small same-qubit requests ---------------------------------
     // Mid-circuit-style traffic: each qubit's block arrives as a stream of
     // --small-shots-sized requests (default 16), each one dispatched as its
-    // own shard — the per-request cost of the queue round-trip and arena
-    // acquisition.
+    // own shard — the per-request cost of the queue round-trip.
     const auto small_shots =
         std::max<std::size_t>(1, static_cast<std::size_t>(
                                      cli.get_int("small-shots")));

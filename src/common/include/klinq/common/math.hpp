@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -99,21 +98,10 @@ class running_stats {
 
   double stddev() const noexcept { return std::sqrt(variance()); }
 
-  double min_value() const noexcept { return min_; }
-  double max_value() const noexcept { return max_; }
-
-  void add_tracking_extrema(double x) noexcept {
-    add(x);
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace klinq

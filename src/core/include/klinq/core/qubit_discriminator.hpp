@@ -49,8 +49,6 @@ class qubit_discriminator {
   void measure_batch(const data::trace_dataset& traces,
                      std::span<std::uint8_t> out) const;
 
-  /// Float-path accuracy on a dataset.
-  double float_accuracy(const data::trace_dataset& test) const;
   /// Fixed-point-path accuracy on a dataset.
   double fixed_accuracy(const data::trace_dataset& test) const;
   /// Decision agreement between the two paths.

@@ -7,13 +7,10 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "klinq/core/fidelity.hpp"
 #include "klinq/core/qubit_discriminator.hpp"
 #include "klinq/kd/teacher.hpp"
 #include "klinq/qsim/dataset_builder.hpp"
-#include "klinq/registry/model_registry.hpp"
 #include "klinq/serve/readout_server.hpp"
 
 namespace klinq::core {
@@ -54,14 +51,6 @@ class klinq_system {
   /// order — the constructor argument of serve::readout_server. The system
   /// must outlive any server built on them.
   std::vector<serve::qubit_engine> serve_engines() const;
-
-  /// Builds a versioned model registry seeded with a copy of every qubit's
-  /// current student as version 1 ("initial"). The registry owns its
-  /// snapshots, so it may outlive this system; build a hot-swappable server
-  /// with serve::readout_server(*registry) and publish retrained versions
-  /// while it runs.
-  std::unique_ptr<registry::model_registry> make_registry(
-      registry::registry_config config = {}) const;
 
   /// Sharded multi-qubit measurement: one trace block per qubit (null to
   /// skip a qubit), evaluated concurrently through a serve::readout_server

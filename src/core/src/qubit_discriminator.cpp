@@ -21,11 +21,6 @@ void qubit_discriminator::measure_batch(const data::trace_dataset& traces,
   hardware_.predict_states(traces, out);
 }
 
-double qubit_discriminator::float_accuracy(
-    const data::trace_dataset& test) const {
-  return student_.accuracy(test);
-}
-
 double qubit_discriminator::fixed_accuracy(
     const data::trace_dataset& test) const {
   return hardware_.accuracy(test);

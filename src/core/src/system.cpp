@@ -60,21 +60,6 @@ std::vector<serve::qubit_engine> klinq_system::serve_engines() const {
   return engines;
 }
 
-std::unique_ptr<registry::model_registry> klinq_system::make_registry(
-    registry::registry_config config) const {
-  KLINQ_REQUIRE(qubit_count() > 0, "klinq_system: no discriminators");
-  auto registry =
-      std::make_unique<registry::model_registry>(qubit_count(), config);
-  for (std::size_t q = 0; q < qubit_count(); ++q) {
-    registry::calibration_info info;
-    info.source = "initial";
-    info.created_unix_seconds = registry::unix_now();
-    registry->publish(
-        q, registry::model_snapshot(discriminators_[q].student(), info));
-  }
-  return registry;
-}
-
 std::vector<std::vector<std::uint8_t>> klinq_system::measure_batch(
     std::span<const data::trace_dataset* const> per_qubit_traces,
     serve::engine_kind engine) const {

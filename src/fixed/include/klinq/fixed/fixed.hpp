@@ -106,8 +106,6 @@ class fixed {
            static_cast<double>(std::int64_t{1} << FracBits);
   }
 
-  float to_float() const noexcept { return static_cast<float>(to_double()); }
-
   /// Truncation toward negative infinity (hardware floor of the register).
   constexpr std::int64_t to_int_floor() const noexcept {
     return raw_ >> FracBits;
@@ -250,7 +248,6 @@ class fixed_accumulator {
  public:
   constexpr void add(Fixed value) noexcept { sum_ += value.raw(); }
   constexpr void add_raw(std::int64_t raw) noexcept { sum_ += raw; }
-  constexpr std::int64_t raw_sum() const noexcept { return sum_; }
   constexpr Fixed result() const noexcept { return Fixed::from_raw(sum_); }
   constexpr void reset() noexcept { sum_ = 0; }
 

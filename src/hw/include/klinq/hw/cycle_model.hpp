@@ -74,9 +74,6 @@ struct latency_breakdown {
   double serial_ns(double clock_ghz = 1.0) const {
     return static_cast<double>(total_serial_cycles) / clock_ghz;
   }
-  double critical_path_ns(double clock_ghz = 1.0) const {
-    return static_cast<double>(total_critical_path_cycles) / clock_ghz;
-  }
 
   std::size_t stage_cycles(const std::string& name) const;
 };

@@ -126,7 +126,6 @@ class fixed_frontend {
     return 2 * groups_ + (use_mf_ ? 1 : 0);
   }
   std::size_t groups_per_quadrature() const noexcept { return groups_; }
-  bool uses_matched_filter() const noexcept { return use_mf_; }
 
   /// Quantizes a float ADC trace into a caller-provided register file
   /// (allocation-free hot path for batched evaluation).

@@ -24,7 +24,6 @@ class dense_layer {
   std::size_t in_dim() const noexcept { return weights_.cols(); }
   std::size_t out_dim() const noexcept { return weights_.rows(); }
   activation act() const noexcept { return act_; }
-  void set_activation(activation act) noexcept { act_ = act; }
 
   la::matrix_f& weights() noexcept { return weights_; }
   const la::matrix_f& weights() const noexcept { return weights_; }

@@ -47,7 +47,6 @@
 // confidence.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -67,14 +66,15 @@ struct registry_config {
   /// Retained versions per qubit (≥ 1). The active version is never
   /// retired, even when it is the oldest.
   std::size_t keep_versions = 4;
-  /// Metrics backend (borrowed; must outlive the registry). When set, the
-  /// registry mirrors its lifecycle counters as labeled families
+  /// Metrics backend (borrowed; must outlive the registry). The registry
+  /// keeps its lifecycle counts as labeled families
   /// (klinq_registry_publishes_total{qubit}, ..._activations_total,
   /// ..._rollbacks_total, ..._demotions_total, ..._acquires_total,
   /// ..._quarantined_total) and publishes per-qubit
   /// klinq_registry_active_version / klinq_registry_degraded gauges,
-  /// refreshed at snapshot time through a collector. Null disables the
-  /// mirror; registry_stats works either way.
+  /// refreshed at snapshot time through a collector. Null — the default —
+  /// gives the registry a private backend; stats() reads the same cells
+  /// either way.
   obs::metric_registry* metrics = nullptr;
 };
 
@@ -107,7 +107,7 @@ class model_registry final : public serve::engine_provider {
   explicit model_registry(std::size_t qubit_count,
                           registry_config config = {});
 
-  /// Unbinds the gauge collector from registry_config::metrics (if any).
+  /// Unbinds the gauge collector from the metrics backend.
   ~model_registry() override;
 
   model_registry(const model_registry&) = delete;
@@ -184,9 +184,7 @@ class model_registry final : public serve::engine_provider {
     bool degraded = false;
   };
 
-  /// Pre-resolved per-qubit counter cells in config_.metrics. Empty when
-  /// the registry runs without a metrics backend; inc through bump() so
-  /// every site stays null-safe.
+  /// Pre-resolved per-qubit cells in metrics_: the only copy of each count.
   struct metric_cells {
     obs::counter* publishes = nullptr;
     obs::counter* activations = nullptr;
@@ -203,33 +201,21 @@ class model_registry final : public serve::engine_provider {
   void activate_locked(qubit_slot& slot, std::size_t qubit,
                        std::uint64_t version);
   void retire_locked(qubit_slot& slot);
-  static snapshot_ptr load_active(const qubit_slot& slot);
 
   void init_metrics();
-  static void bump(obs::counter* cell) {
-    if (cell != nullptr) cell->inc();
-  }
 
   registry_config config_;
   /// unique_ptr keeps slot addresses stable (mutexes are not movable).
   std::vector<std::unique_ptr<qubit_slot>> slots_;
 
+  std::unique_ptr<obs::metric_registry> owned_metrics_;
+  obs::metric_registry* metrics_ = nullptr;  // owned_metrics_ or config's
   std::vector<metric_cells> cells_;
   obs::counter* acquires_cell_ = nullptr;
   obs::counter* quarantined_cell_ = nullptr;
   /// Collector refreshing the active-version / degraded gauges at snapshot
-  /// time; 0 when no metrics backend is bound.
+  /// time.
   std::uint64_t collector_id_ = 0;
-
-  std::atomic<std::uint64_t> published_{0};
-  /// activations_/rollbacks_/demotions_ are mutable because demote() is
-  /// const (the engine_provider interface hands the server a const view)
-  /// yet performs a sanctioned state change.
-  mutable std::atomic<std::uint64_t> activations_{0};
-  mutable std::atomic<std::uint64_t> rollbacks_{0};
-  mutable std::atomic<std::uint64_t> demotions_{0};
-  std::atomic<std::uint64_t> quarantined_{0};
-  mutable std::atomic<std::uint64_t> acquires_{0};
 };
 
 }  // namespace klinq::registry

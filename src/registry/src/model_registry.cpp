@@ -52,14 +52,17 @@ model_registry::model_registry(std::size_t qubit_count,
 }
 
 model_registry::~model_registry() {
-  if (config_.metrics != nullptr && collector_id_ != 0) {
-    config_.metrics->remove_collector(collector_id_);
-  }
+  metrics_->remove_collector(collector_id_);
 }
 
 void model_registry::init_metrics() {
-  if (config_.metrics == nullptr) return;
-  obs::metric_registry& metrics = *config_.metrics;
+  if (config_.metrics != nullptr) {
+    metrics_ = config_.metrics;
+  } else {
+    owned_metrics_ = std::make_unique<obs::metric_registry>();
+    metrics_ = owned_metrics_.get();
+  }
+  obs::metric_registry& metrics = *metrics_;
   acquires_cell_ =
       &metrics.get_counter("klinq_registry_acquires_total", {},
                            "Engine leases handed to the serving layer.");
@@ -118,8 +121,7 @@ serve::engine_lease model_registry::acquire(std::size_t qubit) const {
   snapshot_ptr snapshot = atomic_active_load(slot.active);
   KLINQ_REQUIRE(snapshot != nullptr,
                 "model_registry: qubit has no published model");
-  acquires_.fetch_add(1, std::memory_order_relaxed);
-  bump(acquires_cell_);
+  acquires_cell_->inc();
   return {snapshot->engines(), snapshot->info().version, std::move(snapshot)};
 }
 
@@ -131,8 +133,7 @@ std::uint64_t model_registry::publish(std::size_t qubit,
   snapshot.info_.version = version;
   auto ptr = std::make_shared<const model_snapshot>(std::move(snapshot));
   slot.versions.emplace_back(version, std::move(ptr));
-  published_.fetch_add(1, std::memory_order_relaxed);
-  bump(cells_.empty() ? nullptr : cells_[qubit].publishes);
+  cells_[qubit].publishes->inc();
   if (!slot.pinned) activate_locked(slot, qubit, version);
   retire_locked(slot);
   slot.degraded = false;  // fresh model: confidence restored
@@ -147,8 +148,7 @@ void model_registry::activate_locked(qubit_slot& slot, std::size_t qubit,
   KLINQ_REQUIRE(it != slot.versions.end(),
                 "model_registry: version unknown or retired");
   atomic_active_store(slot.active, it->second);
-  activations_.fetch_add(1, std::memory_order_relaxed);
-  bump(cells_.empty() ? nullptr : cells_[qubit].activations);
+  cells_[qubit].activations->inc();
 }
 
 void model_registry::retire_locked(qubit_slot& slot) {
@@ -212,8 +212,7 @@ std::uint64_t model_registry::rollback(std::size_t qubit) {
                 "model_registry: no retained version older than the active "
                 "one to roll back to");
   activate_locked(slot, qubit, target);
-  rollbacks_.fetch_add(1, std::memory_order_relaxed);
-  bump(cells_.empty() ? nullptr : cells_[qubit].rollbacks);
+  cells_[qubit].rollbacks->inc();
   slot.degraded = false;
   return target;
 }
@@ -223,9 +222,10 @@ bool model_registry::demote(std::size_t qubit,
   if (qubit >= slots_.size() || version == 0) return false;
   try {
     // unique_ptr does not propagate constness to the pointee, so the slot is
-    // mutable here; the counter members are declared mutable for the same
-    // reason. demote() is const only because engine_provider hands the
-    // serving layer a const view — the state change itself is sanctioned.
+    // mutable here, and the counter cells are reached through pointers for
+    // the same reason. demote() is const only because engine_provider hands
+    // the serving layer a const view — the state change itself is
+    // sanctioned.
     qubit_slot& slot = *slots_[qubit];
     const std::lock_guard lock(slot.mutex);
     const snapshot_ptr current = atomic_active_load(slot.active);
@@ -249,14 +249,10 @@ bool model_registry::demote(std::size_t qubit,
         [target](const auto& entry) { return entry.first == target; });
     atomic_active_store(slot.active, it->second);
     slot.degraded = true;
-    activations_.fetch_add(1, std::memory_order_relaxed);
-    rollbacks_.fetch_add(1, std::memory_order_relaxed);
-    demotions_.fetch_add(1, std::memory_order_relaxed);
-    if (!cells_.empty()) {
-      bump(cells_[qubit].activations);
-      bump(cells_[qubit].rollbacks);
-      bump(cells_[qubit].demotions);
-    }
+    const metric_cells& cells = cells_[qubit];
+    cells.activations->inc();
+    cells.rollbacks->inc();
+    cells.demotions->inc();
     log_warn("model_registry: demoted qubit ", qubit, " v", version, " -> v",
              target, " after serve-reported failures; qubit marked degraded");
     return true;
@@ -311,13 +307,17 @@ std::vector<version_record> model_registry::list(std::size_t qubit) const {
 }
 
 registry_stats model_registry::stats() const {
+  // A view over the metric cells: the lifetime totals are the sums of their
+  // per-qubit series.
   registry_stats snapshot;
-  snapshot.published = published_.load(std::memory_order_relaxed);
-  snapshot.activations = activations_.load(std::memory_order_relaxed);
-  snapshot.rollbacks = rollbacks_.load(std::memory_order_relaxed);
-  snapshot.acquires = acquires_.load(std::memory_order_relaxed);
-  snapshot.demotions = demotions_.load(std::memory_order_relaxed);
-  snapshot.quarantined = quarantined_.load(std::memory_order_relaxed);
+  for (const metric_cells& cells : cells_) {
+    snapshot.published += cells.publishes->value();
+    snapshot.activations += cells.activations->value();
+    snapshot.rollbacks += cells.rollbacks->value();
+    snapshot.demotions += cells.demotions->value();
+  }
+  snapshot.acquires = acquires_cell_->value();
+  snapshot.quarantined = quarantined_cell_->value();
   return snapshot;
 }
 
@@ -473,10 +473,7 @@ std::unique_ptr<model_registry> model_registry::load_directory(
       ++quarantined;
     }
   }
-  registry->quarantined_.store(quarantined, std::memory_order_relaxed);
-  if (registry->quarantined_cell_ != nullptr && quarantined > 0) {
-    registry->quarantined_cell_->inc(quarantined);
-  }
+  registry->quarantined_cell_->inc(quarantined);
 
   // Manifest per-qubit rows: restore counters, active and pin. Rows are
   // parsed line by line and tolerantly — a corrupt or missing row (torn

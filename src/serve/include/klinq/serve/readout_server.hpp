@@ -21,9 +21,10 @@
 // completion path as a dispatched shard, so it never waits behind a running
 // bulk shard. Every other request is split into shards and dispatched FIFO.
 //
-// Steady-state allocation: completed slots and shard arenas are recycled
-// through free-lists. The wait(ticket, result&) overload swaps buffers with
-// the caller, so a submit/wait loop that reuses one readout_result performs
+// Steady-state allocation: completed slots are recycled through a
+// free-list, and each thread that runs shards keeps one engine scratch
+// arena for them. The wait(ticket, result&) overload swaps buffers with the
+// caller, so a submit/wait loop that reuses one readout_result performs
 // zero heap allocations once warm.
 //
 // Engine acquisition: the server resolves a request's engines through an
@@ -44,18 +45,20 @@
 // loops, so unstarted shards are skipped rather than computed), cancelled
 // (cancel(ticket) landed in flight), or failed (a shard threw; wait()
 // rethrows). Skipped and failed shards still run completion accounting, so
-// wait() never blocks forever and arenas return to the pool. Persistent
-// failures self-heal: failure_threshold consecutive shard failures on one
-// qubit ask the engine provider to demote the serving version (the registry
-// rolls back to last-known-good). The fault points compiled into this path
+// wait() never blocks forever. Persistent failures self-heal:
+// failure_threshold consecutive shard failures on one qubit ask the engine
+// provider to demote the serving version (the registry rolls back to
+// last-known-good). The fault points compiled into this path
 // (klinq/fault/fault.hpp: "serve.submit.lease", "serve.shard.run") let tests
 // and the --chaos demo inject all of it deterministically.
 #pragma once
 
 #include <array>
+#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <condition_variable>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -68,15 +71,17 @@
 #include "klinq/obs/trace.hpp"
 #include "klinq/serve/engine_provider.hpp"
 #include "klinq/serve/request.hpp"
-#include "klinq/serve/shard_scheduler.hpp"
 #include "klinq/serve/telemetry.hpp"
 
 namespace klinq::serve {
 
 struct server_config {
-  /// Rows per shard; 0 = scheduler default (four cache tiles). Validated at
-  /// server construction: values above kMaxShardShots (a wrapped negative
-  /// from a careless cast, say) are rejected instead of silently clamped.
+  /// Rows per shard; 0 = four engine tiles (256 shots). The server rounds
+  /// it up to whole tiles (hw::quantized_network::kBatchTile shots each) so
+  /// a shard boundary never splits a cache tile; shard_shots() reports the
+  /// result. Validated at server construction: values above kMaxShardShots
+  /// (a wrapped negative from a careless cast, say) are rejected instead of
+  /// silently clamped.
   std::size_t shard_shots = 0;
   /// Maximum unresolved tickets before submit() blocks. Must be positive.
   std::size_t max_inflight = 64;
@@ -164,7 +169,8 @@ class readout_server {
   readout_server& operator=(const readout_server&) = delete;
 
   std::size_t qubit_count() const noexcept { return provider_->qubit_count(); }
-  std::size_t shard_shots() const noexcept { return scheduler_.shard_shots(); }
+  /// Rows per shard after the tile round-up (see server_config::shard_shots).
+  std::size_t shard_shots() const noexcept { return shard_shots_; }
 
   /// Enqueues a request (or runs a small feedback one), blocking while the
   /// server is at max_inflight.
@@ -224,6 +230,8 @@ class readout_server {
   struct slot {
     std::uint64_t id = 0;
     readout_result result;
+    /// The request's borrowed trace block, immutable after submit.
+    const data::trace_dataset* traces = nullptr;
     std::size_t shots = 0;
     std::size_t remaining_shards = 0;  // guarded by mutex_
     bool done = false;                 // guarded by mutex_
@@ -280,8 +288,9 @@ class readout_server {
     bool skipped() const noexcept { return cancelled || expired; }
   };
 
-  void run_shard(slot& s, const readout_request& request, std::size_t begin,
-                 std::size_t end, shard_arena& arena) const;
+  /// Rows [begin, end) through the slot's pinned engine, on this thread's
+  /// scratch arena.
+  void run_shard(slot& s, std::size_t begin, std::size_t end) const;
   /// Shard preamble: stamps the exec start, then checks cancellation, the
   /// deadline and the "serve.shard.run" fault point. True when the shard
   /// should execute; a skipped or faulted shard still goes through
@@ -292,13 +301,14 @@ class readout_server {
                                      std::size_t end);
   /// Runs one contiguous row range of a request (a dispatched shard, or a
   /// whole inline feedback request) and completes it.
-  void execute_range(slot* raw, const readout_request& request,
-                     std::size_t begin, std::size_t end, shard_arena& arena);
+  void execute_range(slot* raw, std::size_t begin, std::size_t end);
   /// Completion of one shard: shard timing, error and failure counting, any
   /// demote (with mutex_ released but before the shard is accounted, so the
   /// tripping request resolves after its rollback), shard accounting, and —
   /// for the request's last shard — status precedence,
-  /// finish_request_locked and, with the lock released, the doorbell.
+  /// finish_request_locked and, with the lock released, the doorbell. The
+  /// shard leaves outstanding_shards_ only after its last read of the
+  /// server: the last shard re-takes mutex_ after the doorbell to do so.
   void complete_shard(const shard_run& run);
   void recycle_locked(std::unique_ptr<slot> s, readout_result* swap_with);
 
@@ -306,7 +316,7 @@ class readout_server {
   std::unique_ptr<static_engine_provider> owned_provider_;
   const engine_provider* provider_ = nullptr;
   server_config config_;
-  shard_scheduler scheduler_;
+  std::size_t shard_shots_ = 0;  // config_.shard_shots after the round-up
 
   mutable std::mutex mutex_;
   std::condition_variable completed_;  // slot done / all shards drained
@@ -314,6 +324,8 @@ class readout_server {
   std::uint64_t next_ticket_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<slot>> active_;
   std::vector<std::unique_ptr<slot>> free_slots_;
+  /// Shards submitted and not yet finished with the server; drain(), the
+  /// destructor and set_on_complete wait for it to reach zero.
   std::size_t outstanding_shards_ = 0;
 
   // --- telemetry: labeled metric cells -----------------------------------

@@ -10,9 +10,33 @@
 
 #include "klinq/common/error.hpp"
 #include "klinq/common/log.hpp"
+#include "klinq/common/thread_pool.hpp"
 #include "klinq/fault/fault.hpp"
+#include "klinq/hw/quantized_network.hpp"
 
 namespace klinq::serve {
+
+namespace {
+
+constexpr std::size_t kTile = hw::quantized_network<fx::q16_16>::kBatchTile;
+
+/// One shard's engine scratch: both engines' arenas side by side, so one
+/// arena serves mixed fixed/float traffic.
+struct shard_arena {
+  hw::discriminator_scratch<fx::q16_16> fixed;
+  kd::student_scratch student;
+};
+
+/// Rows per shard for a validated server_config::shard_shots. 0 picks four
+/// engine tiles: large enough to amortize the queue round trip, small
+/// enough that a 4096-shot request still fans out 16 ways. Other sizes
+/// round up to whole tiles, so a shard boundary never splits a cache tile.
+std::size_t tiled_shard_shots(std::size_t requested) {
+  if (requested == 0) return 4 * kTile;
+  return (requested + kTile - 1) / kTile * kTile;
+}
+
+}  // namespace
 
 const char* engine_name(engine_kind engine) noexcept {
   switch (engine) {
@@ -125,10 +149,10 @@ readout_server::readout_server(std::vector<qubit_engine> qubits,
           }())),
       provider_(owned_provider_.get()),
       config_(std::move(config)),
-      scheduler_(global_thread_pool(), config_.shard_shots),
       consecutive_failures_(provider_->qubit_count(), 0),
       last_version_(provider_->qubit_count(), kNoVersionYet) {
   config_.validate();
+  shard_shots_ = tiled_shard_shots(config_.shard_shots);
   init_metrics();
 }
 
@@ -136,12 +160,12 @@ readout_server::readout_server(const engine_provider& provider,
                                server_config config)
     : provider_(&provider),
       config_(std::move(config)),
-      scheduler_(global_thread_pool(), config_.shard_shots),
       consecutive_failures_(provider_->qubit_count(), 0),
       last_version_(provider_->qubit_count(), kNoVersionYet) {
   KLINQ_REQUIRE(provider_->qubit_count() > 0,
                 "readout_server: provider serves no qubits");
   config_.validate();
+  shard_shots_ = tiled_shard_shots(config_.shard_shots);
   init_metrics();
 }
 
@@ -397,7 +421,8 @@ ticket readout_server::submit_locked(const readout_request& request,
   }
   s->id = next_ticket_++;
   s->shots = shots;
-  s->remaining_shards = scheduler_.shard_count(shots);
+  s->traces = request.traces;
+  s->remaining_shards = (shots + shard_shots_ - 1) / shard_shots_;
   s->done = false;
   s->error = nullptr;
   s->deadline_seconds = request.deadline_seconds;
@@ -471,36 +496,32 @@ ticket readout_server::submit_locked(const readout_request& request,
 
   // Dispatch outside the lock: the pool has its own mutex, and shards may
   // even run inline here on a workerless (single-CPU) pool. The slot cannot
-  // complete early — remaining_shards is already final.
+  // complete early — remaining_shards is already final — but it may be
+  // consumed once its last shard is queued, so nothing below reads it.
   lock.unlock();
   if (request.lane == lane_class::feedback &&
       shots <= server_config::kMaxInlineShots) {
     // One shard of feedback runs here: a few microseconds of engine work,
     // where a queued task would wait behind any bulk shard already running.
-    scheduler_.run_inline([&](shard_arena& arena) {
-      execute_range(raw, request, 0, shots, arena);
-    });
+    execute_range(raw, 0, shots);
     return t;
   }
-  const readout_request req = request;
-  scheduler_.dispatch(shots, [this, req, raw](std::size_t begin,
-                                              std::size_t end, shard_arena& a) {
-    execute_range(raw, req, begin, end, a);
-  });
+  thread_pool& pool = global_thread_pool();
+  for (std::size_t begin = 0; begin < shots; begin += shard_shots_) {
+    const std::size_t end = std::min(begin + shard_shots_, shots);
+    pool.submit([this, raw, begin, end] { execute_range(raw, begin, end); });
+  }
   return t;
 }
 
 void readout_server::set_on_complete(completion_callback callback) {
-  {
-    const std::lock_guard lock(mutex_);
-    KLINQ_REQUIRE(active_.empty(),
-                  "readout_server: set_on_complete requires no unresolved "
-                  "tickets (in-flight completions would race the handoff)");
-  }
-  // A consumed ticket's task *tail* may still be running (it reads the
-  // callback lock-free); wait for task bodies to exit before swapping.
-  scheduler_.drain();
-  const std::lock_guard lock(mutex_);
+  std::unique_lock lock(mutex_);
+  KLINQ_REQUIRE(active_.empty(),
+                "readout_server: set_on_complete requires no unresolved "
+                "tickets (in-flight completions would race the handoff)");
+  // A consumed ticket's last shard may still be ringing the doorbell (it
+  // reads the callback lock-free); it stays counted until it has.
+  completed_.wait(lock, [this] { return outstanding_shards_ == 0; });
   KLINQ_REQUIRE(active_.empty(),
                 "readout_server: a submit raced set_on_complete");
   config_.on_complete = std::move(callback);
@@ -550,13 +571,12 @@ shard_event readout_server::shard_event_for(const slot& s, std::size_t begin,
   return event;
 }
 
-void readout_server::execute_range(slot* raw, const readout_request& request,
-                                   std::size_t begin, std::size_t end,
-                                   shard_arena& arena) {
+void readout_server::execute_range(slot* raw, std::size_t begin,
+                                   std::size_t end) {
   shard_run run{raw};
   if (start_shard(run)) {
     try {
-      run_shard(*raw, request, begin, end, arena);
+      run_shard(*raw, begin, end);
       if (config_.on_shard) {
         // Safe to read the slot's buffers without the mutex: this shard is
         // not yet accounted, so the request cannot complete (and its ticket
@@ -622,11 +642,13 @@ void readout_server::complete_shard(const shard_run& run) {
   } else if (!run.skipped()) {
     consecutive_failures_[qubit] = 0;
   }
-  // The early return needs no notify: another shard of this request is
-  // still out, so outstanding_shards_ stays positive and no waiter's
-  // condition can have turned true.
-  --outstanding_shards_;
-  if (--raw->remaining_shards > 0) return;
+  if (--raw->remaining_shards > 0) {
+    // Nothing below reads the server, so this shard is finished. No notify:
+    // the request's last shard is still out, so outstanding_shards_ stays
+    // positive and no drain() can have been satisfied.
+    --outstanding_shards_;
+    return;
+  }
   raw->done = true;
   raw->lease = engine_lease{};  // last shard done: release the snapshot
   raw->result.latency_seconds = raw->timer.seconds();
@@ -649,21 +671,31 @@ void readout_server::complete_shard(const shard_run& run) {
   completed_.notify_all();
   lock.unlock();
   if (config_.on_complete) config_.on_complete(t, status);
+  // The doorbell was this shard's last read of the server: only now may
+  // drain() — and so the destructor or set_on_complete — count it finished.
+  lock.lock();
+  if (--outstanding_shards_ == 0) completed_.notify_all();
 }
 
-void readout_server::run_shard(slot& s, const readout_request& request,
-                               std::size_t begin, std::size_t end,
-                               shard_arena& arena) const {
+void readout_server::run_shard(slot& s, std::size_t begin,
+                               std::size_t end) const {
+  // One arena per thread that runs shards: pool workers, the TCP loop
+  // thread for inline feedback, in-process submitters. A shard touches it
+  // only inside this call, and nothing here blocks on the pool (the engines'
+  // block kernels are serial), so no other shard can start on this thread
+  // while the arena is in use. A nested shard on the same thread — an
+  // on_shard callback that submits — starts after this call has returned.
+  thread_local shard_arena arena;
   // The slot's lease — not a fresh provider acquisition — so every shard of
   // a request runs on the version pinned at submit time.
   const qubit_engine& engine = s.lease.engine;
   const std::size_t count = end - begin;
   // Shards write disjoint row ranges of the slot's buffers: no locking on
   // the data plane.
-  if (request.engine == engine_kind::fixed_q16) {
+  if (s.result.engine == engine_kind::fixed_q16) {
     const auto registers =
         std::span<fx::q16_16>(s.result.registers).subspan(begin, count);
-    engine.hardware->logits_block(*request.traces, begin, end, registers,
+    engine.hardware->logits_block(*s.traces, begin, end, registers,
                                   arena.fixed);
     for (std::size_t r = begin; r < end; ++r) {
       s.result.states[r] = s.result.registers[r].sign_bit() ? 0 : 1;
@@ -671,7 +703,7 @@ void readout_server::run_shard(slot& s, const readout_request& request,
   } else {
     const auto logits =
         std::span<float>(s.result.logits).subspan(begin, count);
-    engine.student->predict_block(*request.traces, begin, end, logits,
+    engine.student->predict_block(*s.traces, begin, end, logits,
                                   arena.student);
     for (std::size_t r = begin; r < end; ++r) {
       s.result.states[r] = (s.result.logits[r] >= 0.0f) ? 1 : 0;
@@ -767,18 +799,8 @@ void readout_server::recycle_locked(std::unique_ptr<slot> s,
 }
 
 void readout_server::drain() {
-  {
-    std::unique_lock lock(mutex_);
-    completed_.wait(lock, [this] { return outstanding_shards_ == 0; });
-  }
-  // outstanding_shards_ hits zero inside a task's locked completion block,
-  // but the task *body* is still running after that: the post-unlock
-  // doorbell reads config_, which the destructor tears down before
-  // scheduler_ (reverse member order). So "drained" waits for the task
-  // bodies themselves — the scheduler decrements its pending count only
-  // after a body fully returns. The cancel-during-drain TSAN hammer in
-  // test_serve.cpp regresses this.
-  scheduler_.drain();
+  std::unique_lock lock(mutex_);
+  completed_.wait(lock, [this] { return outstanding_shards_ == 0; });
 }
 
 server_stats readout_server::stats() const {

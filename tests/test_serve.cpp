@@ -30,7 +30,6 @@
 #include "klinq/registry/drift_monitor.hpp"
 #include "klinq/registry/model_registry.hpp"
 #include "klinq/serve/readout_server.hpp"
-#include "klinq/serve/shard_scheduler.hpp"
 #include "klinq/serve/telemetry.hpp"
 #include "parked_workers.hpp"
 
@@ -272,6 +271,18 @@ TEST(Serve, ConfigRejectsAbsurdShardShots) {
       f.engines(), {.shard_shots = serve::server_config::kMaxShardShots});
 }
 
+TEST(Serve, RoundsShardSizeToWholeTiles) {
+  auto& f = fixture();
+  const auto rows_per_shard = [&](std::size_t requested) {
+    return serve::readout_server(f.engines(), {.shard_shots = requested})
+        .shard_shots();
+  };
+  EXPECT_EQ(rows_per_shard(0), 256u);  // default: four engine tiles
+  EXPECT_EQ(rows_per_shard(1), 64u);
+  EXPECT_EQ(rows_per_shard(64), 64u);
+  EXPECT_EQ(rows_per_shard(65), 128u);
+}
+
 TEST(Serve, ConfigRejectsEmptyEngineSet) {
   EXPECT_THROW(serve::readout_server(std::vector<serve::qubit_engine>{}),
                invalid_argument_error);
@@ -340,29 +351,13 @@ TEST(Serve, StatsCountShotsAndLatency) {
 TEST(Serve, ArenasAreRecycledAcrossRequests) {
   auto& f = fixture();
   serve::readout_server server(f.engines(), {.shard_shots = 64});
+  // From the second round on, every shard runs on a scratch arena an
+  // earlier shard on the same thread left warm; results must not move.
   for (int round = 0; round < 3; ++round) {
     const serve::ticket t =
         server.submit({0, &f.data[0].test, serve::engine_kind::fixed_q16});
-    server.wait(t);
+    expect_fixed_result(server.wait(t), 0);
   }
-  // The scheduler is internal to the server; probe arena recycling through a
-  // standalone scheduler on the same pool: after drain() every arena is back
-  // in the free-list, and a second dispatch must not grow it.
-  serve::shard_scheduler scheduler(global_thread_pool(), 64);
-  std::atomic<int> ran{0};
-  const auto count_rows = [&](std::size_t, std::size_t, serve::shard_arena&) {
-    ++ran;
-  };
-  scheduler.dispatch(256, count_rows);
-  scheduler.drain();
-  EXPECT_EQ(ran.load(), 4);
-  EXPECT_GE(scheduler.pooled_arena_count(), 1u);
-  // A second wave reuses parked arenas: the pool never exceeds the peak
-  // shard concurrency, which is bounded by the shard count.
-  scheduler.dispatch(256, count_rows);
-  scheduler.drain();
-  EXPECT_GE(scheduler.pooled_arena_count(), 1u);
-  EXPECT_LE(scheduler.pooled_arena_count(), 4u);
 }
 
 // --- small blocks ----------------------------------------------------------
@@ -457,11 +452,16 @@ struct shard_event_log {
 // chunked into shards.
 TEST(ServeStreaming, CallbackCoversEveryRowOnceAcrossShardSizes) {
   auto& f = fixture();
-  for (const std::size_t shard_shots : {64u, 128u, 100000u}) {
+  for (const std::size_t shard_shots : {64u, 65u, 128u, 100000u}) {
     shard_event_log log;
     serve::readout_server server(
         f.engines(),
         {.shard_shots = shard_shots, .on_shard = log.callback()});
+    // 65 rounds up to two whole tiles.
+    const std::size_t rows_per_shard = server.shard_shots();
+    if (shard_shots == 65u) {
+      EXPECT_EQ(rows_per_shard, 128u);
+    }
     std::vector<serve::ticket> tickets;
     for (std::size_t q = 0; q < kQubits; ++q) {
       tickets.push_back(server.submit(
@@ -478,6 +478,8 @@ TEST(ServeStreaming, CallbackCoversEveryRowOnceAcrossShardSizes) {
         EXPECT_EQ(e.qubit, q);
         EXPECT_EQ(e.model_version, 0u);  // static engine binding
         ASSERT_LE(e.row_end, result.states.size());
+        ASSERT_EQ(e.row_begin % rows_per_shard, 0u);
+        ASSERT_LE(e.row_end - e.row_begin, rows_per_shard);
         ASSERT_EQ(e.states.size(), e.row_end - e.row_begin);
         ASSERT_EQ(e.registers.size(), e.row_end - e.row_begin);
         for (std::size_t r = e.row_begin; r < e.row_end; ++r) {
@@ -532,37 +534,56 @@ TEST(ServeStreaming, CallbackExceptionFailsTheRequest) {
   EXPECT_THROW(server.wait(t), numeric_error);
 }
 
-// --- shard scheduler -------------------------------------------------------
+// A shard's engine scratch is per thread. An on_shard callback runs on the
+// shard's thread after the shard is done with that scratch, so a request it
+// submits and waits for may run on the same thread and the same arena.
+TEST(ServeStreaming, NestedFeedbackOnTheSameThreadIsBitExact) {
+  auto& f = fixture();
+  // Blocks of different sizes, so the inner request reshapes the scratch
+  // the outer one used.
+  const auto outer_blocks = split_blocks(f.data[0].test, 64);
+  const auto inner_blocks = split_blocks(f.data[1].test, 17);
+  const data::trace_dataset& outer_block = outer_blocks[0];
+  const data::trace_dataset& inner_block = inner_blocks[1];
+  std::vector<q16_16> expected_outer(outer_block.size());
+  std::vector<q16_16> expected_inner(inner_block.size());
+  f.hardware[0].logits(outer_block, expected_outer);
+  f.hardware[1].logits(inner_block, expected_inner);
 
-TEST(ShardScheduler, RoundsShardSizeToWholeTiles) {
-  auto& pool = global_thread_pool();
-  EXPECT_EQ(serve::shard_scheduler(pool, 0).shard_shots(), 256u);  // default
-  EXPECT_EQ(serve::shard_scheduler(pool, 1).shard_shots(), 64u);
-  EXPECT_EQ(serve::shard_scheduler(pool, 64).shard_shots(), 64u);
-  EXPECT_EQ(serve::shard_scheduler(pool, 65).shard_shots(), 128u);
-  // Absurd sizes (e.g. -1 wrapped through a CLI cast) clamp instead of
-  // overflowing the tile round-up to a zero shard size.
-  EXPECT_GT(serve::shard_scheduler(pool, static_cast<std::size_t>(-1))
-                .shard_shots(),
-            0u);
-  const serve::shard_scheduler scheduler(pool, 128);
-  EXPECT_EQ(scheduler.shard_count(1), 1u);
-  EXPECT_EQ(scheduler.shard_count(128), 1u);
-  EXPECT_EQ(scheduler.shard_count(129), 2u);
-  EXPECT_EQ(scheduler.shard_count(512), 4u);
-}
+  serve::readout_server* server = nullptr;
+  std::optional<serve::readout_result> inner;
+  std::vector<std::thread::id> event_threads;
+  serve::server_config config;
+  config.on_shard = [&](const serve::shard_event&) {
+    event_threads.push_back(std::this_thread::get_id());
+    if (event_threads.size() > 1) return;  // the inner request's own event
+    serve::readout_request request{1, &inner_block,
+                                   serve::engine_kind::fixed_q16};
+    request.lane = serve::lane_class::feedback;
+    inner = server->wait(server->submit(request));
+  };
+  serve::readout_server owned(f.engines(), config);
+  server = &owned;
 
-TEST(ShardScheduler, DispatchCoversEveryRowExactlyOnce) {
-  serve::shard_scheduler scheduler(global_thread_pool(), 64);
-  constexpr std::size_t kShots = 300;  // non-multiple: last shard is ragged
-  std::vector<std::atomic<int>> touched(kShots);
-  scheduler.dispatch(kShots, [&](std::size_t begin, std::size_t end,
-                                 serve::shard_arena&) {
-    for (std::size_t r = begin; r < end; ++r) ++touched[r];
-  });
-  scheduler.drain();
-  for (std::size_t r = 0; r < kShots; ++r) {
-    ASSERT_EQ(touched[r].load(), 1) << "row " << r;
+  serve::readout_request request{0, &outer_block,
+                                 serve::engine_kind::fixed_q16};
+  request.lane = serve::lane_class::feedback;
+  const serve::readout_result outer = owned.wait(owned.submit(request));
+
+  ASSERT_EQ(event_threads.size(), 2u);
+  EXPECT_EQ(event_threads[0], std::this_thread::get_id());
+  EXPECT_EQ(event_threads[1], std::this_thread::get_id());
+  ASSERT_TRUE(inner.has_value());
+  ASSERT_EQ(outer.status, serve::request_status::ok);
+  ASSERT_EQ(inner->status, serve::request_status::ok);
+  ASSERT_EQ(outer.registers.size(), expected_outer.size());
+  ASSERT_EQ(inner->registers.size(), expected_inner.size());
+  for (std::size_t r = 0; r < expected_outer.size(); ++r) {
+    ASSERT_EQ(outer.registers[r].raw(), expected_outer[r].raw()) << "row " << r;
+  }
+  for (std::size_t r = 0; r < expected_inner.size(); ++r) {
+    ASSERT_EQ(inner->registers[r].raw(), expected_inner[r].raw())
+        << "row " << r;
   }
 }
 

@@ -271,6 +271,11 @@ int run_listen_stream(serve::readout_server& server,
   while (!window.empty()) consume_oldest();
   const double elapsed = timer.seconds();
   client.send_goodbye();
+  // Read until the server closes the connection: its goodbye reply has then
+  // been written and counted, so the frame counts printed below do not
+  // depend on how close() races it.
+  while (client.read_frame()) {
+  }
   client.close();
   front_end.shutdown();
 
